@@ -34,7 +34,7 @@ def list_rules(language):
     registry = build_registry(language)
     lines = []
     for desc in registry.descriptors():
-        props = ", ".join("%s=%s" % (k, v) for k, v in desc.default_properties)
+        props = ", ".join("%s=%s" % (k, v) for k, v in desc.defaults().items())
         line = "%s  %s  [%s/%s]" % (
             desc.id,
             desc.title,

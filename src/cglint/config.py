@@ -9,22 +9,21 @@ The format is deliberately small::
     CloseAPI = false
 
 Rules absent from the file stay enabled with their default properties.
-Unknown sections, rule ids, and property keys are hard errors.
+Unknown sections, rule ids, and property keys are hard errors, and so is a
+property value its declared type (int, bool, regex or str) rejects.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigSyntaxError, UnknownPropertyError, UnknownRuleIdError
-from .model import Priority, RuleConfig
-
-_BOOLEANS = {"true": True, "false": False}
+from .model import Priority, RuleConfig, parse_bool
 
 
 def load_config(text, registry):
     """Parse configuration ``text`` into one RuleConfig per registered rule."""
     configs = {rid: RuleConfig(rule_id=rid) for rid in registry.rule_ids()}
     current = None  # RuleConfig of the open [rule ...] section
-    declared = None  # its declared default property keys
+    descriptor = None  # its rule's descriptor
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -42,7 +41,7 @@ def load_config(text, registry):
             if rule_id not in configs:
                 raise UnknownRuleIdError(rule_id)
             current = configs[rule_id]
-            declared = registry.get(rule_id).descriptor.defaults()
+            descriptor = registry.get(rule_id).descriptor
             continue
         if "=" not in line:
             raise ConfigSyntaxError(lineno, "expected 'key = value'")
@@ -52,9 +51,10 @@ def load_config(text, registry):
         key = key.strip()
         value = value.strip()
         if key == "enabled":
-            if value.lower() not in _BOOLEANS:
-                raise ConfigSyntaxError(lineno, "enabled must be true or false")
-            current.enabled = _BOOLEANS[value.lower()]
+            try:
+                current.enabled = parse_bool(value)
+            except ValueError:
+                raise ConfigSyntaxError(lineno, "enabled must be true or false") from None
         elif key == "priority":
             try:
                 current.priority_override = Priority[value]
@@ -62,7 +62,11 @@ def load_config(text, registry):
                 raise ConfigSyntaxError(
                     lineno, "priority must be SHOULD, SHALL or WILL"
                 ) from None
-        elif key in declared:
+        elif key in descriptor.defaults():
+            try:
+                descriptor.property_value(key, value)
+            except ValueError as exc:
+                raise ConfigSyntaxError(lineno, "%s: %s" % (key, exc)) from None
             current.properties[key] = value
         else:
             raise UnknownPropertyError(

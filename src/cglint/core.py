@@ -10,7 +10,9 @@ from .model import Finding, RuleConfig, RuleReport
 
 @dataclass
 class RuleContext:
-    """Read-only view handed to a rule, plus its finding sink."""
+    """Read-only view handed to a rule, plus its finding sink.
+
+    ``properties`` holds every declared property converted to its type."""
 
     unit: object
     table: object
@@ -23,9 +25,6 @@ class RuleContext:
 
     def prop(self, name, default=""):
         return self.properties.get(name, default)
-
-    def prop_bool(self, name):
-        return self.properties.get(name, "").strip().lower() in ("true", "1", "yes")
 
 
 class Rule:
@@ -108,6 +107,7 @@ def traverse(root, registry, configs, stats=None):
     included), ordered by rule id with findings sorted by position.
     """
     contexts = {}  # rule id -> (rule instance, context), registration order
+    texts = {}  # rule id -> property name -> configured text, for the report
     for config in configs:
         validate_config(registry, config)
     enabled = {c.rule_id: c for c in configs if c.enabled}
@@ -116,8 +116,12 @@ def traverse(root, registry, configs, stats=None):
             continue
         config = enabled[rule_id]
         rule_cls = registry.get(rule_id)
-        properties = rule_cls.descriptor.defaults()
-        properties.update(config.properties)
+        texts[rule_id] = rule_cls.descriptor.defaults()
+        texts[rule_id].update(config.properties)
+        properties = {
+            name: rule_cls.descriptor.property_value(name, text)
+            for name, text in texts[rule_id].items()
+        }
         ctx = RuleContext(
             unit=root, table=root.symbols, properties=properties, rule_id=rule_id
         )
@@ -143,7 +147,7 @@ def traverse(root, registry, configs, stats=None):
         reports.append(
             RuleReport(
                 descriptor=descriptor,
-                effective_properties=dict(ctx.properties),
+                effective_properties=texts[rule_id],
                 findings=sorted(ctx.findings, key=Finding.sort_key),
             )
         )

@@ -1,13 +1,11 @@
 from .lexer import Token, lex
-from .parser import NODE_KINDS, StmtClass, disambiguate_stmt, parse
+from .parser import NODE_KINDS, parse
 from .symbols import build_minicpp_symbols
 
 __all__ = [
     "Token",
     "lex",
     "parse",
-    "disambiguate_stmt",
-    "StmtClass",
     "NODE_KINDS",
     "build_minicpp_symbols",
 ]

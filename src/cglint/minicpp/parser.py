@@ -1,18 +1,16 @@
 """Recursive-descent parser for the C++ subset.
 
 Statements beginning with an identifier are ambiguous (``T * x;`` is a
-declaration when ``T`` names a type, an expression otherwise); the parser
-resolves this by querying the symbol table it feeds incrementally with
-every class, enum, and typedef declaration it passes.
+declaration when ``T`` names a type, an expression otherwise). The parser
+resolves this with a private stack of type-name frames, one per namespace,
+class and function body, filled with every class, enum and typedef it
+passes. The unit's symbol table is built afterwards from the finished AST.
 """
 
 from __future__ import annotations
 
-import enum
-
 from ..errors import ParseError
 from ..model import AstNode, SourceSpan
-from ..symtab import ClassBinding, ScopeKind, TypeBinding
 from . import lexer
 from .lexer import IDENT, KEYWORD, PUNCT
 
@@ -33,50 +31,42 @@ _TYPE_KEYWORDS = frozenset(
     "void bool char int short long float double unsigned signed".split()
 )
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
+_UNARY_OPS = ("!", "-", "+", "*", "&", "~", "++", "--")
+# Binary operator -> precedence (higher binds tighter); all left-associative.
+_BINARY_PRECEDENCE = {
+    "||": 0, "&&": 1, "|": 2, "^": 3, "&": 4,
+    "==": 5, "!=": 5, "<": 6, ">": 6, "<=": 6, ">=": 6,
+    "<<": 7, ">>": 7, "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
+}
+
+# Nesting of declarations, statements and expressions beyond which parsing
+# stops with a ParseError. Each level costs at most three Python frames, so
+# the limit trips far below the interpreter's recursion limit.
+MAX_NESTING = 128
 
 
-class StmtClass(enum.Enum):
-    DECLARATION = "DECLARATION"
-    EXPRESSION = "EXPRESSION"
+def parse(tokens, file="<input>"):
+    """Parse a token stream into a TranslationUnit node."""
+    return _Parser(tokens, file).parse_unit()
 
 
-def parse(tokens, table, file="<input>"):
-    """Parse a token stream into a TranslationUnit node, feeding type
-    declarations into ``table`` as they are encountered."""
-    return _Parser(tokens, table, file).parse_unit()
+class _Frame:
+    """Type names (class, enum, typedef) declared directly in one namespace,
+    class or function body, plus its named namespace and class frames."""
 
+    __slots__ = ("types", "children")
 
-def disambiguate_stmt(tokens, pos, table, scope):
-    """Classify a statement starting at ``tokens[pos]`` (an identifier).
-
-    DECLARATION iff the leading, possibly qualified, identifier resolves to
-    a type or a constructor of an enclosing class; EXPRESSION otherwise.
-    """
-    parts = [tokens[pos].text]
-    i = pos + 1
-    while (
-        i + 1 < len(tokens)
-        and tokens[i].is_punct("::")
-        and tokens[i + 1].kind == IDENT
-    ):
-        parts.append(tokens[i + 1].text)
-        i += 2
-    if len(parts) == 1:
-        known, _category = table.is_type_name(scope, parts[0])
-        return StmtClass.DECLARATION if known else StmtClass.EXPRESSION
-    binding = table.resolve_qualified(scope, parts)
-    if isinstance(binding, (ClassBinding, TypeBinding)):
-        return StmtClass.DECLARATION
-    return StmtClass.EXPRESSION
+    def __init__(self):
+        self.types = set()
+        self.children = {}
 
 
 class _Parser:
-    def __init__(self, tokens, table, file):
+    def __init__(self, tokens, file):
         self.tokens = tokens
-        self.table = table
         self.file = file
-        self.scope = table.global_scope
-        self.class_names = []
+        self.frames = [_Frame()]
+        self.depth = 0
         self._next_id = 0
         self.pos = 0
 
@@ -144,6 +134,13 @@ class _Parser:
         tok = self.peek()
         raise ParseError(tok.span if tok else self._eof_span(), message)
 
+    def enter(self):
+        """Count one level of grammar nesting; the caller decrements
+        ``depth`` when it returns."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting deeper than %d levels" % MAX_NESTING)
+
     # --- node construction ---------------------------------------------
 
     def node(self, kind, start, attrs=None, children=None):
@@ -160,13 +157,41 @@ class _Parser:
             node_id=self._next_id,
         )
 
-    # --- scopes fed while parsing --------------------------------------
+    # --- type names ---------------------------------------------------
 
-    def push_scope(self, kind, name=None):
-        self.scope = self.table.open_scope(kind, name=name, parent=self.scope)
+    def declare_type(self, name):
+        self.frames[-1].types.add(name)
 
-    def pop_scope(self):
-        self.scope = self.scope.parent
+    def at_declaration(self):
+        """True iff a declaration starts at the current token: a built-in
+        type keyword, ``const``/``static``, or a possibly qualified
+        identifier naming a class, enum or typedef visible here."""
+        tok = self.peek()
+        if tok is None:
+            return False
+        if tok.kind == KEYWORD:
+            return tok.text in _TYPE_KEYWORDS or tok.text in ("const", "static")
+        if tok.kind != IDENT:
+            return False
+        path = [tok.text]
+        i = 1
+        while self.at_punct("::", i) and self.at_kind(IDENT, i + 1):
+            path.append(self.peek(i + 1).text)
+            i += 2
+        name = path.pop()
+        if not path:
+            return any(name in frame.types for frame in self.frames)
+        # ``A::B::T``: from the innermost frame with an ``A`` child, descend
+        for frame in reversed(self.frames):
+            if path[0] in frame.children:
+                break
+        else:
+            return False
+        for part in path:
+            frame = frame.children.get(part)
+            if frame is None:
+                return False
+        return name in frame.types
 
     # --- top level ------------------------------------------------------
 
@@ -193,30 +218,35 @@ class _Parser:
         )
 
     def parse_top_decl(self):
+        self.enter()
         if self.at_keyword("namespace"):
-            return self.parse_namespace()
-        if self.at_keyword("using"):
-            return self.parse_using()
-        if self.at_keyword("class"):
-            return self.parse_class()
-        if self.at_keyword("enum"):
-            return self.parse_enum()
-        if self.at_keyword("typedef"):
-            return self.parse_typedef()
-        return self.parse_function_or_variable()
+            decl = self.parse_namespace()
+        elif self.at_keyword("using"):
+            decl = self.parse_using()
+        elif self.at_keyword("class"):
+            decl = self.parse_class()
+        elif self.at_keyword("enum"):
+            decl = self.parse_enum()
+        elif self.at_keyword("typedef"):
+            decl = self.parse_typedef()
+        else:
+            decl = self.parse_function_or_variable()
+        self.depth -= 1
+        return decl
 
     def parse_namespace(self):
         start = self.pos
         self.expect("namespace", KEYWORD)
         name = self.expect_ident().text
         self.expect("{")
-        self.push_scope(ScopeKind.NAMESPACE, name)
+        # a reopened namespace continues the frame of its first block
+        self.frames.append(self.frames[-1].children.setdefault(name, _Frame()))
         children = []
         while not self.at_punct("}"):
             if self.at_end():
                 self.error("unterminated namespace %r" % name)
             children.append(self.parse_top_decl())
-        self.pop_scope()
+        self.frames.pop()
         self.expect("}")
         return self.node("NamespaceDef", start, {"name": name}, children)
 
@@ -231,14 +261,6 @@ class _Parser:
         return self.node("UsingDirective", start, {"name": "::".join(parts)})
 
     # --- types ----------------------------------------------------------
-
-    def looks_like_type_start(self):
-        tok = self.peek()
-        if tok is None:
-            return False
-        if tok.kind == KEYWORD and tok.text in _TYPE_KEYWORDS:
-            return True
-        return tok.kind == KEYWORD and tok.text in ("const", "static")
 
     def parse_base_type(self):
         """Parse a type up to, but excluding, declarator stars."""
@@ -277,9 +299,7 @@ class _Parser:
         start = self.pos
         self.expect("class", KEYWORD)
         name = self.expect_ident().text
-        self.table.declare(
-            self.scope, TypeBinding(name, "class"), span=self.tokens[start].span
-        )
+        self.declare_type(name)
         children = []
         if self.accept_punct(":"):
             while True:
@@ -308,54 +328,60 @@ class _Parser:
         if self.accept_punct(";"):
             return self.node("ClassDef", start, {"name": name, "forward": "true"})
         self.expect("{")
-        self.push_scope(ScopeKind.CLASS, name)
-        self.class_names.append(name)
+        # unlike a namespace, a class body never continues an earlier one
+        frame = _Frame()
+        self.frames[-1].children.setdefault(name, frame)
+        self.frames.append(frame)
         while not self.at_punct("}"):
             if self.at_end():
                 self.error("unterminated class %r" % name)
-            children.extend(self.parse_member())
-        self.class_names.pop()
-        self.pop_scope()
+            children.extend(self.parse_member(name))
+        self.frames.pop()
         self.expect("}")
         self.expect(";")
         return self.node("ClassDef", start, {"name": name}, children)
 
-    def parse_member(self):
+    def parse_member(self, class_name):
+        self.enter()
         start = self.pos
         tok = self.peek()
         if tok.kind == KEYWORD and tok.text in ("public", "protected", "private"):
             self.advance()
             self.expect(":")
-            return [self.node("AccessSection", start, {"access": tok.text})]
-        if tok.is_keyword("enum"):
-            return [self.parse_enum()]
-        if tok.is_keyword("typedef"):
-            return [self.parse_typedef()]
-        if tok.is_keyword("class"):
-            return [self.parse_class()]
-
-        virtual = bool(self.accept_keyword("virtual"))
-        static = bool(self.accept_keyword("static"))
-        if self.at_punct("~"):
-            return [self.parse_destructor(start, virtual)]
-        if (
-            not virtual
-            and not static
-            and self.at_kind(IDENT)
-            and self.peek().text == self.class_names[-1]
-            and self.at_punct("(", 1)
-        ):
-            return [self.parse_constructor(start)]
-        base_type = self.parse_base_type()
-        stars = self.parse_pointer_suffix()
-        name = self.expect_ident().text
-        if self.at_punct("("):
-            return [
-                self.parse_function_rest(
-                    start, base_type + stars, name, virtual=virtual, static=static
-                )
-            ]
-        return self.parse_declarators(start, base_type, stars, name)
+            members = [self.node("AccessSection", start, {"access": tok.text})]
+        elif tok.is_keyword("enum"):
+            members = [self.parse_enum()]
+        elif tok.is_keyword("typedef"):
+            members = [self.parse_typedef()]
+        elif tok.is_keyword("class"):
+            members = [self.parse_class()]
+        else:
+            virtual = bool(self.accept_keyword("virtual"))
+            static = bool(self.accept_keyword("static"))
+            if self.at_punct("~"):
+                members = [self.parse_destructor(start, virtual)]
+            elif (
+                not virtual
+                and not static
+                and self.at_kind(IDENT)
+                and self.peek().text == class_name
+                and self.at_punct("(", 1)
+            ):
+                members = [self.parse_constructor(start)]
+            else:
+                base_type = self.parse_base_type()
+                stars = self.parse_pointer_suffix()
+                name = self.expect_ident().text
+                if self.at_punct("("):
+                    members = [
+                        self.parse_function_rest(
+                            start, base_type + stars, name, virtual=virtual, static=static
+                        )
+                    ]
+                else:
+                    members = self.parse_declarators(start, base_type, stars, name)
+        self.depth -= 1
+        return members
 
     def parse_destructor(self, start, virtual):
         self.expect("~")
@@ -383,9 +409,9 @@ class _Parser:
                 self.expect_ident()
                 self.expect("(")
                 if not self.at_punct(")"):
-                    self.parse_expr()
+                    self.parse_assign()
                     while self.accept_punct(","):
-                        self.parse_expr()
+                        self.parse_assign()
                 self.expect(")")
                 if not self.accept_punct(","):
                     break
@@ -440,9 +466,9 @@ class _Parser:
         }
         children = list(params)
         if self.at_punct("{"):
-            self.push_scope(ScopeKind.FUNCTION, name)
+            self.frames.append(_Frame())
             children.append(self.parse_compound())
-            self.pop_scope()
+            self.frames.pop()
         else:
             self.expect(";")
         return self.node("FunctionDef", start, attrs, children)
@@ -455,9 +481,7 @@ class _Parser:
         name = ""
         if self.at_kind(IDENT):
             name = self.advance().text
-            self.table.declare(
-                self.scope, TypeBinding(name, "enum"), span=self.tokens[start].span
-            )
+            self.declare_type(name)
         self.expect("{")
         enumerators = []
         while not self.at_punct("}"):
@@ -489,9 +513,7 @@ class _Parser:
         stars = self.parse_pointer_suffix()
         name = self.expect_ident().text
         self.expect(";")
-        self.table.declare(
-            self.scope, TypeBinding(name, "typedef"), span=self.tokens[start].span
-        )
+        self.declare_type(name)
         return self.node("TypedefDecl", start, {"name": name, "type": base + stars})
 
     # --- functions and variables ---------------------------------------
@@ -522,7 +544,7 @@ class _Parser:
                 attrs["type"] += "[]"
                 attrs["array"] = "true"
                 if not self.at_punct("]"):
-                    children.append(self.parse_expr())
+                    children.append(self.parse_assign())
                 self.expect("]")
             if self.accept_punct("="):
                 attrs["has_init"] = "true"
@@ -553,15 +575,11 @@ class _Parser:
 
     def parse_stmt(self):
         """Parse one statement; declarations may expand to several nodes."""
+        self.enter()
         tok = self.peek()
         if tok is None:
             self.error("expected statement")
-        if tok.is_punct("{"):
-            return [self.parse_compound()]
-        if tok.is_punct(";"):
-            start = self.pos
-            self.advance()
-            return [self.node("ExprStmt", start)]
+        handler = None
         if tok.kind == KEYWORD:
             handler = {
                 "if": self.parse_if,
@@ -578,22 +596,25 @@ class _Parser:
                 "class": self.parse_class,
                 "using": self.parse_using,
             }.get(tok.text)
-            if handler is not None:
-                return [handler()]
-            if self.looks_like_type_start():
-                return self.parse_decl_stmt()
-            return [self.parse_expr_stmt()]
-        if tok.kind == IDENT:
-            if self.at_punct(":", 1) and not self.at_punct("::", 1):
-                start = self.pos
-                name = self.advance().text
-                self.advance()
-                return [self.node("LabelStmt", start, {"name": name})]
-            verdict = disambiguate_stmt(self.tokens, self.pos, self.table, self.scope)
-            if verdict is StmtClass.DECLARATION:
-                return self.parse_decl_stmt()
-            return [self.parse_expr_stmt()]
-        return [self.parse_expr_stmt()]
+        if tok.is_punct("{"):
+            stmts = [self.parse_compound()]
+        elif tok.is_punct(";"):
+            start = self.pos
+            self.advance()
+            stmts = [self.node("ExprStmt", start)]
+        elif handler is not None:
+            stmts = [handler()]
+        elif tok.kind == IDENT and self.at_punct(":", 1):
+            start = self.pos
+            name = self.advance().text
+            self.advance()
+            stmts = [self.node("LabelStmt", start, {"name": name})]
+        elif self.at_declaration():
+            stmts = self.parse_decl_stmt()
+        else:
+            stmts = [self.parse_expr_stmt()]
+        self.depth -= 1
+        return stmts
 
     def parse_decl_stmt(self):
         start = self.pos
@@ -605,7 +626,7 @@ class _Parser:
 
     def parse_expr_stmt(self):
         start = self.pos
-        expr = self.parse_expr()
+        expr = self.parse_assign()
         self.expect(";")
         return self.node("ExprStmt", start, {}, [expr])
 
@@ -613,7 +634,7 @@ class _Parser:
         start = self.pos
         self.expect("if", KEYWORD)
         self.expect("(")
-        cond = self.parse_expr()
+        cond = self.parse_assign()
         self.expect(")")
         then = self._single_stmt()
         children = [cond, then]
@@ -642,14 +663,14 @@ class _Parser:
         start = self.pos
         self.expect("switch", KEYWORD)
         self.expect("(")
-        cond = self.parse_expr()
+        cond = self.parse_assign()
         self.expect(")")
         self.expect("{")
         children = [cond]
         while not self.at_punct("}"):
             c_start = self.pos
             if self.accept_keyword("case"):
-                label = self.parse_expr()
+                label = self.parse_assign()
                 self.expect(":")
                 body = self._clause_body()
                 children.append(self.node("CaseClause", c_start, {}, [label] + body))
@@ -680,22 +701,18 @@ class _Parser:
         attrs = {"has_init": "false", "has_cond": "false", "has_step": "false"}
         if not self.accept_punct(";"):
             attrs["has_init"] = "true"
-            if self.looks_like_type_start() or (
-                self.at_kind(IDENT)
-                and disambiguate_stmt(self.tokens, self.pos, self.table, self.scope)
-                is StmtClass.DECLARATION
-            ):
+            if self.at_declaration():
                 children.extend(self.parse_decl_stmt())
             else:
-                children.append(self.parse_expr())
+                children.append(self.parse_assign())
                 self.expect(";")
         if not self.at_punct(";"):
             attrs["has_cond"] = "true"
-            children.append(self.parse_expr())
+            children.append(self.parse_assign())
         self.expect(";")
         if not self.at_punct(")"):
             attrs["has_step"] = "true"
-            children.append(self.parse_expr())
+            children.append(self.parse_assign())
         self.expect(")")
         children.append(self._single_stmt())
         return self.node("ForStmt", start, attrs, children)
@@ -704,7 +721,7 @@ class _Parser:
         start = self.pos
         self.expect("while", KEYWORD)
         self.expect("(")
-        cond = self.parse_expr()
+        cond = self.parse_assign()
         self.expect(")")
         body = self._single_stmt()
         return self.node("WhileStmt", start, {}, [cond, body])
@@ -715,7 +732,7 @@ class _Parser:
         body = self._single_stmt()
         self.expect("while", KEYWORD)
         self.expect("(")
-        cond = self.parse_expr()
+        cond = self.parse_assign()
         self.expect(")")
         self.expect(";")
         return self.node("DoStmt", start, {}, [body, cond])
@@ -725,7 +742,7 @@ class _Parser:
         self.expect("return", KEYWORD)
         children = []
         if not self.at_punct(";"):
-            children.append(self.parse_expr())
+            children.append(self.parse_assign())
         self.expect(";")
         return self.node("ReturnStmt", start, {}, children)
 
@@ -744,43 +761,36 @@ class _Parser:
 
     # --- expressions ----------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_assign()
-
     def parse_assign(self):
-        lhs = self.parse_binary(0)
+        """Parse an expression: assignments are right-associative."""
+        self.enter()
+        expr = self.parse_binary()
         tok = self.peek()
         if tok is not None and tok.kind == PUNCT and tok.text in _ASSIGN_OPS:
             op = self.advance()
-            rhs = self.parse_assign()
-            return self._op_node("AssignExpr", lhs, rhs, op)
-        return lhs
+            expr = self._op_node("AssignExpr", expr, self.parse_assign(), op)
+        self.depth -= 1
+        return expr
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def parse_binary(self, level):
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        lhs = self.parse_binary(level + 1)
+    def parse_binary(self):
+        """Parse a chain of binary operators in one loop over
+        ``_BINARY_PRECEDENCE``. An operator waits on ``pending`` until one
+        that binds no tighter arrives; all are left-associative."""
+        operands = [self.parse_unary()]
+        pending = []  # (precedence, operator token)
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != PUNCT or tok.text not in ops:
-                return lhs
-            op = self.advance()
-            rhs = self.parse_binary(level + 1)
-            lhs = self._op_node("BinaryExpr", lhs, rhs, op)
+            precedence = None
+            if tok is not None and tok.kind == PUNCT:
+                precedence = _BINARY_PRECEDENCE.get(tok.text)
+            while pending and (precedence is None or pending[-1][0] >= precedence):
+                op = pending.pop()[1]
+                rhs = operands.pop()
+                operands.append(self._op_node("BinaryExpr", operands.pop(), rhs, op))
+            if precedence is None:
+                return operands[0]
+            pending.append((precedence, self.advance()))
+            operands.append(self.parse_unary())
 
     def _op_node(self, kind, lhs, rhs, op):
         span = SourceSpan(
@@ -805,19 +815,23 @@ class _Parser:
         )
 
     def parse_unary(self):
+        self.enter()
         start = self.pos
         tok = self.peek()
         if tok is None:
             self.error("expected expression")
-        if tok.kind == PUNCT and tok.text in ("!", "-", "+", "*", "&", "~", "++", "--"):
+        if tok.kind == PUNCT and tok.text in _UNARY_OPS:
             self.advance()
             operand = self.parse_unary()
-            return self.node("UnaryExpr", start, {"operator": tok.text}, [operand])
-        if tok.is_keyword("new"):
-            return self.parse_new()
-        if tok.is_keyword("delete"):
-            return self.parse_delete()
-        return self.parse_postfix()
+            expr = self.node("UnaryExpr", start, {"operator": tok.text}, [operand])
+        elif tok.is_keyword("new"):
+            expr = self.parse_new()
+        elif tok.is_keyword("delete"):
+            expr = self.parse_delete()
+        else:
+            expr = self.parse_postfix()
+        self.depth -= 1
+        return expr
 
     def parse_new(self):
         start = self.pos
@@ -828,7 +842,7 @@ class _Parser:
         children = []
         if self.accept_punct("["):
             attrs["array"] = "true"
-            children.append(self.parse_expr())
+            children.append(self.parse_assign())
             self.expect("]")
         elif self.accept_punct("("):
             if not self.at_punct(")"):
@@ -882,7 +896,7 @@ class _Parser:
             self.error("expected expression")
         if tok.is_punct("("):
             self.advance()
-            inner = self.parse_expr()
+            inner = self.parse_assign()
             self.expect(")")
             return self.node("ParenExpr", start, {}, [inner])
         if tok.kind in (lexer.INT_LIT, lexer.FLOAT_LIT, lexer.STRING_LIT, lexer.CHAR_LIT):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 
@@ -99,13 +100,27 @@ class Criticality(enum.Enum):
     LOW = "LOW"
 
 
+def parse_bool(text):
+    """``true`` or ``false`` in any case; anything else is a ValueError."""
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ValueError("expected true or false, found %r" % text)
+    return value == "true"
+
+
+# The types a rule property can declare, each with its conversion from text.
+PROPERTY_TYPES = {"int": int, "bool": parse_bool, "regex": re.compile, "str": str}
+
+
 @dataclass(frozen=True)
 class RuleDescriptor:
     """Identity and metadata of one validation rule.
 
     ``subscriptions`` and ``default_properties`` are registry wiring and do
     not take part in equality; the reporting layer round-trips descriptors
-    through XML which carries only the identity fields.
+    through XML which carries only the identity fields. Each default
+    property is a ``(name, default text, type)`` triple, the type being a
+    key of ``PROPERTY_TYPES``.
     """
 
     id: str
@@ -118,7 +133,17 @@ class RuleDescriptor:
     default_properties: tuple = field(default=(), compare=False)
 
     def defaults(self):
-        return dict(self.default_properties)
+        """Property name -> default text."""
+        return {name: text for name, text, _type in self.default_properties}
+
+    def property_value(self, name, text):
+        """Convert ``text`` to the declared type of property ``name``;
+        raises ValueError when that type rejects it."""
+        type_name = next(t for n, _d, t in self.default_properties if n == name)
+        try:
+            return PROPERTY_TYPES[type_name](text)
+        except (ValueError, re.error):
+            raise ValueError("expected %s, found %r" % (type_name, text)) from None
 
 
 @dataclass

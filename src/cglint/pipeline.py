@@ -17,14 +17,14 @@ from .minicpp import lexer as cpp_lexer
 from .minicpp import parser as cpp_parser
 from .minicpp import symbols  # noqa: F401  (registers the symbol builder)
 from .model import AnalysisRoot, Diagnostic, RuleReport, ValidationResults
-from .symtab import SymbolTable, build_symbols
+from .symtab import build_symbols
 
 
 def parse_minicpp(path, text):
     root = AnalysisRoot(file=path, content=text)
     try:
         tokens = cpp_lexer.lex(text, file=path)
-        root.ast = cpp_parser.parse(tokens, SymbolTable(path), file=path)
+        root.ast = cpp_parser.parse(tokens, file=path)
     except (LexError, ParseError) as exc:
         root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
     return root

@@ -234,7 +234,7 @@ class FunctionChecker(Rule):
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
         subscriptions=_sub("FunctionDef"),
-        default_properties=(("maxLines", "100"), ("maxParams", "6")),
+        default_properties=(("maxLines", "100", "int"), ("maxParams", "6", "int")),
     )
 
     def visit(self, node, ctx):
@@ -242,10 +242,7 @@ class FunctionChecker(Rule):
         body = next((c for c in node.children if c.kind == "CompoundStmt"), None)
         if body is not None:
             lines = body.span.end_row - body.span.row + 1
-            try:
-                max_lines = int(ctx.prop("maxLines", "100"))
-            except ValueError:
-                max_lines = 100
+            max_lines = ctx.prop("maxLines")
             if lines > max_lines:
                 ctx.report(
                     node.span,
@@ -253,10 +250,7 @@ class FunctionChecker(Rule):
                     % (name, lines, max_lines),
                 )
         params = sum(1 for c in node.children if c.kind == "ParamDecl")
-        try:
-            max_params = int(ctx.prop("maxParams", "6"))
-        except ValueError:
-            max_params = 6
+        max_params = ctx.prop("maxParams")
         if params > max_params:
             ctx.report(
                 node.span,
@@ -389,7 +383,7 @@ class InterfaceChecker(Rule):
         priority=Priority.SHALL,
         criticality=Criticality.LOW,
         subscriptions=_sub("ClassDef"),
-        default_properties=(("CloseAPI", "true"),),
+        default_properties=(("CloseAPI", "true", "bool"),),
     )
 
     def visit(self, node, ctx):
@@ -404,7 +398,7 @@ class InterfaceChecker(Rule):
             for base in binding.inherited_classes()
             if base.has_only_interface_methods()
         ]
-        if not ctx.prop_bool("CloseAPI") and not interfaces:
+        if not ctx.prop("CloseAPI") and not interfaces:
             return
         declared = []
         for base in interfaces:
@@ -535,7 +529,7 @@ class NamingConventionChecker(Rule):
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
         subscriptions=_sub("ClassDef", "VarDecl", "FunctionDef"),
-        default_properties=(("hungarianPrefixes", "sz,psz,lp,dw,p_,i_,b_"),),
+        default_properties=(("hungarianPrefixes", "sz,psz,lp,dw,p_,i_,b_", "str"),),
     )
 
     def visit(self, node, ctx):
@@ -618,7 +612,7 @@ class SingleLetterVariableChecker(Rule):
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
         subscriptions=_sub("VarDecl"),
-        default_properties=(("allowLoopIndices", "true"),),
+        default_properties=(("allowLoopIndices", "true", "bool"),),
     )
 
     def visit(self, node, ctx):
@@ -630,7 +624,7 @@ class SingleLetterVariableChecker(Rule):
         if (
             binding is not None
             and binding.is_loop_index
-            and ctx.prop_bool("allowLoopIndices")
+            and ctx.prop("allowLoopIndices")
         ):
             return
         ctx.report(node.span, "Variable %r has a single-letter name." % name)
@@ -706,22 +700,18 @@ class TypeDefChecker(Rule):
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
         subscriptions=_sub("TypedefDecl"),
-        default_properties=(("pattern", ".*_t"),),
+        default_properties=(("pattern", ".*_t", "regex"),),
     )
 
     def visit(self, node, ctx):
         name = node.attr("name")
         if not name:
             return
-        try:
-            pattern = re.compile(ctx.prop("pattern", ".*_t"))
-        except re.error:
-            return
+        pattern = ctx.prop("pattern")
         if not pattern.fullmatch(name):
             ctx.report(
                 node.span,
-                "Typedef %r does not match the pattern %r."
-                % (name, ctx.prop("pattern")),
+                "Typedef %r does not match the pattern %r." % (name, pattern.pattern),
             )
 
 

@@ -43,7 +43,7 @@ class TriggerChecker(_DriverRule):
         priority=Priority.SHALL,
         criticality=Criticality.MEDIUM,
         subscriptions=_SUBSCRIPTIONS,
-        default_properties=(("testDriver", ""),),
+        default_properties=(("testDriver", "", "str"),),
     )
 
     def check_message(self, node, ctx):
@@ -67,7 +67,7 @@ class NoCallToTestDriverChecker(_DriverRule):
         priority=Priority.SHALL,
         criticality=Criticality.HIGH,
         subscriptions=_SUBSCRIPTIONS,
-        default_properties=(("testDriver", ""),),
+        default_properties=(("testDriver", "", "str"),),
     )
 
     def check_message(self, node, ctx):

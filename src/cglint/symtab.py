@@ -1,8 +1,8 @@
 """Scoped symbol table over the syntax graph.
 
-Holds the bindings queried by rules (class/function/variable) and the
-type-name lookup the C++ parser uses to disambiguate declarations from
-expressions. Tables are built per unit and are read-only once built.
+Holds the bindings queried by rules (class/function/variable/type). Each
+unit gets one table, built by its language's symbol builder from the
+finished AST and read-only once built.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ class Specifier(enum.Enum):
     PURE_VIRTUAL = "PURE_VIRTUAL"
     STATIC = "STATIC"
     CONST = "CONST"
-
-
-class TypeCategory(enum.Enum):
-    TYPE = "TYPE"
-    CONSTRUCTOR = "CONSTRUCTOR"
-    VARIABLE = "VARIABLE"
-    FUNCTION = "FUNCTION"
-    NAMESPACE = "NAMESPACE"
 
 
 @dataclass
@@ -171,11 +163,7 @@ class ClassBinding:
 
 
 class SymbolTable:
-    """Per-unit scope tree plus node-to-scope/binding indexes.
-
-    Built incrementally: the parser feeds type declarations while parsing,
-    the symbol workflow then builds the full binding set from the AST.
-    """
+    """Per-unit scope tree plus node-to-scope/binding indexes."""
 
     def __init__(self, file=""):
         self.file = file
@@ -220,50 +208,6 @@ class SymbolTable:
 
     def binding_of(self, node):
         return self._binding_by_node.get(node.node_id)
-
-    def is_type_name(self, scope, ident):
-        """Resolve ``ident`` along the scope chain.
-
-        Returns (True, TYPE) for class/enum/typedef names, (True,
-        CONSTRUCTOR) when the identifier names an enclosing class, and
-        (False, None) otherwise.
-        """
-        for s in scope.chain():
-            if s.kind is ScopeKind.CLASS and s.name == ident:
-                return True, TypeCategory.CONSTRUCTOR
-            binding = s.lookup_local(ident)
-            if isinstance(binding, (ClassBinding, TypeBinding)):
-                return True, TypeCategory.TYPE
-        return False, None
-
-    def resolve_qualified(self, scope, parts):
-        """Resolve a qualified name like ``A::B`` to its final binding, by
-        descending named scopes from the first resolvable segment."""
-        if len(parts) == 1:
-            return scope.lookup(parts[0])
-        current = None
-        for s in scope.chain():
-            for child in s.children:
-                if child.name == parts[0] and child.kind in (
-                    ScopeKind.NAMESPACE,
-                    ScopeKind.CLASS,
-                ):
-                    current = child
-                    break
-            if current is not None:
-                break
-        if current is None:
-            return None
-        for part in parts[1:-1]:
-            nxt = None
-            for child in current.children:
-                if child.name == part:
-                    nxt = child
-                    break
-            if nxt is None:
-                return None
-            current = nxt
-        return current.lookup_local(parts[-1])
 
 
 _BUILDERS = {}

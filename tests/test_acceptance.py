@@ -230,7 +230,7 @@ def test_criterion_8_disambiguation():
     assert len(cases) >= 10
     for prelude, stmt, expected in cases:
         source = "%s\nvoid wrapper() {\n%s\n}\n" % (prelude, stmt)
-        unit = parse(lex(source, "d.cpp"), SymbolTable("d.cpp"), file="d.cpp")
+        unit = parse(lex(source, "d.cpp"), file="d.cpp")
         body = [n for n in unit.walk() if n.kind == "CompoundStmt"][0]
         stmts = [c for c in body.children if c.kind in ("VarDecl", "ExprStmt")]
         assert stmts and stmts[-1].kind == expected, (stmt, expected)

@@ -1,8 +1,10 @@
 import shutil
 
+import pytest
 from conftest import fixture_path
 
 from cglint.cli import main
+from cglint.minicpp.parser import MAX_NESTING
 from cglint.report import from_xml
 
 
@@ -66,6 +68,61 @@ def test_bad_config_exits_two(tmp_path):
     config = write(tmp_path, "rules.cfg", "[rule Phantom]\nenabled = true\n")
     code, _ = run(tmp_path, "--lang", "minicpp", "--config", config, src)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "rule,entry",
+    [
+        ("FunctionChecker", "maxLines = abc"),
+        ("TypeDefChecker", "pattern = (["),
+        ("InterfaceChecker", "CloseAPI = yes"),
+    ],
+)
+def test_bad_property_value_exits_two(tmp_path, capsys, rule, entry):
+    src = write(tmp_path, "t.cpp", "int main() { return 0; }\n")
+    config = write(tmp_path, "rules.cfg", "[rule %s]\n%s\n" % (rule, entry))
+    code, _ = run(tmp_path, "--lang", "minicpp", "--config", config, src)
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_reopened_namespace_sees_its_types(tmp_path):
+    src = write(
+        tmp_path,
+        "reopen.cpp",
+        "namespace app { typedef int count_t; }\n"
+        "namespace app { int f() { count_t n = 0; return n; } }\n",
+    )
+    code, _ = run(tmp_path, "--lang", "minicpp", src)
+    assert code == 0
+
+
+DEEP = 10 * MAX_NESTING
+_CHAIN = "a || b && c | d ^ e & f == g < h << i + j * "
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int f() { return %s1%s; }" % ("(" * 80, ")" * 80),
+        "int f() { return %s1%s; }" % ("(" * DEEP, ")" * DEEP),
+        "int f() { return %s1%s; }" % (("(" + _CHAIN) * DEEP, ")" * DEEP),
+        "int f() { return %s1; }" % ("- " * DEEP),
+        "void f() { %s1; }" % ("a = " * DEEP),
+        "void f() %s%s" % ("{ " * DEEP, "} " * DEEP),
+        "void f() { %s; }" % ("if (a) " * DEEP),
+        "%s%s" % ("namespace n { " * DEEP, "} " * DEEP),
+        "%s%s" % ("class C { " * DEEP, "}; " * DEEP),
+    ],
+    ids=["parens80", "parens", "operator_chains", "unary_minus", "assignments",
+         "blocks", "braceless_if", "namespaces", "classes"],
+)
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, source):
+    src = write(tmp_path, "deep.cpp", source)
+    code, xml_out = run(tmp_path, "--lang", "minicpp", src)
+    assert code == 2
+    assert from_xml(open(xml_out, "rb").read()).files == [src]
+    assert "nesting deeper than %d levels" % MAX_NESTING in capsys.readouterr().err
 
 
 def test_config_disables_rule(tmp_path):

@@ -174,11 +174,33 @@ def test_priority_override_applied():
 def test_effective_properties_merge_defaults():
     root = analyze_cpp(SOURCE)
     registry = RuleRegistry()
-    registry.register(make_rule("A", [("minicpp", "IfStmt")], defaults=[("x", "1"), ("y", "2")]))
+    registry.register(make_rule("A", [("minicpp", "IfStmt")], defaults=[("x", "1", "int"), ("y", "2", "str")]))
     configs = default_configs(registry)
     configs[0].properties["y"] = "9"
     reports = traverse(root, registry, configs)
     assert reports[0].effective_properties == {"x": "1", "y": "9"}
+
+
+def test_property_values_are_typed():
+    desc = make_rule(
+        "A",
+        [],
+        defaults=[("n", "1", "int"), ("b", "true", "bool"), ("r", "a.*", "regex"), ("s", "x", "str")],
+    ).descriptor
+    assert desc.property_value("n", "12") == 12
+    assert desc.property_value("b", "FALSE") is False
+    assert desc.property_value("r", "a.*").fullmatch("abc")
+    assert desc.property_value("s", " x ") == " x "
+    for name, text in [("n", "abc"), ("b", "yes"), ("b", "1"), ("r", "([")]:
+        with pytest.raises(ValueError):
+            desc.property_value(name, text)
+
+
+def test_every_default_property_converts():
+    for rules in RULES_BY_LANGUAGE.values():
+        for cls in rules:
+            for name, text in cls.descriptor.defaults().items():
+                cls.descriptor.property_value(name, text)
 
 
 def test_unknown_property_rejected():

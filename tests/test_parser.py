@@ -3,13 +3,11 @@ import pytest
 from conftest import analyze_cpp
 
 from cglint.errors import ParseError
-from cglint.minicpp import NODE_KINDS, StmtClass, disambiguate_stmt, lex, parse
-from cglint.minicpp.lexer import lex as lex_tokens
-from cglint.symtab import SymbolTable
+from cglint.minicpp import NODE_KINDS, lex, parse
 
 
 def parse_src(source):
-    return parse(lex(source, "test.cpp"), SymbolTable("test.cpp"), file="test.cpp")
+    return parse(lex(source, "test.cpp"), file="test.cpp")
 
 
 def kinds(node):
@@ -133,6 +131,10 @@ class TestDisambiguation:
         ("int call();", "call();", "ExprStmt"),
         ("class T {};", "T ** pp;", "VarDecl"),
         ("int a;", "a;", "ExprStmt"),
+        ("namespace n { class C { }; }", "n::C * p;", "VarDecl"),
+        ("namespace n { typedef int T; }", "n::T t = 0;", "VarDecl"),
+        ("class A { public: class B { }; };", "A::B * p;", "VarDecl"),
+        ("namespace n { namespace m { enum E { X }; } }", "n::m::E e;", "VarDecl"),
     ]
 
     @pytest.mark.parametrize("prelude,stmt,expected", CASES)
@@ -143,21 +145,6 @@ class TestDisambiguation:
         stmts = [c for c in body.children if c.kind in ("VarDecl", "ExprStmt")]
         assert stmts, "statement not found"
         assert stmts[-1].kind == expected
-
-    def test_direct_classification(self):
-        table = SymbolTable("x.cpp")
-        tokens = lex_tokens("T * x ;", "x.cpp")
-        assert (
-            disambiguate_stmt(tokens, 0, table, table.global_scope)
-            is StmtClass.EXPRESSION
-        )
-        from cglint.symtab import TypeBinding
-
-        table.declare(table.global_scope, TypeBinding("T", "class"))
-        assert (
-            disambiguate_stmt(tokens, 0, table, table.global_scope)
-            is StmtClass.DECLARATION
-        )
 
 
 def span_slice(text, span):

@@ -5,7 +5,6 @@ from cglint.symtab import (
     FunctionBinding,
     ScopeKind,
     Specifier,
-    TypeCategory,
     VariableBinding,
     equal_signature,
 )
@@ -116,21 +115,6 @@ def test_lookup_walks_outward():
     assert binding.scope is table.global_scope
 
 
-def test_is_type_name():
-    root = analyze_cpp(
-        "typedef int myint;\nenum E { X };\nclass C { public: C(); void m(); };"
-    )
-    table = root.symbols
-    g = table.global_scope
-    assert table.is_type_name(g, "myint") == (True, TypeCategory.TYPE)
-    assert table.is_type_name(g, "E") == (True, TypeCategory.TYPE)
-    assert table.is_type_name(g, "C") == (True, TypeCategory.TYPE)
-    assert table.is_type_name(g, "nope") == (False, None)
-    cls_scope = g.children[0]
-    assert cls_scope.kind is ScopeKind.CLASS
-    assert table.is_type_name(cls_scope, "C") == (True, TypeCategory.CONSTRUCTOR)
-
-
 def test_duplicate_declaration_diagnostic():
     root = analyze_cpp("int twice = 0;\nint twice = 1;")
     messages = [d.message for d in root.diagnostics]
@@ -182,14 +166,3 @@ def test_seqdiag_objects_become_bindings():
     names = [v.name for v in root.symbols.variables]
     assert names == ["a", "b"]
     assert all(v.scope is root.symbols.global_scope for v in root.symbols.variables)
-
-
-def test_resolve_qualified():
-    root = analyze_cpp("namespace n { class C { public: void m(); }; }")
-    table = root.symbols
-    binding = table.resolve_qualified(table.global_scope, ["n", "C", "m"])
-    assert isinstance(binding, FunctionBinding)
-    assert binding.name == "m"
-    cls = table.resolve_qualified(table.global_scope, ["n", "C"])
-    assert isinstance(cls, ClassBinding)
-    assert table.resolve_qualified(table.global_scope, ["n", "missing"]) is None
