@@ -120,7 +120,7 @@ def lex(text, file="<input>"):
             while end < n and text[end] != ch:
                 if text[end] == "\\":
                     end += 1
-                if text[end] == "\n":
+                if end >= n or text[end] == "\n":
                     break
                 end += 1
             if end >= n or text[end] != ch:

@@ -10,7 +10,7 @@ passes. The unit's symbol table is built afterwards from the finished AST.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..model import AstNode, SourceSpan
+from ..model import MAX_NESTING, AstNode, SourceSpan
 from . import lexer
 from .lexer import IDENT, KEYWORD, PUNCT
 
@@ -38,11 +38,6 @@ _BINARY_PRECEDENCE = {
     "==": 5, "!=": 5, "<": 6, ">": 6, "<=": 6, ">=": 6,
     "<<": 7, ">>": 7, "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
 }
-
-# Nesting of declarations, statements and expressions beyond which parsing
-# stops with a ParseError. Each level costs at most three Python frames, so
-# the limit trips far below the interpreter's recursion limit.
-MAX_NESTING = 128
 
 
 def parse(tokens, file="<input>"):

@@ -11,7 +11,6 @@ from ..symtab import (
     SymbolTable,
     TypeBinding,
     VariableBinding,
-    register_builder,
 )
 
 _ACCESS = {
@@ -20,90 +19,93 @@ _ACCESS = {
     "private": Specifier.PRIVATE,
 }
 
+# Expression subtrees hold only expressions and declare nothing, so they are
+# bound in one loop. Operator chains are not limited by the parser's nesting
+# count, so a recursive walk could exceed the interpreter's recursion limit.
+_EXPRESSIONS = frozenset((
+    "AssignExpr", "BinaryExpr", "UnaryExpr", "CallExpr", "MemberExpr",
+    "NewExpr", "DeleteExpr", "ParenExpr", "IdentExpr", "Literal",
+))
 
-def build_minicpp_symbols(root):
-    table = SymbolTable(root.file)
-    table.global_scope.owner_node_id = root.ast.node_id
-    _walk_children(root.ast, table, table.global_scope, None)
-    table.bind_node(root.ast, scope=table.global_scope)
+
+def build_minicpp_symbols(unit):
+    table = SymbolTable()
+    table.bind_node(unit, scope=table.global_scope)
+    _walk_children(unit, table, table.global_scope)
     return table
 
 
-def _walk_children(node, table, scope, owner_class):
+def _walk_children(node, table, scope):
     for child in node.children:
-        _walk(child, table, scope, owner_class)
+        _walk(child, table, scope)
 
 
-def _walk(node, table, scope, owner_class):
+def _walk(node, table, scope):
     kind = node.kind
-    if kind == "NamespaceDef":
-        inner = table.open_scope(
-            ScopeKind.NAMESPACE, node.attr("name"), scope, node.node_id
-        )
+    if kind in _EXPRESSIONS:
+        for inner in node.walk():
+            table.bind_node(inner, scope=scope)
+    elif kind == "NamespaceDef":
+        inner = table.open_scope(ScopeKind.NAMESPACE, node.attr("name"), scope)
         table.bind_node(node, scope=inner)
-        _walk_children(node, table, inner, None)
+        _walk_children(node, table, inner)
     elif kind == "ClassDef":
         _walk_class(node, table, scope)
     elif kind in ("FunctionDef", "Constructor", "Destructor"):
-        _walk_function(node, table, scope, owner_class, access=None)
+        _walk_function(node, table, scope, access=None)
     elif kind == "CompoundStmt":
-        inner = table.open_scope(ScopeKind.BLOCK, None, scope, node.node_id)
+        inner = table.open_scope(ScopeKind.BLOCK, None, scope)
         table.bind_node(node, scope=inner)
-        _walk_children(node, table, inner, owner_class)
+        _walk_children(node, table, inner)
     elif kind == "ForStmt":
         # the loop header introduces its own scope for the index variable
-        inner = table.open_scope(ScopeKind.BLOCK, None, scope, node.node_id)
+        inner = table.open_scope(ScopeKind.BLOCK, None, scope)
         table.bind_node(node, scope=inner)
         for child in node.children:
             if child.kind == "VarDecl":
-                binding = _declare_variable(child, table, inner)
-                binding.is_loop_index = True
-                table.bind_node(child, scope=inner, binding=binding)
-                _walk_children(child, table, inner, owner_class)
+                _declare_variable(child, table, inner, is_loop_index=True)
             else:
-                _walk(child, table, inner, owner_class)
+                _walk(child, table, inner)
     elif kind == "VarDecl":
-        binding = _declare_variable(node, table, scope)
-        table.bind_node(node, scope=scope, binding=binding)
-        _walk_children(node, table, scope, owner_class)
+        _declare_variable(node, table, scope)
     elif kind == "TypedefDecl":
-        table.declare(
-            scope, TypeBinding(node.attr("name"), "typedef", node.span), span=node.span
-        )
+        table.declare(scope, TypeBinding(node.attr("name")), span=node.span)
         table.bind_node(node, scope=scope)
     elif kind == "EnumDef":
         if node.attr("name"):
-            table.declare(
-                scope, TypeBinding(node.attr("name"), "enum", node.span), span=node.span
-            )
+            table.declare(scope, TypeBinding(node.attr("name")), span=node.span)
         table.bind_node(node, scope=scope)
-        _walk_children(node, table, scope, owner_class)
+        _walk_children(node, table, scope)
     else:
         table.bind_node(node, scope=scope)
-        _walk_children(node, table, scope, owner_class)
+        _walk_children(node, table, scope)
 
 
-def _declare_variable(node, table, scope):
+def _declare_variable(node, table, scope, **flags):
+    """Bind a VarDecl or ParamDecl and its initializer; an unnamed parameter
+    is bound but not declared."""
     binding = VariableBinding(
         name=node.attr("name"),
         declared_type=node.attr("type"),
         has_initializer=node.attr("has_init") == "true",
         is_member=scope.kind is ScopeKind.CLASS,
         decl_span=node.span,
+        **flags,
     )
-    table.declare(scope, binding, span=node.span)
+    if binding.name:
+        table.declare(scope, binding, span=node.span)
+    table.bind_node(node, scope=scope, binding=binding)
+    _walk_children(node, table, scope)
     return binding
 
 
 def _walk_class(node, table, scope):
-    binding = ClassBinding(name=node.attr("name"), decl_span=node.span)
+    binding = ClassBinding(name=node.attr("name"))
     table.declare(scope, binding, span=node.span)
     if node.attr("forward") == "true":
         table.bind_node(node, scope=scope, binding=binding)
         return
-    class_scope = table.open_scope(
-        ScopeKind.CLASS, binding.name, scope, node.node_id
-    )
+    class_scope = table.open_scope(ScopeKind.CLASS, binding.name, scope)
     binding.scope = class_scope
     table.bind_node(node, scope=class_scope, binding=binding)
 
@@ -121,18 +123,14 @@ def _walk_class(node, table, scope):
             access = _ACCESS[member.attr("access")]
             table.bind_node(member, scope=class_scope)
         elif member.kind in ("FunctionDef", "Constructor", "Destructor"):
-            fn = _walk_function(member, table, class_scope, binding, access)
-            binding.functions.append(fn)
+            binding.functions.append(_walk_function(member, table, class_scope, access))
         elif member.kind == "VarDecl":
-            var = _declare_variable(member, table, class_scope)
-            table.bind_node(member, scope=class_scope, binding=var)
-            binding.data_members.append(var)
-            _walk_children(member, table, class_scope, binding)
+            binding.data_members.append(_declare_variable(member, table, class_scope))
         else:
-            _walk(member, table, class_scope, binding)
+            _walk(member, table, class_scope)
 
 
-def _walk_function(node, table, scope, owner_class, access):
+def _walk_function(node, table, scope, access):
     specifiers = set()
     if access is not None:
         specifiers.add(access)
@@ -142,40 +140,22 @@ def _walk_function(node, table, scope, owner_class, access):
         specifiers.update((Specifier.VIRTUAL, Specifier.PURE_VIRTUAL))
     if node.attr("static") == "true":
         specifiers.add(Specifier.STATIC)
-    if node.attr("const") == "true":
-        specifiers.add(Specifier.CONST)
 
     params = [c for c in node.children if c.kind == "ParamDecl"]
     body = next((c for c in node.children if c.kind == "CompoundStmt"), None)
     binding = FunctionBinding(
         name=node.attr("name"),
-        owner=owner_class,
         specifiers=specifiers,
         parameter_types=[p.attr("type") for p in params],
         return_type=node.attr("return_type"),
-        body_span=body.span if body is not None else None,
         is_constructor=node.kind == "Constructor",
         is_destructor=node.kind == "Destructor",
-        decl_span=node.span,
     )
     table.declare(scope, binding, span=node.span)
-    fn_scope = table.open_scope(
-        ScopeKind.FUNCTION, binding.name, scope, node.node_id
-    )
+    fn_scope = table.open_scope(ScopeKind.FUNCTION, binding.name, scope)
     table.bind_node(node, scope=fn_scope, binding=binding)
     for param in params:
-        p_binding = VariableBinding(
-            name=param.attr("name"),
-            declared_type=param.attr("type"),
-            is_parameter=True,
-            decl_span=param.span,
-        )
-        if p_binding.name:
-            table.declare(fn_scope, p_binding, span=param.span)
-        table.bind_node(param, scope=fn_scope, binding=p_binding)
+        _declare_variable(param, table, fn_scope, is_parameter=True)
     if body is not None:
-        _walk(body, table, fn_scope, owner_class)
+        _walk(body, table, fn_scope)
     return binding
-
-
-register_builder("minicpp", build_minicpp_symbols)

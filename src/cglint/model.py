@@ -31,6 +31,13 @@ class SourceSpan:
         return SourceSpan.point(self.file, self.row, self.col)
 
 
+# Syntax nesting beyond which a parser stops with a ParseError: minicpp
+# declarations, statements and expressions, seqdiag interaction blocks. Each
+# level costs a parser at most three Python frames, so the limit trips far
+# below the interpreter's recursion limit.
+MAX_NESTING = 128
+
+
 @dataclass
 class AstNode:
     """Generic, language-tagged syntax-graph node.

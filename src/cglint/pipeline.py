@@ -1,9 +1,11 @@
-"""Per-language frontends and the analysis pipeline.
+"""Per-language front ends and the analysis pipeline.
 
-For every input file the stages run in order: parse, symbol build, rule
-traversal. A fatal parse error in one file never aborts the run; the file
-contributes diagnostics instead of findings and stays listed in the
-results.
+Every input file goes through four stages in order: read, parse, symbols,
+traverse. ``FRONTENDS`` is the only per-language table; it names each
+language's parser, symbol builder and file extensions. ``analyze_file`` is
+the unit's only error boundary: a file that cannot be read or decoded, or a
+lex or parse error, becomes one fatal diagnostic. Such a file contributes no
+findings but stays listed in the results, and never aborts the run.
 """
 
 from __future__ import annotations
@@ -12,36 +14,27 @@ import datetime
 
 from . import seqdiag
 from .core import traverse
-from .errors import LexError, ParseError, UnknownLanguageError
+from .errors import SourceError, UnknownLanguageError
 from .minicpp import lexer as cpp_lexer
 from .minicpp import parser as cpp_parser
-from .minicpp import symbols  # noqa: F401  (registers the symbol builder)
-from .model import AnalysisRoot, Diagnostic, RuleReport, ValidationResults
-from .symtab import build_symbols
+from .minicpp.symbols import build_minicpp_symbols
+from .model import AnalysisRoot, Diagnostic, ValidationResults
+from .symtab import SymbolTable
 
-
-def parse_minicpp(path, text):
-    root = AnalysisRoot(file=path, content=text)
-    try:
-        tokens = cpp_lexer.lex(text, file=path)
-        root.ast = cpp_parser.parse(tokens, file=path)
-    except (LexError, ParseError) as exc:
-        root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
-    return root
-
-
-def parse_seqdiag(path, text):
-    root = AnalysisRoot(file=path, content=text)
-    try:
-        root.ast = seqdiag.parse_seq(text, file=path)
-    except ParseError as exc:
-        root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
-    return root
-
-
+# language -> parse(text, path) -> AST, symbols(AST) -> SymbolTable, and the
+# extensions a directory scan picks up. The parsers look up the lexer and
+# parser modules' functions at call time, so a caller may wrap them.
 FRONTENDS = {
-    "minicpp": {"parse": parse_minicpp, "extensions": (".cpp", ".ii")},
-    "seqdiag": {"parse": parse_seqdiag, "extensions": (".sd",)},
+    "minicpp": {
+        "parse": lambda text, path: cpp_parser.parse(cpp_lexer.lex(text, file=path), file=path),
+        "symbols": build_minicpp_symbols,
+        "extensions": (".cpp", ".ii"),
+    },
+    "seqdiag": {
+        "parse": lambda text, path: seqdiag.parse_seq(text, file=path),
+        "symbols": seqdiag.build_seqdiag_symbols,
+        "extensions": (".sd",),
+    },
 }
 
 
@@ -53,19 +46,36 @@ def get_frontend(language):
 
 
 def analyze_file(path, language, text=None):
-    """Run parse and symbol stages for one file."""
+    """Read (unless ``text`` is given), parse and build symbols for one file.
+
+    The file is decoded as UTF-8 and a leading byte-order mark is dropped.
+    """
     frontend = get_frontend(language)
-    if text is None:
-        try:
-            with open(path, encoding="utf-8") as handle:
+    path = str(path)
+    root = AnalysisRoot(file=path, content="")
+    try:
+        if text is None:
+            with open(path, encoding="utf-8-sig") as handle:
                 text = handle.read()
-        except OSError as exc:
-            root = AnalysisRoot(file=str(path), content="")
-            root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
-            return root
-    root = frontend["parse"](str(path), text)
+        root.content = text
+        root.ast = frontend["parse"](text, path)
+    except SourceError as exc:
+        root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
+    except (OSError, UnicodeDecodeError) as exc:
+        root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
     build_symbols(root)
     return root
+
+
+def build_symbols(root):
+    """Build ``root``'s symbol table with its language's builder, attach it
+    to ``root`` and return it. A unit without an AST gets an empty table."""
+    if root.ast is None:
+        root.symbols = SymbolTable()
+    else:
+        root.symbols = FRONTENDS[root.ast.language]["symbols"](root.ast)
+        root.diagnostics.extend(root.symbols.diagnostics)
+    return root.symbols
 
 
 def default_timestamp():

@@ -405,10 +405,10 @@ class InterfaceChecker(Rule):
             if binding.specifier_of_inherited(base) is Specifier.PUBLIC:
                 declared.extend(
                     fn
-                    for fn in base.all_functions()
+                    for fn in base.functions
                     if fn.has_specifier(Specifier.PUBLIC)
                 )
-        for fn in binding.all_functions():
+        for fn in binding.functions:
             if not fn.has_specifier(Specifier.PUBLIC):
                 continue
             if fn.is_constructor or fn.is_destructor:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UndeclaredObjectError
-from .model import AstNode, SourceSpan
-from .symtab import SymbolTable, VariableBinding, register_builder
+from .model import MAX_NESTING, AstNode, SourceSpan
+from .symtab import SymbolTable, VariableBinding
 
 LANGUAGE = "seqdiag"
 
@@ -64,6 +64,7 @@ class _Parser:
         self.pos = 0
         self.file = file
         self.objects = set()
+        self.depth = 0
         self._next_id = 0
 
     def peek(self):
@@ -127,6 +128,9 @@ class _Parser:
 
     def parse_block(self):
         first = self.expect("{")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(first[1], "nesting deeper than %d levels" % MAX_NESTING)
         children = []
         while self.peek() is not None and self.peek()[0] != "}":
             if self.peek()[0] == "{":
@@ -134,6 +138,7 @@ class _Parser:
             else:
                 children.append(self.parse_message())
         close = self.expect("}")
+        self.depth -= 1
         span = SourceSpan(
             self.file, first[1].row, first[1].col, close[1].end_row, close[1].end_col
         )
@@ -211,10 +216,9 @@ def parse_seq(text, file="<input>"):
     return ast
 
 
-def build_seqdiag_symbols(root):
-    table = SymbolTable(root.file)
-    table.global_scope.owner_node_id = root.ast.node_id
-    for node in root.ast.walk():
+def build_seqdiag_symbols(chart):
+    table = SymbolTable()
+    for node in chart.walk():
         if node.kind == "ObjectDecl":
             binding = VariableBinding(
                 name=node.attr("name"),
@@ -226,6 +230,3 @@ def build_seqdiag_symbols(root):
         else:
             table.bind_node(node, scope=table.global_scope)
     return table
-
-
-register_builder("seqdiag", build_seqdiag_symbols)

@@ -1,8 +1,8 @@
 """Scoped symbol table over the syntax graph.
 
 Holds the bindings queried by rules (class/function/variable/type). Each
-unit gets one table, built by its language's symbol builder from the
-finished AST and read-only once built.
+unit gets one table, built from the finished AST by the builder named in
+its language's ``pipeline.FRONTENDS`` entry, and read-only once built.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class Specifier(enum.Enum):
     VIRTUAL = "VIRTUAL"
     PURE_VIRTUAL = "PURE_VIRTUAL"
     STATIC = "STATIC"
-    CONST = "CONST"
 
 
 @dataclass
@@ -36,7 +35,6 @@ class Scope:
     kind: ScopeKind
     name: str | None = None
     parent: "Scope | None" = None
-    owner_node_id: int = 0
     declarations: list = field(default_factory=list)
     children: list = field(default_factory=list)
 
@@ -74,8 +72,6 @@ class TypeBinding:
     """A plain type name: an enum or a typedef."""
 
     name: str
-    type_kind: str  # "enum" | "typedef"
-    decl_span: object = None
     scope: Scope = None
 
 
@@ -94,14 +90,11 @@ class VariableBinding:
 @dataclass
 class FunctionBinding:
     name: str
-    owner: "ClassBinding | None" = None
     specifiers: set = field(default_factory=set)
     parameter_types: list = field(default_factory=list)
     return_type: str = ""
-    body_span: object = None
     is_constructor: bool = False
     is_destructor: bool = False
-    decl_span: object = None
     scope: Scope = None
 
     def has_specifier(self, spec):
@@ -135,7 +128,6 @@ class ClassBinding:
     bases: list = field(default_factory=list)  # (ClassBinding | None, Specifier, name)
     functions: list = field(default_factory=list)
     data_members: list = field(default_factory=list)
-    decl_span: object = None
 
     def inherited_classes(self):
         return [base for base, _access, _name in self.bases if base is not None]
@@ -145,9 +137,6 @@ class ClassBinding:
             if base is inherited:
                 return access
         return None
-
-    def all_functions(self):
-        return list(self.functions)
 
     def has_only_interface_methods(self):
         """True iff there are no data members and every member function is
@@ -165,19 +154,17 @@ class ClassBinding:
 class SymbolTable:
     """Per-unit scope tree plus node-to-scope/binding indexes."""
 
-    def __init__(self, file=""):
-        self.file = file
+    def __init__(self):
         self.global_scope = Scope(ScopeKind.GLOBAL)
         self.diagnostics = []
         self._scope_by_node = {}
         self._binding_by_node = {}
         self.classes = []
-        self.functions = []
         self.variables = []
 
-    def open_scope(self, kind, name=None, parent=None, owner_node_id=0):
+    def open_scope(self, kind, name=None, parent=None):
         parent = parent if parent is not None else self.global_scope
-        scope = Scope(kind, name=name, parent=parent, owner_node_id=owner_node_id)
+        scope = Scope(kind, name=name, parent=parent)
         parent.children.append(scope)
         return scope
 
@@ -189,8 +176,6 @@ class SymbolTable:
         scope.declare(binding)
         if isinstance(binding, ClassBinding):
             self.classes.append(binding)
-        elif isinstance(binding, FunctionBinding):
-            self.functions.append(binding)
         elif isinstance(binding, VariableBinding):
             self.variables.append(binding)
         return binding
@@ -209,21 +194,3 @@ class SymbolTable:
     def binding_of(self, node):
         return self._binding_by_node.get(node.node_id)
 
-
-_BUILDERS = {}
-
-
-def register_builder(language, builder):
-    _BUILDERS[language] = builder
-
-
-def build_symbols(root):
-    """Run the symbol workflow for ``root`` and attach the table to it."""
-    if root.ast is None:
-        root.symbols = SymbolTable(root.file)
-        return root.symbols
-    builder = _BUILDERS[root.ast.language]
-    table = builder(root)
-    root.diagnostics.extend(table.diagnostics)
-    root.symbols = table
-    return table

@@ -4,8 +4,7 @@ import pytest
 
 from cglint.cli import build_registry
 from cglint.core import default_configs, traverse
-from cglint.pipeline import parse_minicpp, parse_seqdiag
-from cglint.symtab import build_symbols
+from cglint.pipeline import analyze_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -16,16 +15,14 @@ def fixture_path(name):
 
 def analyze_cpp(source, file="test.cpp"):
     """Parse + symbol-build a C++ snippet; fails the test on parse errors."""
-    root = parse_minicpp(file, source)
+    root = analyze_file(file, "minicpp", text=source)
     assert not root.has_fatal_error(), root.diagnostics
-    build_symbols(root)
     return root
 
 
 def analyze_seq(source, file="test.sd"):
-    root = parse_seqdiag(file, source)
+    root = analyze_file(file, "seqdiag", text=source)
     assert not root.has_fatal_error(), root.diagnostics
-    build_symbols(root)
     return root
 
 

@@ -134,7 +134,7 @@ def test_criterion_3_single_pass():
         ast, node_count = random_ast(rng, rng.randint(50, 5000))
         assert ast.count() == node_count
         root = AnalysisRoot(file="rand.cpp", content="", ast=ast)
-        root.symbols = SymbolTable("rand.cpp")
+        root.symbols = SymbolTable()
         subset = rng.sample(CPP_RULES, rng.randint(0, len(CPP_RULES)))
         registry = RuleRegistry()
         for cls in subset:

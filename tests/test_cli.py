@@ -125,6 +125,70 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, source):
     assert "nesting deeper than %d levels" % MAX_NESTING in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lang,name,source,message",
+    [
+        ("minicpp", "literal.cpp", 'char c = "abc\\', "unterminated literal"),
+        (
+            "seqdiag",
+            "deep.sd",
+            "sequencediagram d {\n%s%s}\n" % ("{ " * 1000, "} " * 1000),
+            "nesting deeper than %d levels" % MAX_NESTING,
+        ),
+    ],
+    ids=["backslash_at_eof", "seqdiag_blocks"],
+)
+def test_crashing_input_is_a_source_error(tmp_path, capsys, lang, name, source, message):
+    src = write(tmp_path, name, source)
+    code, xml_out = run(tmp_path, "--lang", lang, src)
+    assert code == 2
+    assert from_xml(open(xml_out, "rb").read()).files == [src]
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_file_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cpp"
+    bad.write_bytes("// caf\xe9\nnamespace app { }\n".encode("latin-1"))
+    good = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
+    code, xml_out = run(tmp_path, "--lang", "minicpp", str(bad), good)
+    assert code == 2
+    results = from_xml(open(xml_out, "rb").read())
+    assert results.files == sorted([str(bad), good])
+    by_id = {r.descriptor.id: r for r in results.reports}
+    assert [f.span.file for f in by_id["MemoryChecker"].findings] == [good]
+    assert "%s: 'utf-8' codec can't decode" % bad in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    def findings(encoding):
+        src = tmp_path / ("%s.cpp" % encoding)
+        src.write_bytes("typedef int Alpha; void f() { int* p = new int; }\n".encode(encoding))
+        code, xml_out = run(tmp_path, "--lang", "minicpp", str(src))
+        reports = from_xml(open(xml_out, "rb").read()).reports
+        return code, [
+            (r.descriptor.id, f.span.row, f.span.col, f.message) for r in reports for f in r.findings
+        ]
+
+    plain = findings("utf-8")
+    assert len(plain[1]) == 4
+    assert findings("utf-8-sig") == plain
+
+
+def test_long_operator_chain_is_not_nesting(tmp_path):
+    """A flat ``+`` chain builds a deep left-leaning tree; it must give the
+    same results as a short chain."""
+
+    def run_chain(terms):
+        source = "int f() { return %s; }\n" % "+".join(["1"] * terms)
+        code, xml_out = run(tmp_path, "--lang", "minicpp", write(tmp_path, "chain.cpp", source))
+        reports = from_xml(open(xml_out, "rb").read()).reports
+        return code, {r.descriptor.id: len(r.findings) for r in reports}
+
+    assert run_chain(3000) == run_chain(3)
+
+
 def test_config_disables_rule(tmp_path):
     src = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
     config = write(tmp_path, "rules.cfg", "[rule MemoryChecker]\nenabled = false\n")

@@ -1,0 +1,102 @@
+"""Property-based checks of the CLI exit-code contract on hostile input.
+
+Whatever bytes an input file holds, ``cli.main`` returns 0, 1 or 2 without
+raising, and writes an XML report that ``from_xml`` accepts and that lists
+the file. Inputs are random bytes, random text, token soup and mutated
+fixtures, in both languages. Examples are derandomized so that every run
+checks the same inputs.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import fixture_path  # noqa: E402
+
+from cglint.cli import main  # noqa: E402
+from cglint.minicpp.lexer import _PUNCT, KEYWORDS  # noqa: E402
+from cglint.report import from_xml  # noqa: E402
+
+EXTENSIONS = {"minicpp": ".cpp", "seqdiag": ".sd"}
+VOCABULARY = {
+    "minicpp": sorted(KEYWORDS) + _PUNCT
+    + ["a", "b", "T", "Foo", "_x", "0", "12", "1.5", "'c'", '"s"', "\\", '"', "'", "#", "/*", "//"],
+    "seqdiag": [
+        "sequencediagram", "object", "return", "a", "b", "A", "m", "<<", ">>",
+        "->", "<-", "{", "}", "(", ")", ";", ":", ",", "//",
+    ],
+}
+FIXTURES = {"minicpp": "ExampleImpl.cpp", "seqdiag": "librarytest.sd"}
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness")
+
+
+def check_contract(workdir, lang, data):
+    src = workdir / ("input" + EXTENSIONS[lang])
+    src.write_bytes(data)
+    xml_out = workdir / "vfresults.xml"
+    xml_out.unlink(missing_ok=True)
+    code = main(["--lang", lang, str(src), "--xml-out", str(xml_out), "--timestamp", "t"])
+    assert code in (0, 1, 2)
+    assert from_xml(xml_out.read_bytes()).files == [str(src)]
+
+
+def token_soup(lang):
+    words = st.lists(st.sampled_from(VOCABULARY[lang]), max_size=60)
+    separators = st.sampled_from([" ", "\n", ""])
+    return st.tuples(words, separators).map(lambda ws: ws[1].join(ws[0]))
+
+
+@st.composite
+def mutated_fixture(draw, lang):
+    with open(fixture_path(FIXTURES[lang]), encoding="utf-8") as handle:
+        text = handle.read()
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        edit = draw(st.sampled_from(["delete", "insert", "repeat"]))
+        if edit == "delete":
+            text = text[:start] + text[end:]
+        elif edit == "insert":
+            text = "%s %s %s" % (text[:start], draw(st.sampled_from(VOCABULARY[lang])), text[start:])
+        else:
+            text = text[:end] + text[start:end] + text[end:]
+    return text
+
+
+LANGUAGES = pytest.mark.parametrize("lang", sorted(EXTENSIONS))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.binary(max_size=300))
+def test_random_bytes(workdir, lang, data):
+    check_contract(workdir, lang, data)
+
+
+@LANGUAGES
+@PROPERTY
+@given(text=st.text(max_size=200))
+def test_random_text(workdir, lang, text):
+    check_contract(workdir, lang, text.encode("utf-8"))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_token_soup(workdir, lang, data):
+    check_contract(workdir, lang, data.draw(token_soup(lang)).encode("utf-8"))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_mutated_fixture(workdir, lang, data):
+    check_contract(workdir, lang, data.draw(mutated_fixture(lang)).encode("utf-8"))

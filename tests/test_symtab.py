@@ -63,7 +63,7 @@ def test_destructor_exempt_from_interface_test():
 def test_signature_rendering():
     root = analyze_cpp(INTERFACE_SOURCE)
     function = root.symbols.classes[0]
-    sigs = sorted(fn.signature() for fn in function.all_functions() if not fn.is_destructor)
+    sigs = sorted(fn.signature() for fn in function.functions if not fn.is_destructor)
     assert sigs == ["derive : DOUBLE", "eval : DOUBLE"]
 
 
@@ -113,6 +113,18 @@ def test_lookup_walks_outward():
     binding = block.lookup("shared")
     assert isinstance(binding, VariableBinding)
     assert binding.scope is table.global_scope
+
+
+def test_long_operator_chain_binds_to_its_block():
+    root = analyze_cpp("int f() { return %s; }" % "+".join(["1"] * 3000))
+    table = root.symbols
+    deepest = find(root.ast, "ReturnStmt")
+    while deepest.children:
+        deepest = deepest.children[0]
+    assert deepest.kind == "Literal"
+    body = find(root.ast, "CompoundStmt")
+    assert table.scope_of(deepest) is table.scope_of(body)
+    assert table.scope_of(body).kind is ScopeKind.BLOCK
 
 
 def test_duplicate_declaration_diagnostic():
