@@ -1,7 +1,7 @@
 import pytest
 
 from cglint.errors import LexError
-from cglint.minicpp.lexer import IDENT, INT_LIT, KEYWORD, PUNCT, lex
+from cglint.minicpp.lexer import FLOAT_LIT, IDENT, INT_LIT, KEYWORD, PUNCT, lex
 
 
 def kinds_and_texts(tokens):
@@ -73,3 +73,57 @@ def test_string_and_char_literals():
 def test_identifier_with_digits_and_underscores():
     tokens = lex("array_Size x2")
     assert kinds_and_texts(tokens) == [(IDENT, "array_Size"), (IDENT, "x2")]
+
+
+def spans(tokens):
+    return [
+        (t.kind, t.text, (t.span.row, t.span.col, t.span.end_row, t.span.end_col))
+        for t in tokens
+    ]
+
+
+def lex_error(text):
+    with pytest.raises(LexError) as exc:
+        lex(text)
+    span = exc.value.span
+    return exc.value.message, (span.row, span.col, span.end_row, span.end_col)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("é ß _x1", [(IDENT, "é", (1, 1, 1, 1)), (IDENT, "ß", (1, 3, 1, 3)), (IDENT, "_x1", (1, 5, 1, 7))]),
+        # superscript two is a digit but not a decimal: it starts a number
+        ("²x", [(INT_LIT, "²x", (1, 1, 1, 2))]),
+        (".²", [(FLOAT_LIT, ".²", (1, 1, 1, 2))]),
+        (
+            ".5 1.e3 0xE1 1e5",
+            [
+                (FLOAT_LIT, ".5", (1, 1, 1, 2)),
+                (FLOAT_LIT, "1.e3", (1, 4, 1, 7)),
+                (INT_LIT, "0xE1", (1, 9, 1, 12)),
+                (FLOAT_LIT, "1e5", (1, 14, 1, 16)),
+            ],
+        ),
+        ("a\r\n# 1 x\nb", [(IDENT, "a", (1, 1, 1, 1)), (IDENT, "b", (3, 1, 3, 1))]),
+        ("/*\n\n*/ x", [(IDENT, "x", (3, 4, 3, 4))]),
+    ],
+    ids=["letters", "superscript", "dot_superscript", "numbers", "crlf_marker", "comment_rows"],
+)
+def test_token_spans(text, expected):
+    assert spans(lex(text)) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("½", ("unexpected character '½'", (1, 1, 1, 1))),
+        ("a Ⅻ", ("unexpected character 'Ⅻ'", (1, 3, 1, 3))),
+        ("a # b", ("unexpected character '#'", (1, 3, 1, 3))),
+        ('x "a\\\n"', ("unterminated literal", (1, 3, 1, 3))),
+        ("a\n  /* b", ("unterminated comment", (2, 3, 2, 3))),
+    ],
+    ids=["fraction", "roman_numeral", "marker_not_at_col_1", "escaped_newline", "open_comment"],
+)
+def test_lex_error_spans(text, expected):
+    assert lex_error(text) == expected

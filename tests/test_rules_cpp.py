@@ -180,6 +180,33 @@ class TestIdentifierChecker:
         src = "void f() { int alpha = 0; { int beta = 1; } }"
         assert run_rule("IdentifierChecker", src) == []
 
+    def test_same_scope_tie_reports_later_binding(self):
+        src = "void f() { int value = 0; int _value = 1; }"
+        findings = run_rule("IdentifierChecker", src)
+        assert messages(findings) == [
+            'Local Variable "_value" is named similar to "value : int".'
+        ]
+        assert findings[0].span.col == 27
+
+    def test_nested_collisions_in_order(self):
+        src = (
+            "class C { public: int count; int size;\n"
+            "  void m(int _count) {\n"
+            "    int SIZE = 0;\n"
+            "    { int co_unt = 1; int s_ize = 2; }\n"
+            "  }\n"
+            "};"
+        )
+        findings = run_rule("IdentifierChecker", src)
+        assert [(f.span.row, f.span.col, f.message) for f in findings] == [
+            (2, 10, 'Parameter "_count" is named similar to instance variable "count : int".'),
+            (3, 5, 'Local Variable "SIZE" is named similar to instance variable "size : int".'),
+            (4, 7, 'Local Variable "co_unt" is named similar to "_count : int".'),
+            (4, 7, 'Local Variable "co_unt" is named similar to instance variable "count : int".'),
+            (4, 23, 'Local Variable "s_ize" is named similar to "SIZE : int".'),
+            (4, 23, 'Local Variable "s_ize" is named similar to instance variable "size : int".'),
+        ]
+
 
 class TestIfChecker:
     def test_braceless_then(self):
