@@ -1,12 +1,16 @@
-"""Hand-written lexer for the preprocessed C++ subset.
+"""Lexer for the preprocessed C++ subset.
 
-Input is assumed to be preprocessor output: lines starting with ``#`` are
-skipped verbatim (they are line markers) but still advance the row counter
-so spans match the original file.
+One compiled pattern tokenizes the input; rows and columns advance by the
+newlines each match holds. Input is assumed to be preprocessor output: a
+line whose column 1 is ``#`` is a line marker, skipped but still counted, so
+spans match the original file. A ``#`` anywhere else is an error. The three
+errors are "unterminated comment", "unterminated literal" and "unexpected
+character", each at the position where the offending text starts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import LexError
@@ -37,6 +41,27 @@ STRING_LIT = "STRING_LIT"
 CHAR_LIT = "CHAR_LIT"
 PUNCT = "PUNCT"
 
+# Blanks before a token are part of its match, and a run of blanks, line
+# breaks, comments and line markers is one ``skip`` match. A group named after
+# a token kind yields that kind. ``wide`` takes what ``\w`` admits beyond
+# ASCII letters and decimal digits, with a ``.`` before it: ``_wide`` decides
+# from ``isalpha`` and ``isdigit`` whether it starts an identifier, a number
+# or an error. Alternatives are tried in order.
+_TOKEN = re.compile(
+    r"""[ \t]*(?:
+        (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|(?<![^\n])\#[^\n]*)+)
+       |(?P<IDENT>[A-Za-z_]\w*)
+       |(?P<number>\.?\d[\w.]*)
+       |(?P<wide>\.?[^\W\d_A-Za-z]\w*)
+       |(?P<STRING_LIT>"(?:[^"\\\n]|\\[^\n])*")
+       |(?P<CHAR_LIT>'(?:[^'\\\n]|\\[^\n])*')
+       |(?P<open_comment>/\*)
+       |(?P<PUNCT>%s)
+    )""" % "|".join(re.escape(p) for p in _PUNCT),
+    re.VERBOSE | re.DOTALL,
+)
+_NUMBER = re.compile(r"\.?\w[\w.]*")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -54,87 +79,52 @@ class Token:
 def lex(text, file="<input>"):
     """Tokenize ``text``; raises LexError on the first offending character."""
     tokens = []
-    pos = 0
     row = 1
-    col = 1
+    line_start = 0  # offset of the first character of ``row``
+    pos = 0
     n = len(text)
-
-    def advance(count):
-        nonlocal pos, row, col
-        for _ in range(count):
-            if text[pos] == "\n":
-                row += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    def emit(kind, length):
-        start = (row, col)
-        word = text[pos : pos + length]
-        advance(length)
-        tokens.append(
-            Token(kind, word, SourceSpan(file, start[0], start[1], row, col - 1))
-        )
-
     while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
+        m = _TOKEN.match(text, pos)
+        if m is None:  # ``skip`` would have taken a blank, so text[pos] is the culprit
+            message = "unterminated literal" if text[pos] in "\"'" else "unexpected character %r" % text[pos]
+            raise LexError(SourceSpan.point(file, row, pos - line_start + 1), message)
+        kind = m.lastgroup
+        if kind == "skip":
+            word = m.group()
+            newlines = word.count("\n")
+            if newlines:
+                row += newlines
+                line_start = pos + word.rfind("\n") + 1
+            pos = m.end()
             continue
-        if ch == "#" and col == 1:
-            while pos < n and text[pos] != "\n":
-                advance(1)
-            continue
-        if text.startswith("//", pos):
-            while pos < n and text[pos] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*", pos):
-            close = text.find("*/", pos + 2)
-            if close < 0:
-                raise LexError(SourceSpan.point(file, row, col), "unterminated comment")
-            advance(close + 2 - pos)
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos + 1
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[pos:end]
-            emit(KEYWORD if word in KEYWORDS else IDENT, end - pos)
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit()):
-            end = pos
-            is_float = False
-            while end < n and (text[end].isalnum() or text[end] in "._"):
-                if text[end] in ".eE":
-                    is_float = is_float or text[end] == "."
-                end += 1
-            word = text[pos:end]
-            if "e" in word.lower() and not word.lower().startswith("0x"):
-                is_float = is_float or any(c in "eE" for c in word)
-            emit(FLOAT_LIT if is_float else INT_LIT, end - pos)
-            continue
-        if ch == '"' or ch == "'":
-            end = pos + 1
-            while end < n and text[end] != ch:
-                if text[end] == "\\":
-                    end += 1
-                if end >= n or text[end] == "\n":
-                    break
-                end += 1
-            if end >= n or text[end] != ch:
-                raise LexError(
-                    SourceSpan.point(file, row, col), "unterminated literal"
-                )
-            emit(STRING_LIT if ch == '"' else CHAR_LIT, end + 1 - pos)
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, pos):
-                emit(PUNCT, len(punct))
-                break
-        else:
-            raise LexError(
-                SourceSpan.point(file, row, col), "unexpected character %r" % ch
-            )
+        start = m.start(kind)
+        word = m.group(kind)
+        col = start - line_start + 1
+        if kind == IDENT and word in KEYWORDS:
+            kind = KEYWORD
+        elif kind == "wide":
+            kind, word = _wide(text, start, word)
+            if kind is None:
+                raise LexError(SourceSpan.point(file, row, col), "unexpected character %r" % word)
+        elif kind == "open_comment":
+            raise LexError(SourceSpan.point(file, row, col), "unterminated comment")
+        if kind == "number":
+            is_float = "." in word or (("e" in word or "E" in word) and word[:2] not in ("0x", "0X"))
+            kind = FLOAT_LIT if is_float else INT_LIT
+        pos = start + len(word)
+        tokens.append(Token(kind, word, SourceSpan(file, row, col, row, col + len(word) - 1)))
     return tokens
+
+
+def _wide(text, pos, word):
+    """(kind, text) of the token a ``wide`` match starts: a number if its
+    first non-dot character is a digit, else a lone ``.``, else an
+    identifier if that character is a letter; (None, character) if not."""
+    lead = word[word[0] == "."]
+    if lead.isdigit():
+        return "number", _NUMBER.match(text, pos).group()
+    if word[0] == ".":
+        return PUNCT, "."
+    if lead.isalpha():
+        return IDENT, word
+    return None, lead

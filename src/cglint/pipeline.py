@@ -18,7 +18,7 @@ from .errors import SourceError, UnknownLanguageError
 from .minicpp import lexer as cpp_lexer
 from .minicpp import parser as cpp_parser
 from .minicpp.symbols import build_minicpp_symbols
-from .model import AnalysisRoot, Diagnostic, ValidationResults
+from .model import AnalysisRoot, Diagnostic, SourceSpan, ValidationResults
 from .symtab import SymbolTable
 
 # language -> parse(text, path) -> AST, symbols(AST) -> SymbolTable, and the
@@ -48,7 +48,8 @@ def get_frontend(language):
 def analyze_file(path, language, text=None):
     """Read (unless ``text`` is given), parse and build symbols for one file.
 
-    The file is decoded as UTF-8 and a leading byte-order mark is dropped.
+    The file is decoded as UTF-8 and a leading byte-order mark is dropped;
+    a decode error points at the first byte that is not UTF-8.
     """
     frontend = get_frontend(language)
     path = str(path)
@@ -61,7 +62,12 @@ def analyze_file(path, language, text=None):
         root.ast = frontend["parse"](text, path)
     except SourceError as exc:
         root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start]  # the file's bytes after any byte-order mark
+        col = len(before[before.rfind(b"\n") + 1 :].decode("utf-8")) + 1
+        span = SourceSpan.point(path, before.count(b"\n") + 1, col)
+        root.diagnostics.append(Diagnostic(span, str(exc), fatal=True))
+    except OSError as exc:
         root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
     build_symbols(root)
     return root

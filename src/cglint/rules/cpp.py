@@ -277,12 +277,15 @@ class IdentifierChecker(Rule):
         if table is None:
             return
         variables = [v for v in table.variables if v.name and v.scope is not None]
+        keys = [_normalize(v.name) for v in variables]
+        buckets = {}  # normalised name -> indices into variables, ascending
+        for j, key in enumerate(keys):
+            buckets.setdefault(key, []).append(j)
         for i, inner in enumerate(variables):
-            for j, other in enumerate(variables):
+            for j in buckets[keys[i]]:
                 if i == j:
                     continue
-                if _normalize(inner.name) != _normalize(other.name):
-                    continue
+                other = variables[j]
                 if not (
                     inner.scope.is_ancestor_or_self(other.scope)
                     or other.scope.is_ancestor_or_self(inner.scope)

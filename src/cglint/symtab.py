@@ -37,16 +37,16 @@ class Scope:
     parent: "Scope | None" = None
     declarations: list = field(default_factory=list)
     children: list = field(default_factory=list)
+    # name -> the first binding declared under it
+    _by_name: dict = field(default_factory=dict, init=False, repr=False)
 
     def declare(self, binding):
         self.declarations.append(binding)
+        self._by_name.setdefault(binding.name, binding)
         binding.scope = self
 
     def lookup_local(self, name):
-        for binding in self.declarations:
-            if binding.name == name:
-                return binding
-        return None
+        return self._by_name.get(name)
 
     def lookup(self, name):
         scope = self
@@ -159,7 +159,6 @@ class SymbolTable:
         self.diagnostics = []
         self._scope_by_node = {}
         self._binding_by_node = {}
-        self.classes = []
         self.variables = []
 
     def open_scope(self, kind, name=None, parent=None):
@@ -174,9 +173,7 @@ class SymbolTable:
                 Diagnostic(span, "duplicate declaration of %r" % binding.name, fatal=False)
             )
         scope.declare(binding)
-        if isinstance(binding, ClassBinding):
-            self.classes.append(binding)
-        elif isinstance(binding, VariableBinding):
+        if isinstance(binding, VariableBinding):
             self.variables.append(binding)
         return binding
 

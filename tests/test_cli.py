@@ -158,7 +158,16 @@ def test_non_utf8_file_is_an_io_error(tmp_path, capsys):
     assert results.files == sorted([str(bad), good])
     by_id = {r.descriptor.id: r for r in results.reports}
     assert [f.span.file for f in by_id["MemoryChecker"].findings] == [good]
-    assert "%s: 'utf-8' codec can't decode" % bad in capsys.readouterr().err
+    assert "%s:1:7: 'utf-8' codec can't decode" % bad in capsys.readouterr().err
+
+
+def test_decode_error_points_at_the_bad_byte(tmp_path, capsys):
+    # the byte-order mark is not counted; the column counts characters
+    bad = tmp_path / "bom.cpp"
+    bad.write_bytes(b"\xef\xbb\xbfint a;\n// \xc3\xa9t\xc3\xa9 caf\xe9\n")
+    code, _xml_out = run(tmp_path, "--lang", "minicpp", str(bad))
+    assert code == 2
+    assert "%s:2:11: 'utf-8' codec can't decode byte 0xe9" % bad in capsys.readouterr().err
 
 
 def test_byte_order_mark_is_ignored(tmp_path):

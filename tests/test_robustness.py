@@ -3,8 +3,9 @@
 Whatever bytes an input file holds, ``cli.main`` returns 0, 1 or 2 without
 raising, and writes an XML report that ``from_xml`` accepts and that lists
 the file. Inputs are random bytes, random text, token soup and mutated
-fixtures, in both languages. Examples are derandomized so that every run
-checks the same inputs.
+fixtures, in both languages. The minicpp lexer's spans stay inside the text
+it was given. Examples are derandomized so that every run checks the same
+inputs.
 """
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import fixture_path  # noqa: E402
 
 from cglint.cli import main  # noqa: E402
-from cglint.minicpp.lexer import _PUNCT, KEYWORDS  # noqa: E402
+from cglint.errors import LexError  # noqa: E402
+from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 
 EXTENSIONS = {"minicpp": ".cpp", "seqdiag": ".sd"}
@@ -100,3 +102,33 @@ def test_token_soup(workdir, lang, data):
 @given(data=st.data())
 def test_mutated_fixture(workdir, lang, data):
     check_contract(workdir, lang, data.draw(mutated_fixture(lang)).encode("utf-8"))
+
+
+def check_lexer_spans(text):
+    """Every token is the single-line, 1-based text its span names, or the
+    LexError's point span lies on a character of ``text``."""
+    lines = text.split("\n")
+    try:
+        tokens = lex(text)
+    except LexError as exc:
+        span = exc.span
+        assert (span.end_row, span.end_col) == (span.row, span.col)
+        assert 1 <= span.row <= len(lines)
+        assert 1 <= span.col <= len(lines[span.row - 1])
+        return
+    for token in tokens:
+        span = token.span
+        assert span.row == span.end_row and span.row >= 1 and span.col >= 1
+        assert lines[span.row - 1][span.col - 1 : span.end_col] == token.text
+
+
+@PROPERTY
+@given(text=st.text(max_size=200))
+def test_lexer_spans_random_text(text):
+    check_lexer_spans(text)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_lexer_spans_token_soup(data):
+    check_lexer_spans(data.draw(token_soup("minicpp")))

@@ -1,0 +1,82 @@
+"""Scaling gate: no stage may grow faster than ~2.3x per doubling of input.
+
+Two units from the benchmark's seeded generator (``bench/gen.py``), at 2 and
+8 classes, are lexed, parsed, symbol-built and traversed in process, one
+right after the other. A stage's ratio is the median over repeats of the
+large unit's CPU time over the small one's: a pair shares the host's speed
+of the moment, and the median drops a pair that straddles a change of it
+(a minimum per size would keep one fast outlier of the small unit). The
+cyclic garbage collector is paused while timing: its passes grow with the
+number of live objects, which says nothing of the stages' own algorithms.
+Input grows 4x, so a stage may grow at most 2.3 ** 2 times; a quadratic
+stage grows about 16x.
+"""
+
+import gc
+import os
+import random
+import statistics
+import sys
+import time
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import gen  # noqa: E402
+
+from cglint.cli import build_registry  # noqa: E402
+from cglint.core import default_configs, traverse  # noqa: E402
+from cglint.minicpp.lexer import lex  # noqa: E402
+from cglint.minicpp.parser import parse  # noqa: E402
+from cglint.model import AnalysisRoot  # noqa: E402
+from cglint.pipeline import build_symbols  # noqa: E402
+
+SMALL, LARGE = 2, 8  # classes
+BOUND = 2.3 ** 2
+REPEATS = 5
+STAGES = ("lex", "parse", "symbols", "traverse")
+
+
+def unit_text(classes):
+    knobs = gen.CppKnobs(classes=classes, methods=6, locals=10, depth=2, collide=0.1, markers=True)
+    text, _planted = gen.cpp_unit(random.Random(0), knobs)
+    return text
+
+
+def stage_seconds(text, registry, configs):
+    gc.collect()
+    t0 = time.process_time()
+    tokens = lex(text, "unit.ii")
+    t1 = time.process_time()
+    root = AnalysisRoot(file="unit.ii", content=text, ast=parse(tokens, file="unit.ii"))
+    t2 = time.process_time()
+    build_symbols(root)
+    t3 = time.process_time()
+    traverse(root, registry, configs)
+    t4 = time.process_time()
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3]
+
+
+@pytest.fixture(scope="module")
+def ratios():
+    registry = build_registry("minicpp")
+    configs = default_configs(registry)
+    small, large = unit_text(SMALL), unit_text(LARGE)
+    pairs = []
+    gc.disable()
+    try:
+        for _ in range(REPEATS):
+            pairs.append(list(zip(stage_seconds(small, registry, configs), stage_seconds(large, registry, configs))))
+    finally:
+        gc.enable()
+    per_stage = zip(*([b / a for a, b in pair] for pair in pairs))
+    return {stage: statistics.median(values) for stage, values in zip(STAGES, per_stage)}
+
+
+def test_input_grows_fourfold():
+    assert 3.5 < len(unit_text(LARGE)) / len(unit_text(SMALL)) < 4.5
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_scales_linearly(ratios, stage):
+    assert ratios[stage] <= BOUND, "%s grew %.1fx for 4x the input" % (stage, ratios[stage])

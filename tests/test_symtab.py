@@ -17,6 +17,11 @@ def find(unit, kind, **attrs):
     raise AssertionError("no %s with %r" % (kind, attrs))
 
 
+def classes(root):
+    """The class bindings of the global scope, in declaration order."""
+    return [b for b in root.symbols.global_scope.declarations if isinstance(b, ClassBinding)]
+
+
 INTERFACE_SOURCE = """
 class Function {
 public:
@@ -34,10 +39,9 @@ public:
 
 def test_class_bindings_and_bases():
     root = analyze_cpp(INTERFACE_SOURCE)
-    table = root.symbols
-    names = [c.name for c in table.classes]
+    names = [c.name for c in classes(root)]
     assert names == ["Function", "Polynomial"]
-    poly = table.classes[1]
+    poly = classes(root)[1]
     bases = poly.inherited_classes()
     assert [b.name for b in bases] == ["Function"]
     assert poly.specifier_of_inherited(bases[0]) is Specifier.PUBLIC
@@ -45,24 +49,24 @@ def test_class_bindings_and_bases():
 
 def test_interface_query():
     root = analyze_cpp(INTERFACE_SOURCE)
-    function, poly = root.symbols.classes
+    function, poly = classes(root)
     assert function.has_only_interface_methods()
     assert not poly.has_only_interface_methods()
 
 
 def test_data_member_defeats_interface():
     root = analyze_cpp("class I { public: virtual void f() = 0; int state; };")
-    assert not root.symbols.classes[0].has_only_interface_methods()
+    assert not classes(root)[0].has_only_interface_methods()
 
 
 def test_destructor_exempt_from_interface_test():
     root = analyze_cpp("class I { public: virtual ~I(); virtual void f() = 0; };")
-    assert root.symbols.classes[0].has_only_interface_methods()
+    assert classes(root)[0].has_only_interface_methods()
 
 
 def test_signature_rendering():
     root = analyze_cpp(INTERFACE_SOURCE)
-    function = root.symbols.classes[0]
+    function = classes(root)[0]
     sigs = sorted(fn.signature() for fn in function.functions if not fn.is_destructor)
     assert sigs == ["derive : DOUBLE", "eval : DOUBLE"]
 
@@ -156,7 +160,7 @@ def test_function_specifiers():
     root = analyze_cpp(
         "class C { public: virtual void a() = 0; static int b(); private: void c(); };"
     )
-    cls = root.symbols.classes[0]
+    cls = classes(root)[0]
     specs = {fn.name: fn.specifiers for fn in cls.functions}
     assert Specifier.PURE_VIRTUAL in specs["a"]
     assert Specifier.VIRTUAL in specs["a"]
@@ -167,7 +171,7 @@ def test_function_specifiers():
 
 def test_default_access_is_private():
     root = analyze_cpp("class C { void hidden(); };")
-    fn = root.symbols.classes[0].functions[0]
+    fn = classes(root)[0].functions[0]
     assert Specifier.PRIVATE in fn.specifiers
 
 
