@@ -3,8 +3,8 @@
 Whatever bytes an input file holds, ``cli.main`` returns 0, 1 or 2 without
 raising, and writes an XML report that ``from_xml`` accepts and that lists
 the file. Inputs are random bytes, random text, token soup and mutated
-fixtures, in both languages. The minicpp lexer's spans stay inside the text
-it was given. Examples are derandomized so that every run checks the same
+fixtures, in both languages. The tokens of both languages lie on the text
+they were given. Examples are derandomized so that every run checks the same
 inputs.
 """
 
@@ -17,9 +17,10 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import fixture_path  # noqa: E402
 
 from cglint.cli import main  # noqa: E402
-from cglint.errors import LexError  # noqa: E402
+from cglint.errors import LexError, ParseError  # noqa: E402
 from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
+from cglint.seqdiag import _tokenize  # noqa: E402
 
 EXTENSIONS = {"minicpp": ".cpp", "seqdiag": ".sd"}
 VOCABULARY = {
@@ -132,3 +133,35 @@ def test_lexer_spans_random_text(text):
 @given(data=st.data())
 def test_lexer_spans_token_soup(data):
     check_lexer_spans(data.draw(token_soup("minicpp")))
+
+
+def check_seqdiag_spans(text):
+    """Every seqdiag token is the single-line, 1-based text its row and
+    column name, or the ParseError's point span lies on a character of
+    ``text``."""
+    lines = text.split("\n")
+    try:
+        tokens = _tokenize(text, "<input>")
+    except ParseError as exc:
+        span = exc.span
+        assert (span.end_row, span.end_col) == (span.row, span.col)
+        assert 1 <= span.row <= len(lines)
+        assert 1 <= span.col <= len(lines[span.row - 1])
+        return
+    for word, span in tokens:
+        row, col = span.row, span.col
+        assert (span.end_row, span.end_col) == (row, col + len(word) - 1)
+        assert row >= 1 and col >= 1
+        assert lines[row - 1][col - 1 : col - 1 + len(word)] == word
+
+
+@PROPERTY
+@given(text=st.text(max_size=200))
+def test_seqdiag_spans_random_text(text):
+    check_seqdiag_spans(text)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_seqdiag_spans_token_soup(data):
+    check_seqdiag_spans(data.draw(token_soup("seqdiag")))

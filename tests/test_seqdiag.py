@@ -3,7 +3,7 @@ import pytest
 from conftest import analyze_seq, fixture_path
 
 from cglint.errors import ParseError, UndeclaredObjectError
-from cglint.seqdiag import parse_seq
+from cglint.seqdiag import _tokenize, parse_seq
 
 
 def read_fixture(name):
@@ -101,3 +101,59 @@ def test_symbols_for_chart():
     root = analyze_seq(read_fixture("librarytest.sd"))
     assert len(root.symbols.variables) == 6
     assert root.symbols.variables[0].declared_type == "LibraryTest"
+
+
+def seq_tokens(text):
+    """(kind, text, row, col) of each token; a token never spans lines."""
+    tokens = []
+    for word, span in _tokenize(text, "t.sd"):
+        assert (span.end_row, span.end_col) == (span.row, span.col + len(word) - 1)
+        kind = "ident" if word[0].isalnum() or word[0] == "_" else "punct"
+        tokens.append((kind, word, span.row, span.col))
+    return tokens
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "sequencediagram d {\r\n  object a:A; // c\r\n\t{ a -> b : <<t>> m(x, y); }\r\n}",
+            [
+                ("ident", "sequencediagram", 1, 1), ("ident", "d", 1, 17), ("punct", "{", 1, 19),
+                ("ident", "object", 2, 3), ("ident", "a", 2, 10), ("punct", ":", 2, 11),
+                ("ident", "A", 2, 12), ("punct", ";", 2, 13),
+                ("punct", "{", 3, 2), ("ident", "a", 3, 4), ("punct", "->", 3, 6), ("ident", "b", 3, 9),
+                ("punct", ":", 3, 11), ("punct", "<<", 3, 13), ("ident", "t", 3, 15), ("punct", ">>", 3, 16),
+                ("ident", "m", 3, 19), ("punct", "(", 3, 20), ("ident", "x", 3, 21), ("punct", ",", 3, 22),
+                ("ident", "y", 3, 24), ("punct", ")", 3, 25), ("punct", ";", 3, 26), ("punct", "}", 3, 28),
+                ("punct", "}", 4, 1),
+            ],
+        ),
+        # any Unicode blank separates tokens, but only a line feed starts a row
+        ("a\xa0b\u2028c\x0cd\n  e", [("ident", w, r, c) for w, r, c in
+                                        [("a", 1, 1), ("b", 1, 3), ("c", 1, 5), ("d", 1, 7), ("e", 2, 3)]]),
+        ("// x\nab//y\n->", [("ident", "ab", 2, 1), ("punct", "->", 3, 1)]),
+        ("", []),
+    ],
+    ids=["crlf_tab_chart", "unicode_blanks", "comments", "empty"],
+)
+def test_token_spans(text, expected):
+    assert seq_tokens(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("object é", ("unexpected character 'é'", (1, 8, 1, 8))),
+        ("a\r\n\t#", ("unexpected character '#'", (2, 2, 2, 2))),
+        ("a - b", ("unexpected character '-'", (1, 3, 1, 3))),
+        ("// é\n½", ("unexpected character '½'", (2, 1, 2, 1))),
+    ],
+    ids=["non_ascii_letter", "crlf_tab", "lone_minus", "after_comment"],
+)
+def test_token_error_spans(text, expected):
+    with pytest.raises(ParseError) as exc:
+        _tokenize(text, "t.sd")
+    assert type(exc.value) is ParseError
+    span = exc.value.span
+    assert (exc.value.message, (span.row, span.col, span.end_row, span.end_col)) == expected
