@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..model import MAX_NESTING, AstNode, SourceSpan
 from . import lexer
-from .lexer import IDENT, KEYWORD, PUNCT
+from .lexer import IDENT, KEYWORD
 
 LANGUAGE = "minicpp"
 
@@ -30,6 +30,8 @@ NODE_KINDS = (
 _TYPE_KEYWORDS = frozenset(
     "void bool char int short long float double unsigned signed".split()
 )
+_ACCESS = ("public", "protected", "private")
+_LITERALS = (lexer.INT_LIT, lexer.FLOAT_LIT, lexer.STRING_LIT, lexer.CHAR_LIT)
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 _UNARY_OPS = ("!", "-", "+", "*", "&", "~", "++", "--")
 # Binary operator -> precedence (higher binds tighter); all left-associative.
@@ -57,8 +59,20 @@ class _Frame:
 
 
 class _Parser:
+    """Recursive descent over the ``(kind, text, row, col)`` tokens of one
+    unit. ``kinds`` and ``texts`` are the tokens' fields as parallel lists,
+    each ending in a ``None`` that stands for the end of input, so looking
+    ahead is a list lookup. A punctuator's or keyword's text is never the
+    text of a token of another kind, so ``at`` compares texts only. Spans
+    are built for nodes and errors only, from their first and last tokens.
+    """
+
     def __init__(self, tokens, file):
         self.tokens = tokens
+        self.kinds = [tok[0] for tok in tokens]
+        self.kinds.append(None)
+        self.texts = [tok[1] for tok in tokens]
+        self.texts.append(None)
         self.file = file
         self.frames = [_Frame()]
         self.depth = 0
@@ -67,67 +81,52 @@ class _Parser:
 
     # --- token helpers -------------------------------------------------
 
-    def peek(self, offset=0):
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
-
     def at_end(self):
         return self.pos >= len(self.tokens)
 
-    def at_punct(self, text, offset=0):
-        tok = self.peek(offset)
-        return tok is not None and tok.is_punct(text)
-
-    def at_keyword(self, text, offset=0):
-        tok = self.peek(offset)
-        return tok is not None and tok.is_keyword(text)
+    def at(self, text, offset=0):
+        """True iff the text of the token ``offset`` ahead is ``text``."""
+        return self.texts[self.pos + offset] == text
 
     def at_kind(self, kind, offset=0):
-        tok = self.peek(offset)
-        return tok is not None and tok.kind == kind
+        return self.kinds[self.pos + offset] == kind
 
     def advance(self):
-        tok = self.peek()
+        """Consume the current token and return its text."""
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
-    def accept_punct(self, text):
-        if self.at_punct(text):
-            return self.advance()
-        return None
+    def accept(self, text):
+        """Consume the current token iff it is ``text``; True iff it was."""
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def accept_keyword(self, text):
-        if self.at_keyword(text):
-            return self.advance()
-        return None
-
-    def expect(self, text, kind=PUNCT):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self._eof_span(), "expected %r, found end of input" % text)
-        if kind == PUNCT and tok.is_punct(text):
-            return self.advance()
-        if kind == KEYWORD and tok.is_keyword(text):
-            return self.advance()
-        raise ParseError(tok.span, "expected %r, found %r" % (text, tok.text))
+    def expect(self, text):
+        found = self.texts[self.pos]
+        if found != text:
+            self.error("expected %r, found %s" % (text, "end of input" if found is None else repr(found)))
+        self.pos += 1
 
     def expect_ident(self):
-        tok = self.peek()
-        if tok is None or tok.kind != IDENT:
-            span = tok.span if tok else self._eof_span()
-            found = tok.text if tok else "end of input"
-            raise ParseError(span, "expected identifier, found %r" % found)
+        """Consume an identifier and return its text."""
+        if self.kinds[self.pos] != IDENT:
+            self.error("expected identifier, found %r" % ("end of input" if self.at_end() else self.texts[self.pos]))
         return self.advance()
 
-    def _eof_span(self):
-        if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan.point(self.file, last.end_row, last.end_col)
-        return SourceSpan.point(self.file, 1, 1)
-
     def error(self, message):
-        tok = self.peek()
-        raise ParseError(tok.span if tok else self._eof_span(), message)
+        """Raise a ParseError at the current token; at the end of input, at
+        the last character of the last token (1:1 if there is none)."""
+        if not self.at_end():
+            _kind, text, row, col = self.tokens[self.pos]
+            span = SourceSpan(self.file, row, col, row, col + len(text) - 1)
+        elif self.tokens:
+            _kind, text, row, col = self.tokens[-1]
+            span = SourceSpan.point(self.file, row, col + len(text) - 1)
+        else:
+            span = SourceSpan.point(self.file, 1, 1)
+        raise ParseError(span, message)
 
     def enter(self):
         """Count one level of grammar nesting; the caller decrements
@@ -139,18 +138,12 @@ class _Parser:
     # --- node construction ---------------------------------------------
 
     def node(self, kind, start, attrs=None, children=None):
-        first = self.tokens[start].span
-        last = self.tokens[self.pos - 1].span if self.pos > start else first
-        span = SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col)
+        """A node spanning the tokens from ``start`` to the last consumed."""
+        first = self.tokens[start]
+        last = self.tokens[self.pos - 1] if self.pos > start else first
+        span = SourceSpan(self.file, first[2], first[3], last[2], last[3] + len(last[1]) - 1)
         self._next_id += 1
-        return AstNode(
-            language=LANGUAGE,
-            kind=kind,
-            span=span,
-            attributes=attrs or {},
-            children=children or [],
-            node_id=self._next_id,
-        )
+        return AstNode(LANGUAGE, kind, span, attrs or {}, children or [], self._next_id)
 
     # --- type names ---------------------------------------------------
 
@@ -161,17 +154,16 @@ class _Parser:
         """True iff a declaration starts at the current token: a built-in
         type keyword, ``const``/``static``, or a possibly qualified
         identifier naming a class, enum or typedef visible here."""
-        tok = self.peek()
-        if tok is None:
+        kind = self.kinds[self.pos]
+        text = self.texts[self.pos]
+        if kind == KEYWORD:
+            return text in _TYPE_KEYWORDS or text in ("const", "static")
+        if kind != IDENT:
             return False
-        if tok.kind == KEYWORD:
-            return tok.text in _TYPE_KEYWORDS or tok.text in ("const", "static")
-        if tok.kind != IDENT:
-            return False
-        path = [tok.text]
-        i = 1
-        while self.at_punct("::", i) and self.at_kind(IDENT, i + 1):
-            path.append(self.peek(i + 1).text)
+        path = [text]
+        i = self.pos + 1
+        while self.texts[i] == "::" and self.kinds[i + 1] == IDENT:
+            path.append(self.texts[i + 1])
             i += 2
         name = path.pop()
         if not path:
@@ -191,38 +183,25 @@ class _Parser:
     # --- top level ------------------------------------------------------
 
     def parse_unit(self):
-        self.pos = 0
         children = []
         while not self.at_end():
             children.append(self.parse_top_decl())
-        self._next_id += 1
         if self.tokens:
-            first = self.tokens[0].span
-            last = self.tokens[-1].span
-            span = SourceSpan(
-                self.file, first.row, first.col, last.end_row, last.end_col
-            )
-        else:
-            span = SourceSpan.point(self.file, 1, 1)
-        return AstNode(
-            language=LANGUAGE,
-            kind="TranslationUnit",
-            span=span,
-            children=children,
-            node_id=self._next_id,
-        )
+            return self.node("TranslationUnit", 0, children=children)
+        self._next_id += 1
+        return AstNode(LANGUAGE, "TranslationUnit", SourceSpan.point(self.file, 1, 1), node_id=self._next_id)
 
     def parse_top_decl(self):
         self.enter()
-        if self.at_keyword("namespace"):
+        if self.at("namespace"):
             decl = self.parse_namespace()
-        elif self.at_keyword("using"):
+        elif self.at("using"):
             decl = self.parse_using()
-        elif self.at_keyword("class"):
+        elif self.at("class"):
             decl = self.parse_class()
-        elif self.at_keyword("enum"):
+        elif self.at("enum"):
             decl = self.parse_enum()
-        elif self.at_keyword("typedef"):
+        elif self.at("typedef"):
             decl = self.parse_typedef()
         else:
             decl = self.parse_function_or_variable()
@@ -231,13 +210,13 @@ class _Parser:
 
     def parse_namespace(self):
         start = self.pos
-        self.expect("namespace", KEYWORD)
-        name = self.expect_ident().text
+        self.expect("namespace")
+        name = self.expect_ident()
         self.expect("{")
         # a reopened namespace continues the frame of its first block
         self.frames.append(self.frames[-1].children.setdefault(name, _Frame()))
         children = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             if self.at_end():
                 self.error("unterminated namespace %r" % name)
             children.append(self.parse_top_decl())
@@ -247,11 +226,11 @@ class _Parser:
 
     def parse_using(self):
         start = self.pos
-        self.expect("using", KEYWORD)
-        self.expect("namespace", KEYWORD)
-        parts = [self.expect_ident().text]
-        while self.accept_punct("::"):
-            parts.append(self.expect_ident().text)
+        self.expect("using")
+        self.expect("namespace")
+        parts = [self.expect_ident()]
+        while self.accept("::"):
+            parts.append(self.expect_ident())
         self.expect(";")
         return self.node("UsingDirective", start, {"name": "::".join(parts)})
 
@@ -260,57 +239,51 @@ class _Parser:
     def parse_base_type(self):
         """Parse a type up to, but excluding, declarator stars."""
         parts = []
-        while self.at_keyword("const"):
+        while self.at("const"):
             self.advance()
             parts.append("const")
-        tok = self.peek()
-        if tok is None:
+        if self.at_end():
             self.error("expected type")
-        if tok.kind == KEYWORD and tok.text in _TYPE_KEYWORDS:
-            while self.at_kind(KEYWORD) and self.peek().text in _TYPE_KEYWORDS:
-                parts.append(self.advance().text)
-        elif tok.kind == IDENT:
-            name = [self.advance().text]
-            while self.at_punct("::") and self.at_kind(IDENT, 1):
+        if self.texts[self.pos] in _TYPE_KEYWORDS:
+            while self.texts[self.pos] in _TYPE_KEYWORDS:
+                parts.append(self.advance())
+        elif self.kinds[self.pos] == IDENT:
+            name = [self.advance()]
+            while self.at("::") and self.at_kind(IDENT, 1):
                 self.advance()
-                name.append(self.advance().text)
+                name.append(self.advance())
             parts.append("::".join(name))
         else:
-            self.error("expected type, found %r" % tok.text)
-        while self.at_keyword("const"):
+            self.error("expected type, found %r" % self.texts[self.pos])
+        while self.at("const"):
             self.advance()
             parts.append("const")
         return " ".join(parts)
 
     def parse_pointer_suffix(self):
         suffix = ""
-        while self.at_punct("*") or self.at_punct("&"):
-            suffix += self.advance().text
+        while self.at("*") or self.at("&"):
+            suffix += self.advance()
         return suffix
 
     # --- classes --------------------------------------------------------
 
     def parse_class(self):
         start = self.pos
-        self.expect("class", KEYWORD)
-        name = self.expect_ident().text
+        self.expect("class")
+        name = self.expect_ident()
         self.declare_type(name)
         children = []
-        if self.accept_punct(":"):
+        if self.accept(":"):
             while True:
                 base_start = self.pos
                 access = "private"
-                tok = self.peek()
-                if tok is not None and tok.kind == KEYWORD and tok.text in (
-                    "public",
-                    "protected",
-                    "private",
-                ):
-                    access = self.advance().text
-                parts = [self.expect_ident().text]
-                while self.at_punct("::") and self.at_kind(IDENT, 1):
+                if self.texts[self.pos] in _ACCESS:
+                    access = self.advance()
+                parts = [self.expect_ident()]
+                while self.at("::") and self.at_kind(IDENT, 1):
                     self.advance()
-                    parts.append(self.advance().text)
+                    parts.append(self.advance())
                 children.append(
                     self.node(
                         "BaseSpec",
@@ -318,16 +291,16 @@ class _Parser:
                         {"access": access, "name": "::".join(parts)},
                     )
                 )
-                if not self.accept_punct(","):
+                if not self.accept(","):
                     break
-        if self.accept_punct(";"):
+        if self.accept(";"):
             return self.node("ClassDef", start, {"name": name, "forward": "true"})
         self.expect("{")
         # unlike a namespace, a class body never continues an earlier one
         frame = _Frame()
         self.frames[-1].children.setdefault(name, frame)
         self.frames.append(frame)
-        while not self.at_punct("}"):
+        while not self.at("}"):
             if self.at_end():
                 self.error("unterminated class %r" % name)
             children.extend(self.parse_member(name))
@@ -339,35 +312,35 @@ class _Parser:
     def parse_member(self, class_name):
         self.enter()
         start = self.pos
-        tok = self.peek()
-        if tok.kind == KEYWORD and tok.text in ("public", "protected", "private"):
+        text = self.texts[start]
+        if text in _ACCESS:
             self.advance()
             self.expect(":")
-            members = [self.node("AccessSection", start, {"access": tok.text})]
-        elif tok.is_keyword("enum"):
+            members = [self.node("AccessSection", start, {"access": text})]
+        elif text == "enum":
             members = [self.parse_enum()]
-        elif tok.is_keyword("typedef"):
+        elif text == "typedef":
             members = [self.parse_typedef()]
-        elif tok.is_keyword("class"):
+        elif text == "class":
             members = [self.parse_class()]
         else:
-            virtual = bool(self.accept_keyword("virtual"))
-            static = bool(self.accept_keyword("static"))
-            if self.at_punct("~"):
+            virtual = self.accept("virtual")
+            static = self.accept("static")
+            if self.at("~"):
                 members = [self.parse_destructor(start, virtual)]
             elif (
                 not virtual
                 and not static
                 and self.at_kind(IDENT)
-                and self.peek().text == class_name
-                and self.at_punct("(", 1)
+                and self.at(class_name)
+                and self.at("(", 1)
             ):
                 members = [self.parse_constructor(start)]
             else:
                 base_type = self.parse_base_type()
                 stars = self.parse_pointer_suffix()
-                name = self.expect_ident().text
-                if self.at_punct("("):
+                name = self.expect_ident()
+                if self.at("("):
                     members = [
                         self.parse_function_rest(
                             start, base_type + stars, name, virtual=virtual, static=static
@@ -380,7 +353,7 @@ class _Parser:
 
     def parse_destructor(self, start, virtual):
         self.expect("~")
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect("(")
         self.expect(")")
         pure = self._accept_pure()
@@ -390,36 +363,36 @@ class _Parser:
             "pure": "true" if pure else "false",
         }
         children = []
-        if self.at_punct("{"):
+        if self.at("{"):
             children.append(self.parse_compound())
         else:
             self.expect(";")
         return self.node("Destructor", start, attrs, children)
 
     def parse_constructor(self, start):
-        name = self.advance().text
+        name = self.advance()
         params = self.parse_params()
-        if self.accept_punct(":"):  # ctor-initializer list, parsed and dropped
+        if self.accept(":"):  # ctor-initializer list, parsed and dropped
             while True:
                 self.expect_ident()
                 self.expect("(")
-                if not self.at_punct(")"):
+                if not self.at(")"):
                     self.parse_assign()
-                    while self.accept_punct(","):
+                    while self.accept(","):
                         self.parse_assign()
                 self.expect(")")
-                if not self.accept_punct(","):
+                if not self.accept(","):
                     break
         children = list(params)
-        if self.at_punct("{"):
+        if self.at("{"):
             children.append(self.parse_compound())
         else:
             self.expect(";")
         return self.node("Constructor", start, {"name": name}, children)
 
     def _accept_pure(self):
-        if self.at_punct("=") and self.at_kind(lexer.INT_LIT, 1):
-            if self.peek(1).text == "0":
+        if self.at("=") and self.at_kind(lexer.INT_LIT, 1):
+            if self.at("0", 1):
                 self.advance()
                 self.advance()
                 return True
@@ -428,28 +401,28 @@ class _Parser:
     def parse_params(self):
         self.expect("(")
         params = []
-        if self.at_keyword("void") and self.at_punct(")", 1):
+        if self.at("void") and self.at(")", 1):
             self.advance()  # f(void)
-        while not self.at_punct(")"):
+        while not self.at(")"):
             start = self.pos
             base = self.parse_base_type()
             stars = self.parse_pointer_suffix()
             name = ""
             if self.at_kind(IDENT):
-                name = self.advance().text
-            if self.accept_punct("="):  # default argument, dropped
+                name = self.advance()
+            if self.accept("="):  # default argument, dropped
                 self.parse_assign()
             params.append(
                 self.node("ParamDecl", start, {"name": name, "type": base + stars})
             )
-            if not self.accept_punct(","):
+            if not self.accept(","):
                 break
         self.expect(")")
         return params
 
     def parse_function_rest(self, start, return_type, name, virtual=False, static=False):
         params = self.parse_params()
-        const_method = bool(self.accept_keyword("const"))
+        const_method = self.accept("const")
         pure = self._accept_pure()
         attrs = {
             "name": name,
@@ -460,7 +433,7 @@ class _Parser:
             "pure": "true" if pure else "false",
         }
         children = list(params)
-        if self.at_punct("{"):
+        if self.at("{"):
             self.frames.append(_Frame())
             children.append(self.parse_compound())
             self.frames.pop()
@@ -472,19 +445,19 @@ class _Parser:
 
     def parse_enum(self):
         start = self.pos
-        self.expect("enum", KEYWORD)
+        self.expect("enum")
         name = ""
         if self.at_kind(IDENT):
-            name = self.advance().text
+            name = self.advance()
             self.declare_type(name)
         self.expect("{")
         enumerators = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             e_start = self.pos
-            e_name = self.expect_ident().text
+            e_name = self.expect_ident()
             children = []
             has_init = False
-            if self.accept_punct("="):
+            if self.accept("="):
                 has_init = True
                 children.append(self.parse_assign())
             enumerators.append(
@@ -495,18 +468,18 @@ class _Parser:
                     children,
                 )
             )
-            if not self.accept_punct(","):
+            if not self.accept(","):
                 break
         self.expect("}")
-        self.accept_punct(";")
+        self.accept(";")
         return self.node("EnumDef", start, {"name": name}, enumerators)
 
     def parse_typedef(self):
         start = self.pos
-        self.expect("typedef", KEYWORD)
+        self.expect("typedef")
         base = self.parse_base_type()
         stars = self.parse_pointer_suffix()
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect(";")
         self.declare_type(name)
         return self.node("TypedefDecl", start, {"name": name, "type": base + stars})
@@ -515,11 +488,11 @@ class _Parser:
 
     def parse_function_or_variable(self):
         start = self.pos
-        self.accept_keyword("static")
+        self.accept("static")
         base = self.parse_base_type()
         stars = self.parse_pointer_suffix()
-        name = self.expect_ident().text
-        if self.at_punct("("):
+        name = self.expect_ident()
+        if self.at("("):
             return self.parse_function_rest(start, base + stars, name)
         decls = self.parse_declarators(start, base, stars, name)
         if len(decls) == 1:
@@ -535,23 +508,23 @@ class _Parser:
         while True:
             attrs = {"name": name, "type": base_type + stars}
             children = []
-            if self.accept_punct("["):
+            if self.accept("["):
                 attrs["type"] += "[]"
                 attrs["array"] = "true"
-                if not self.at_punct("]"):
+                if not self.at("]"):
                     children.append(self.parse_assign())
                 self.expect("]")
-            if self.accept_punct("="):
+            if self.accept("="):
                 attrs["has_init"] = "true"
                 children.append(self.parse_assign())
             else:
                 attrs["has_init"] = "false"
             decls.append(self.node("VarDecl", decl_start, attrs, children))
-            if not self.accept_punct(","):
+            if not self.accept(","):
                 break
             decl_start = self.pos
             stars = self.parse_pointer_suffix()
-            name = self.expect_ident().text
+            name = self.expect_ident()
         self.expect(";")
         return decls
 
@@ -561,7 +534,7 @@ class _Parser:
         start = self.pos
         self.expect("{")
         children = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             if self.at_end():
                 self.error("unterminated block")
             children.extend(self.parse_stmt())
@@ -571,37 +544,21 @@ class _Parser:
     def parse_stmt(self):
         """Parse one statement; declarations may expand to several nodes."""
         self.enter()
-        tok = self.peek()
-        if tok is None:
+        if self.at_end():
             self.error("expected statement")
-        handler = None
-        if tok.kind == KEYWORD:
-            handler = {
-                "if": self.parse_if,
-                "switch": self.parse_switch,
-                "for": self.parse_for,
-                "while": self.parse_while,
-                "do": self.parse_do,
-                "return": self.parse_return,
-                "break": lambda: self.parse_simple("BreakStmt", "break"),
-                "continue": lambda: self.parse_simple("ContinueStmt", "continue"),
-                "goto": self.parse_goto,
-                "enum": self.parse_enum,
-                "typedef": self.parse_typedef,
-                "class": self.parse_class,
-                "using": self.parse_using,
-            }.get(tok.text)
-        if tok.is_punct("{"):
+        text = self.texts[self.pos]
+        handler = self._STATEMENTS.get(text)
+        if text == "{":
             stmts = [self.parse_compound()]
-        elif tok.is_punct(";"):
+        elif text == ";":
             start = self.pos
             self.advance()
             stmts = [self.node("ExprStmt", start)]
         elif handler is not None:
-            stmts = [handler()]
-        elif tok.kind == IDENT and self.at_punct(":", 1):
+            stmts = [handler(self)]
+        elif self.kinds[self.pos] == IDENT and self.at(":", 1):
             start = self.pos
-            name = self.advance().text
+            name = self.advance()
             self.advance()
             stmts = [self.node("LabelStmt", start, {"name": name})]
         elif self.at_declaration():
@@ -613,10 +570,10 @@ class _Parser:
 
     def parse_decl_stmt(self):
         start = self.pos
-        self.accept_keyword("static")
+        self.accept("static")
         base = self.parse_base_type()
         stars = self.parse_pointer_suffix()
-        name = self.expect_ident().text
+        name = self.expect_ident()
         return self.parse_declarators(start, base, stars, name)
 
     def parse_expr_stmt(self):
@@ -627,14 +584,14 @@ class _Parser:
 
     def parse_if(self):
         start = self.pos
-        self.expect("if", KEYWORD)
+        self.expect("if")
         self.expect("(")
         cond = self.parse_assign()
         self.expect(")")
         then = self._single_stmt()
         children = [cond, then]
         attrs = {"has_else": "false"}
-        if self.accept_keyword("else"):
+        if self.accept("else"):
             attrs["has_else"] = "true"
             children.append(self._single_stmt())
         return self.node("IfStmt", start, attrs, children)
@@ -646,30 +603,25 @@ class _Parser:
         # several declarators from one declaration; keep them grouped
         first, last = stmts[0].span, stmts[-1].span
         self._next_id += 1
-        return AstNode(
-            language=LANGUAGE,
-            kind="CompoundStmt",
-            span=SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col),
-            children=stmts,
-            node_id=self._next_id,
-        )
+        span = SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col)
+        return AstNode(LANGUAGE, "CompoundStmt", span, {}, stmts, self._next_id)
 
     def parse_switch(self):
         start = self.pos
-        self.expect("switch", KEYWORD)
+        self.expect("switch")
         self.expect("(")
         cond = self.parse_assign()
         self.expect(")")
         self.expect("{")
         children = [cond]
-        while not self.at_punct("}"):
+        while not self.at("}"):
             c_start = self.pos
-            if self.accept_keyword("case"):
+            if self.accept("case"):
                 label = self.parse_assign()
                 self.expect(":")
                 body = self._clause_body()
                 children.append(self.node("CaseClause", c_start, {}, [label] + body))
-            elif self.accept_keyword("default"):
+            elif self.accept("default"):
                 self.expect(":")
                 body = self._clause_body()
                 children.append(self.node("DefaultClause", c_start, {}, body))
@@ -681,7 +633,7 @@ class _Parser:
     def _clause_body(self):
         body = []
         while not (
-            self.at_punct("}") or self.at_keyword("case") or self.at_keyword("default")
+            self.at("}") or self.at("case") or self.at("default")
         ):
             if self.at_end():
                 self.error("unterminated switch body")
@@ -690,22 +642,22 @@ class _Parser:
 
     def parse_for(self):
         start = self.pos
-        self.expect("for", KEYWORD)
+        self.expect("for")
         self.expect("(")
         children = []
         attrs = {"has_init": "false", "has_cond": "false", "has_step": "false"}
-        if not self.accept_punct(";"):
+        if not self.accept(";"):
             attrs["has_init"] = "true"
             if self.at_declaration():
                 children.extend(self.parse_decl_stmt())
             else:
                 children.append(self.parse_assign())
                 self.expect(";")
-        if not self.at_punct(";"):
+        if not self.at(";"):
             attrs["has_cond"] = "true"
             children.append(self.parse_assign())
         self.expect(";")
-        if not self.at_punct(")"):
+        if not self.at(")"):
             attrs["has_step"] = "true"
             children.append(self.parse_assign())
         self.expect(")")
@@ -714,7 +666,7 @@ class _Parser:
 
     def parse_while(self):
         start = self.pos
-        self.expect("while", KEYWORD)
+        self.expect("while")
         self.expect("(")
         cond = self.parse_assign()
         self.expect(")")
@@ -723,9 +675,9 @@ class _Parser:
 
     def parse_do(self):
         start = self.pos
-        self.expect("do", KEYWORD)
+        self.expect("do")
         body = self._single_stmt()
-        self.expect("while", KEYWORD)
+        self.expect("while")
         self.expect("(")
         cond = self.parse_assign()
         self.expect(")")
@@ -734,23 +686,23 @@ class _Parser:
 
     def parse_return(self):
         start = self.pos
-        self.expect("return", KEYWORD)
+        self.expect("return")
         children = []
-        if not self.at_punct(";"):
+        if not self.at(";"):
             children.append(self.parse_assign())
         self.expect(";")
         return self.node("ReturnStmt", start, {}, children)
 
     def parse_simple(self, kind, keyword):
         start = self.pos
-        self.expect(keyword, KEYWORD)
+        self.expect(keyword)
         self.expect(";")
         return self.node(kind, start)
 
     def parse_goto(self):
         start = self.pos
-        self.expect("goto", KEYWORD)
-        label = self.expect_ident().text
+        self.expect("goto")
+        label = self.expect_ident()
         self.expect(";")
         return self.node("GotoStmt", start, {"label": label})
 
@@ -760,9 +712,9 @@ class _Parser:
         """Parse an expression: assignments are right-associative."""
         self.enter()
         expr = self.parse_binary()
-        tok = self.peek()
-        if tok is not None and tok.kind == PUNCT and tok.text in _ASSIGN_OPS:
-            op = self.advance()
+        if self.texts[self.pos] in _ASSIGN_OPS:
+            op = self.pos
+            self.advance()
             expr = self._op_node("AssignExpr", expr, self.parse_assign(), op)
         self.depth -= 1
         return expr
@@ -772,56 +724,41 @@ class _Parser:
         ``_BINARY_PRECEDENCE``. An operator waits on ``pending`` until one
         that binds no tighter arrives; all are left-associative."""
         operands = [self.parse_unary()]
-        pending = []  # (precedence, operator token)
+        pending = []  # (precedence, operator token index)
         while True:
-            tok = self.peek()
-            precedence = None
-            if tok is not None and tok.kind == PUNCT:
-                precedence = _BINARY_PRECEDENCE.get(tok.text)
+            precedence = _BINARY_PRECEDENCE.get(self.texts[self.pos])
             while pending and (precedence is None or pending[-1][0] >= precedence):
                 op = pending.pop()[1]
                 rhs = operands.pop()
                 operands.append(self._op_node("BinaryExpr", operands.pop(), rhs, op))
             if precedence is None:
                 return operands[0]
-            pending.append((precedence, self.advance()))
+            pending.append((precedence, self.pos))
+            self.advance()
             operands.append(self.parse_unary())
 
     def _op_node(self, kind, lhs, rhs, op):
-        span = SourceSpan(
-            self.file,
-            lhs.span.row,
-            lhs.span.col,
-            rhs.span.end_row,
-            rhs.span.end_col,
-        )
+        """A node for operator token ``op`` (an index) between ``lhs`` and
+        ``rhs``."""
+        _kind, text, row, col = self.tokens[op]
+        span = SourceSpan(self.file, lhs.span.row, lhs.span.col, rhs.span.end_row, rhs.span.end_col)
         self._next_id += 1
-        return AstNode(
-            language=LANGUAGE,
-            kind=kind,
-            span=span,
-            attributes={
-                "operator": op.text,
-                "op_row": str(op.span.row),
-                "op_col": str(op.span.col),
-            },
-            children=[lhs, rhs],
-            node_id=self._next_id,
-        )
+        attrs = {"operator": text, "op_row": str(row), "op_col": str(col)}
+        return AstNode(LANGUAGE, kind, span, attrs, [lhs, rhs], self._next_id)
 
     def parse_unary(self):
         self.enter()
         start = self.pos
-        tok = self.peek()
-        if tok is None:
+        text = self.texts[start]
+        if text is None:
             self.error("expected expression")
-        if tok.kind == PUNCT and tok.text in _UNARY_OPS:
+        if text in _UNARY_OPS:
             self.advance()
             operand = self.parse_unary()
-            expr = self.node("UnaryExpr", start, {"operator": tok.text}, [operand])
-        elif tok.is_keyword("new"):
+            expr = self.node("UnaryExpr", start, {"operator": text}, [operand])
+        elif text == "new":
             expr = self.parse_new()
-        elif tok.is_keyword("delete"):
+        elif text == "delete":
             expr = self.parse_delete()
         else:
             expr = self.parse_postfix()
@@ -830,28 +767,28 @@ class _Parser:
 
     def parse_new(self):
         start = self.pos
-        self.expect("new", KEYWORD)
+        self.expect("new")
         base = self.parse_base_type()
         stars = self.parse_pointer_suffix()
         attrs = {"type": base + stars, "array": "false"}
         children = []
-        if self.accept_punct("["):
+        if self.accept("["):
             attrs["array"] = "true"
             children.append(self.parse_assign())
             self.expect("]")
-        elif self.accept_punct("("):
-            if not self.at_punct(")"):
+        elif self.accept("("):
+            if not self.at(")"):
                 children.append(self.parse_assign())
-                while self.accept_punct(","):
+                while self.accept(","):
                     children.append(self.parse_assign())
             self.expect(")")
         return self.node("NewExpr", start, attrs, children)
 
     def parse_delete(self):
         start = self.pos
-        self.expect("delete", KEYWORD)
+        self.expect("delete")
         array = False
-        if self.accept_punct("["):
+        if self.accept("["):
             self.expect("]")
             array = True
         operand = self.parse_unary()
@@ -863,21 +800,21 @@ class _Parser:
         start = self.pos
         expr = self.parse_primary()
         while True:
-            if self.at_punct("("):
+            if self.at("("):
                 self.advance()
                 args = []
-                if not self.at_punct(")"):
+                if not self.at(")"):
                     args.append(self.parse_assign())
-                    while self.accept_punct(","):
+                    while self.accept(","):
                         args.append(self.parse_assign())
                 self.expect(")")
                 expr = self.node("CallExpr", start, {}, [expr] + args)
-            elif self.at_punct(".") or self.at_punct("->"):
-                op = self.advance().text
-                name = self.expect_ident().text
+            elif self.at(".") or self.at("->"):
+                op = self.advance()
+                name = self.expect_ident()
                 expr = self.node("MemberExpr", start, {"operator": op, "name": name}, [expr])
-            elif self.at_punct("++") or self.at_punct("--"):
-                op = self.advance().text
+            elif self.at("++") or self.at("--"):
+                op = self.advance()
                 expr = self.node(
                     "UnaryExpr", start, {"operator": op, "postfix": "true"}, [expr]
                 )
@@ -886,26 +823,42 @@ class _Parser:
 
     def parse_primary(self):
         start = self.pos
-        tok = self.peek()
-        if tok is None:
+        kind = self.kinds[start]
+        text = self.texts[start]
+        if text is None:
             self.error("expected expression")
-        if tok.is_punct("("):
+        if text == "(":
             self.advance()
             inner = self.parse_assign()
             self.expect(")")
             return self.node("ParenExpr", start, {}, [inner])
-        if tok.kind in (lexer.INT_LIT, lexer.FLOAT_LIT, lexer.STRING_LIT, lexer.CHAR_LIT):
+        if kind in _LITERALS:
             self.advance()
-            return self.node(
-                "Literal", start, {"value": tok.text, "lit_kind": tok.kind}
-            )
-        if tok.is_keyword("true") or tok.is_keyword("false"):
+            return self.node("Literal", start, {"value": text, "lit_kind": kind})
+        if text == "true" or text == "false":
             self.advance()
-            return self.node("Literal", start, {"value": tok.text, "lit_kind": "BOOL_LIT"})
-        if tok.is_keyword("this"):
+            return self.node("Literal", start, {"value": text, "lit_kind": "BOOL_LIT"})
+        if text == "this":
             self.advance()
             return self.node("IdentExpr", start, {"name": "this"})
-        if tok.kind == IDENT:
+        if kind == IDENT:
             self.advance()
-            return self.node("IdentExpr", start, {"name": tok.text})
-        self.error("expected expression, found %r" % tok.text)
+            return self.node("IdentExpr", start, {"name": text})
+        self.error("expected expression, found %r" % text)
+
+    # keyword -> the method that parses the statement it starts
+    _STATEMENTS = {
+        "if": parse_if,
+        "switch": parse_switch,
+        "for": parse_for,
+        "while": parse_while,
+        "do": parse_do,
+        "return": parse_return,
+        "break": lambda self: self.parse_simple("BreakStmt", "break"),
+        "continue": lambda self: self.parse_simple("ContinueStmt", "continue"),
+        "goto": parse_goto,
+        "enum": parse_enum,
+        "typedef": parse_typedef,
+        "class": parse_class,
+        "using": parse_using,
+    }

@@ -10,6 +10,7 @@ findings but stays listed in the results, and never aborts the run.
 
 from __future__ import annotations
 
+import codecs
 import datetime
 
 from . import seqdiag
@@ -48,16 +49,21 @@ def get_frontend(language):
 def analyze_file(path, language, text=None):
     """Read (unless ``text`` is given), parse and build symbols for one file.
 
-    The file is decoded as UTF-8 and a leading byte-order mark is dropped;
-    a decode error points at the first byte that is not UTF-8.
+    The file is decoded as strict UTF-8 after dropping a complete leading
+    byte-order mark (a truncated one is not UTF-8); a decode error points
+    at the first byte that is not UTF-8.
     """
     frontend = get_frontend(language)
     path = str(path)
     root = AnalysisRoot(file=path, content="")
     try:
         if text is None:
-            with open(path, encoding="utf-8-sig") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
+            if data.startswith(codecs.BOM_UTF8):
+                data = data[len(codecs.BOM_UTF8) :]
+            # line breaks as reading in text mode gives them
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         root.content = text
         root.ast = frontend["parse"](text, path)
     except SourceError as exc:

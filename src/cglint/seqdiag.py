@@ -8,8 +8,11 @@ Grammar::
     message    := IDENT ("->" | "<-") IDENT ":" ["<<" IDENT ">>"]
                   (IDENT "(" argList? ")" | "return" [IDENT]) ";"
 
-Messages referencing undeclared objects are fatal. ``//`` comments are
-permitted anywhere.
+Tokens are the shared ``scan`` loop's ``(kind, text, row, col)`` tuples, of
+kind ``ident`` or ``punct``; Unicode blanks and ``//`` comments form the
+``skip`` group and yield no token, and only a line feed starts a new row. A
+character no token starts is a ParseError "unexpected character 'c'" at its
+position. Messages referencing undeclared objects are fatal.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 
 from .errors import ParseError, UndeclaredObjectError
 from .model import MAX_NESTING, AstNode, SourceSpan
+from .scan import scan
 from .symtab import SymbolTable, VariableBinding
 
 LANGUAGE = "seqdiag"
@@ -25,7 +29,7 @@ LANGUAGE = "seqdiag"
 NODE_KINDS = ("SequenceDiagram", "ObjectDecl", "InteractionBlock", "Message")
 
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+|//[^\n]*)
+    r"""(?P<skip>\s+|//[^\n]*)
        |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
        |(?P<punct><<|>>|->|<-|[{}();:,])
     """,
@@ -34,31 +38,15 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text, file):
-    tokens = []
-    row, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(
-                SourceSpan.point(file, row, col),
-                "unexpected character %r" % text[pos],
-            )
-        word = m.group(0)
-        if m.lastgroup != "ws":
-            end_col = col + len(word) - 1
-            tokens.append((word, SourceSpan(file, row, col, row, end_col)))
-        newlines = word.count("\n")
-        if newlines:
-            row += newlines
-            col = len(word) - word.rfind("\n")
-        else:
-            col += len(word)
-        pos = m.end()
-    return tokens
+    """``(kind, text, row, col)`` tokens of ``text``, kind ``ident`` or
+    ``punct``; raises ParseError on the first character no token starts."""
+    return scan(_TOKEN, text, file, ParseError)
 
 
 class _Parser:
+    """Recursive descent over the token tuples of one chart. Spans are
+    built for nodes and errors only, from their first and last tokens."""
+
     def __init__(self, text, file):
         self.tokens = _tokenize(text, file)
         self.pos = 0
@@ -70,135 +58,116 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def at(self, word):
+        return self.pos < len(self.tokens) and self.tokens[self.pos][1] == word
+
+    def span(self, first, last=None):
+        """The span from token ``first`` through token ``last`` (default:
+        ``first`` itself)."""
+        _kind, text, row, col = last or first
+        return SourceSpan(self.file, first[2], first[3], row, col + len(text) - 1)
+
     def expect(self, expected=None, ident=False):
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1][1] if self.tokens else SourceSpan.point(self.file, 1, 1)
+            last = self.span(self.tokens[-1]) if self.tokens else SourceSpan.point(self.file, 1, 1)
             raise ParseError(last, "unexpected end of input")
-        word, span = tok
+        kind, word = tok[0], tok[1]
         if ident:
-            if not word[0].isalpha() and word[0] != "_":
-                raise ParseError(span, "expected identifier, found %r" % word)
+            if kind != "ident":
+                raise ParseError(self.span(tok), "expected identifier, found %r" % word)
         elif word != expected:
-            raise ParseError(span, "expected %r, found %r" % (expected, word))
+            raise ParseError(self.span(tok), "expected %r, found %r" % (expected, word))
         self.pos += 1
         return tok
 
     def node(self, kind, span, attrs=None, children=None):
         self._next_id += 1
-        return AstNode(
-            language=LANGUAGE,
-            kind=kind,
-            span=span,
-            attributes=attrs or {},
-            children=children or [],
-            node_id=self._next_id,
-        )
+        return AstNode(LANGUAGE, kind, span, attrs or {}, children or [], self._next_id)
 
     def parse(self):
         first = self.expect("sequencediagram")
-        name, _ = self.expect(ident=True)
+        name = self.expect(ident=True)[1]
         self.expect("{")
         children = []
-        while self.peek() is not None and self.peek()[0] == "object":
+        while self.at("object"):
             children.append(self.parse_object())
-        while self.peek() is not None and self.peek()[0] == "{":
+        while self.at("{"):
             children.append(self.parse_block())
         close = self.expect("}")
-        span = SourceSpan(
-            self.file,
-            first[1].row,
-            first[1].col,
-            close[1].end_row,
-            close[1].end_col,
-        )
-        return self.node("SequenceDiagram", span, {"name": name}, children)
+        return self.node("SequenceDiagram", self.span(first, close), {"name": name}, children)
 
     def parse_object(self):
         first = self.expect("object")
-        name, _ = self.expect(ident=True)
+        name = self.expect(ident=True)[1]
         self.expect(":")
-        type_name, _ = self.expect(ident=True)
+        type_name = self.expect(ident=True)[1]
         close = self.expect(";")
         self.objects.add(name)
-        span = SourceSpan(
-            self.file, first[1].row, first[1].col, close[1].end_row, close[1].end_col
-        )
-        return self.node("ObjectDecl", span, {"name": name, "type": type_name})
+        return self.node("ObjectDecl", self.span(first, close), {"name": name, "type": type_name})
 
     def parse_block(self):
         first = self.expect("{")
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(first[1], "nesting deeper than %d levels" % MAX_NESTING)
+            raise ParseError(self.span(first), "nesting deeper than %d levels" % MAX_NESTING)
         children = []
-        while self.peek() is not None and self.peek()[0] != "}":
-            if self.peek()[0] == "{":
+        while self.peek() is not None and not self.at("}"):
+            if self.at("{"):
                 children.append(self.parse_block())
             else:
                 children.append(self.parse_message())
         close = self.expect("}")
         self.depth -= 1
-        span = SourceSpan(
-            self.file, first[1].row, first[1].col, close[1].end_row, close[1].end_col
-        )
-        return self.node("InteractionBlock", span, {}, children)
+        return self.node("InteractionBlock", self.span(first, close), {}, children)
 
     def parse_message(self):
-        first = self.expect(ident=True)
-        left, left_span = first
+        left_tok = self.expect(ident=True)
+        left = left_tok[1]
         arrow_tok = self.peek()
-        if arrow_tok is None or arrow_tok[0] not in ("->", "<-"):
-            span = arrow_tok[1] if arrow_tok else left_span
-            raise ParseError(span, "expected '->' or '<-'")
+        if arrow_tok is None or arrow_tok[1] not in ("->", "<-"):
+            raise ParseError(self.span(arrow_tok or left_tok), "expected '->' or '<-'")
         self.pos += 1
-        right, right_span = self.expect(ident=True)
+        right_tok = self.expect(ident=True)
+        right = right_tok[1]
         self.expect(":")
         stereotype = ""
-        if self.peek() is not None and self.peek()[0] == "<<":
+        if self.at("<<"):
             self.pos += 1
-            stereotype, _ = self.expect(ident=True)
+            stereotype = self.expect(ident=True)[1]
             self.expect(">>")
-        if self.peek() is not None and self.peek()[0] == "return":
+        if self.at("return"):
             self.pos += 1
             payload = "return"
-            if self.peek() is not None and self.peek()[0] != ";":
-                value, _ = self.expect(ident=True)
-                payload += " " + value
+            if self.peek() is not None and not self.at(";"):
+                payload += " " + self.expect(ident=True)[1]
         else:
-            call_name, _ = self.expect(ident=True)
+            call_name = self.expect(ident=True)[1]
             self.expect("(")
             args = []
-            while self.peek() is not None and self.peek()[0] != ")":
-                arg, _ = self.expect(ident=True)
-                args.append(arg)
-                if self.peek() is not None and self.peek()[0] == ",":
+            while self.peek() is not None and not self.at(")"):
+                args.append(self.expect(ident=True)[1])
+                if self.at(","):
                     self.pos += 1
             self.expect(")")
             payload = "%s(%s)" % (call_name, ", ".join(args))
         close = self.expect(";")
 
         # arrow head at the left name: '<-' means the right side calls back
-        direction = "CALL" if arrow_tok[0] == "->" else "RETURN"
-        source, target = (left, right)
-        for obj, obj_span in ((left, left_span), (right, right_span)):
-            if obj not in self.objects:
+        direction = "CALL" if arrow_tok[1] == "->" else "RETURN"
+        for obj_tok in (left_tok, right_tok):
+            if obj_tok[1] not in self.objects:
                 raise UndeclaredObjectError(
-                    obj_span, "message names undeclared object %r" % obj
+                    self.span(obj_tok), "message names undeclared object %r" % obj_tok[1]
                 )
-        span = SourceSpan(
-            self.file,
-            arrow_tok[1].row,
-            left_span.col,
-            close[1].end_row,
-            close[1].end_col,
-        )
+        # the row is the arrow's, the column the left name's
+        span = SourceSpan(self.file, arrow_tok[2], left_tok[3], close[2], close[3])
         return self.node(
             "Message",
             span,
             {
-                "source": source,
-                "target": target,
+                "source": left,
+                "target": right,
                 "direction": direction,
                 "stereotype": stereotype,
                 "payload": payload,
@@ -212,7 +181,7 @@ def parse_seq(text, file="<input>"):
     ast = parser.parse()
     extra = parser.peek()
     if extra is not None:
-        raise ParseError(extra[1], "trailing input after chart")
+        raise ParseError(parser.span(extra), "trailing input after chart")
     return ast
 
 

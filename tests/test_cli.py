@@ -170,6 +170,16 @@ def test_decode_error_points_at_the_bad_byte(tmp_path, capsys):
     assert "%s:2:11: 'utf-8' codec can't decode byte 0xe9" % bad in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["one_byte", "two_bytes"])
+def test_truncated_byte_order_mark_is_an_io_error(tmp_path, capsys, data):
+    bad = tmp_path / "bom.cpp"
+    bad.write_bytes(data)
+    code, xml_out = run(tmp_path, "--lang", "minicpp", str(bad))
+    assert code == 2
+    assert from_xml(open(xml_out, "rb").read()).files == [str(bad)]
+    assert "%s:1:1: 'utf-8' codec can't decode" % bad in capsys.readouterr().err
+
+
 def test_byte_order_mark_is_ignored(tmp_path):
     def findings(encoding):
         src = tmp_path / ("%s.cpp" % encoding)

@@ -5,7 +5,7 @@ from cglint.minicpp.lexer import FLOAT_LIT, IDENT, INT_LIT, KEYWORD, PUNCT, lex
 
 
 def kinds_and_texts(tokens):
-    return [(t.kind, t.text) for t in tokens]
+    return [(kind, text) for kind, text, _row, _col in tokens]
 
 
 def test_class_tokens():
@@ -26,8 +26,8 @@ def test_block_comment_skipped():
 
 def test_line_comment_skipped():
     tokens = lex("a // rest of line\nb")
-    assert [t.text for t in tokens] == ["a", "b"]
-    assert tokens[1].span.row == 2
+    assert [text for _kind, text, _row, _col in tokens] == ["a", "b"]
+    assert tokens[1][2] == 2
 
 
 def test_lex_error_position():
@@ -38,36 +38,34 @@ def test_lex_error_position():
 
 def test_preprocessor_lines_preserve_rows():
     tokens = lex('# 1 "file.cpp"\nint x;\n#pragma nothing\nint y;\n')
-    assert [t.text for t in tokens] == ["int", "x", ";", "int", "y", ";"]
-    assert tokens[0].span.row == 2
-    assert tokens[3].span.row == 4
+    assert [text for _kind, text, _row, _col in tokens] == ["int", "x", ";", "int", "y", ";"]
+    assert tokens[0][2] == 2
+    assert tokens[3][2] == 4
 
 
 def test_spans_are_one_based_and_inclusive():
     tokens = lex("int value;")
-    assert (tokens[0].span.row, tokens[0].span.col) == (1, 1)
-    assert (tokens[0].span.end_row, tokens[0].span.end_col) == (1, 3)
-    assert (tokens[1].span.col, tokens[1].span.end_col) == (5, 9)
+    assert spans(tokens) == [
+        (KEYWORD, "int", (1, 1, 1, 3)),
+        (IDENT, "value", (1, 5, 1, 9)),
+        (PUNCT, ";", (1, 10, 1, 10)),
+    ]
 
 
 def test_multichar_punct_longest_match():
     tokens = lex("a::b->c<<=d")
-    puncts = [t.text for t in tokens if t.kind == PUNCT]
+    puncts = [text for kind, text, _row, _col in tokens if kind == PUNCT]
     assert puncts == ["::", "->", "<<="]
 
 
 def test_numeric_literals():
     tokens = lex("0 42 3.14 1e5")
-    assert tokens[0].kind == INT_LIT
-    assert tokens[1].kind == INT_LIT
-    assert tokens[2].kind == "FLOAT_LIT"
-    assert tokens[3].kind == "FLOAT_LIT"
+    assert [kind for kind, _text, _row, _col in tokens] == [INT_LIT, INT_LIT, "FLOAT_LIT", "FLOAT_LIT"]
 
 
 def test_string_and_char_literals():
     tokens = lex(r'"he\"llo" ' + r"'x'")
-    assert tokens[0].kind == "STRING_LIT"
-    assert tokens[1].kind == "CHAR_LIT"
+    assert [kind for kind, _text, _row, _col in tokens] == ["STRING_LIT", "CHAR_LIT"]
 
 
 def test_identifier_with_digits_and_underscores():
@@ -76,10 +74,8 @@ def test_identifier_with_digits_and_underscores():
 
 
 def spans(tokens):
-    return [
-        (t.kind, t.text, (t.span.row, t.span.col, t.span.end_row, t.span.end_col))
-        for t in tokens
-    ]
+    """(kind, text, (row, col, end_row, end_col)); a token never spans lines."""
+    return [(kind, text, (row, col, row, col + len(text) - 1)) for kind, text, row, col in tokens]
 
 
 def lex_error(text):

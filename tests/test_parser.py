@@ -173,16 +173,16 @@ def test_span_fidelity():
     all_tokens = lex(SPAN_SOURCE, "test.cpp")
     for node in unit.walk():
         covered = [
-            t
-            for t in all_tokens
+            text
+            for _kind, text, row, col in all_tokens
             if (node.span.row, node.span.col)
-            <= (t.span.row, t.span.col)
-            and (t.span.end_row, t.span.end_col)
+            <= (row, col)
+            and (row, col + len(text) - 1)
             <= (node.span.end_row, node.span.end_col)
         ]
         sliced = span_slice(SPAN_SOURCE, node.span)
         relexed = lex(sliced, "slice.cpp")
-        assert [t.text for t in relexed] == [t.text for t in covered], node.kind
+        assert [text for _kind, text, _row, _col in relexed] == covered, node.kind
 
 
 def test_leaf_spans_in_token_order():

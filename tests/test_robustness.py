@@ -117,10 +117,9 @@ def check_lexer_spans(text):
         assert 1 <= span.row <= len(lines)
         assert 1 <= span.col <= len(lines[span.row - 1])
         return
-    for token in tokens:
-        span = token.span
-        assert span.row == span.end_row and span.row >= 1 and span.col >= 1
-        assert lines[span.row - 1][span.col - 1 : span.end_col] == token.text
+    for _kind, word, row, col in tokens:
+        assert row >= 1 and col >= 1
+        assert lines[row - 1][col - 1 : col - 1 + len(word)] == word
 
 
 @PROPERTY
@@ -148,9 +147,7 @@ def check_seqdiag_spans(text):
         assert 1 <= span.row <= len(lines)
         assert 1 <= span.col <= len(lines[span.row - 1])
         return
-    for word, span in tokens:
-        row, col = span.row, span.col
-        assert (span.end_row, span.end_col) == (row, col + len(word) - 1)
+    for _kind, word, row, col in tokens:
         assert row >= 1 and col >= 1
         assert lines[row - 1][col - 1 : col - 1 + len(word)] == word
 

@@ -2,7 +2,8 @@
 
 Two units from the benchmark's seeded generator (``bench/gen.py``), at 2 and
 8 classes, are lexed, parsed, symbol-built and traversed in process, one
-right after the other. A stage's ratio is the median over repeats of the
+right after the other; two sequence charts, at 150 and 600 messages, are
+parsed. A stage's ratio is the median over repeats of the
 large unit's CPU time over the small one's: a pair shares the host's speed
 of the moment, and the median drops a pair that straddles a change of it
 (a minimum per size would keep one fast outlier of the small unit). The
@@ -30,11 +31,13 @@ from cglint.minicpp.lexer import lex  # noqa: E402
 from cglint.minicpp.parser import parse  # noqa: E402
 from cglint.model import AnalysisRoot  # noqa: E402
 from cglint.pipeline import build_symbols  # noqa: E402
+from cglint.seqdiag import parse_seq  # noqa: E402
 
 SMALL, LARGE = 2, 8  # classes
+SMALL_CHART, LARGE_CHART = 150, 600  # messages
 BOUND = 2.3 ** 2
 REPEATS = 5
-STAGES = ("lex", "parse", "symbols", "traverse")
+STAGES = ("lex", "parse", "symbols", "traverse", "seqdiag_parse")
 
 
 def unit_text(classes):
@@ -43,7 +46,12 @@ def unit_text(classes):
     return text
 
 
-def stage_seconds(text, registry, configs):
+def chart_text(messages):
+    text, _planted = gen.chart(random.Random(0), gen.ChartKnobs(objects=6, messages=messages, depth=3), "chart")
+    return text
+
+
+def stage_seconds(text, chart, registry, configs):
     gc.collect()
     t0 = time.process_time()
     tokens = lex(text, "unit.ii")
@@ -54,19 +62,22 @@ def stage_seconds(text, registry, configs):
     t3 = time.process_time()
     traverse(root, registry, configs)
     t4 = time.process_time()
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3]
+    parse_seq(chart, "chart.sd")
+    t5 = time.process_time()
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4]
 
 
 @pytest.fixture(scope="module")
 def ratios():
     registry = build_registry("minicpp")
     configs = default_configs(registry)
-    small, large = unit_text(SMALL), unit_text(LARGE)
+    small = unit_text(SMALL), chart_text(SMALL_CHART)
+    large = unit_text(LARGE), chart_text(LARGE_CHART)
     pairs = []
     gc.disable()
     try:
         for _ in range(REPEATS):
-            pairs.append(list(zip(stage_seconds(small, registry, configs), stage_seconds(large, registry, configs))))
+            pairs.append(list(zip(stage_seconds(*small, registry, configs), stage_seconds(*large, registry, configs))))
     finally:
         gc.enable()
     per_stage = zip(*([b / a for a, b in pair] for pair in pairs))
@@ -75,6 +86,7 @@ def ratios():
 
 def test_input_grows_fourfold():
     assert 3.5 < len(unit_text(LARGE)) / len(unit_text(SMALL)) < 4.5
+    assert 3.5 < len(chart_text(LARGE_CHART)) / len(chart_text(SMALL_CHART)) < 4.5
 
 
 @pytest.mark.parametrize("stage", STAGES)

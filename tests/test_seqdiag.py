@@ -103,16 +103,6 @@ def test_symbols_for_chart():
     assert root.symbols.variables[0].declared_type == "LibraryTest"
 
 
-def seq_tokens(text):
-    """(kind, text, row, col) of each token; a token never spans lines."""
-    tokens = []
-    for word, span in _tokenize(text, "t.sd"):
-        assert (span.end_row, span.end_col) == (span.row, span.col + len(word) - 1)
-        kind = "ident" if word[0].isalnum() or word[0] == "_" else "punct"
-        tokens.append((kind, word, span.row, span.col))
-    return tokens
-
-
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -138,7 +128,7 @@ def seq_tokens(text):
     ids=["crlf_tab_chart", "unicode_blanks", "comments", "empty"],
 )
 def test_token_spans(text, expected):
-    assert seq_tokens(text) == expected
+    assert _tokenize(text, "t.sd") == expected
 
 
 @pytest.mark.parametrize(
