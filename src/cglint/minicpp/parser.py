@@ -391,11 +391,10 @@ class _Parser:
         return self.node("Constructor", start, {"name": name}, children)
 
     def _accept_pure(self):
-        if self.at("=") and self.at_kind(lexer.INT_LIT, 1):
-            if self.at("0", 1):
-                self.advance()
-                self.advance()
-                return True
+        if self.at("=") and self.at("0", 1):
+            self.advance()
+            self.advance()
+            return True
         return False
 
     def parse_params(self):

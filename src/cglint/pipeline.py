@@ -62,7 +62,7 @@ def analyze_file(path, language, text=None):
                 data = handle.read()
             if data.startswith(codecs.BOM_UTF8):
                 data = data[len(codecs.BOM_UTF8) :]
-            # line breaks as reading in text mode gives them
+            # universal newlines, as reading in text mode gives them
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         root.content = text
         root.ast = frontend["parse"](text, path)

@@ -22,9 +22,10 @@ def scan(pattern, text, file, error, hooks=None):
     ``hook(text, start, word) -> (kind, word)``: the token the group's match
     at offset ``start`` stands for, which may be longer or shorter than the
     match. A hook that returns kind ``None`` rejects the match, and its
-    ``word`` is the error message. Where no group matches, or a hook
-    rejects, ``error`` (a SourceError class) is raised at a point span: the
-    offending character, or "unexpected character 'c'" when no group matched.
+    ``word`` is the error message. ``error`` (a SourceError class) is
+    raised at a point span: with the hook's message at the start of a
+    rejected token, or with "unexpected character 'c'" at a character where
+    no group matches.
     """
     hooks = hooks or {}
     tokens = []
@@ -50,11 +51,12 @@ def scan(pattern, text, file, error, hooks=None):
             continue
         start = m.start(kind)
         word = m.group(kind)
+        col = start - line_start + 1
         pos = m.end()
         if kind in hooks:
             kind, word = hooks[kind](text, start, word)
             if kind is None:
-                raise error(SourceSpan.point(file, row, start - line_start + 1), word)
+                raise error(SourceSpan.point(file, row, col), word)
             pos = start + len(word)
-        append((kind, word, row, start - line_start + 1))
+        append((kind, word, row, col))
     return tokens
