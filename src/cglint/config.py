@@ -10,7 +10,7 @@ The format is deliberately small::
 
 Rules absent from the file stay enabled with their default properties.
 Unknown sections, rule ids, and property keys are hard errors, and so is a
-property value its declared type (int, bool, regex or str) rejects.
+property value its declared type (int, bool, regex, str or list) rejects.
 """
 
 from __future__ import annotations

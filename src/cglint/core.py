@@ -14,7 +14,6 @@ class RuleContext:
 
     ``properties`` holds every declared property converted to its type."""
 
-    unit: object
     table: object
     properties: dict
     rule_id: str
@@ -122,9 +121,7 @@ def traverse(root, registry, configs, stats=None):
             name: rule_cls.descriptor.property_value(name, text)
             for name, text in texts[rule_id].items()
         }
-        ctx = RuleContext(
-            unit=root, table=root.symbols, properties=properties, rule_id=rule_id
-        )
+        ctx = RuleContext(table=root.symbols, properties=properties, rule_id=rule_id)
         contexts[rule_id] = (rule_cls(), ctx)
 
     if root.ast is not None:

@@ -5,6 +5,11 @@ declaration when ``T`` names a type, an expression otherwise). The parser
 resolves this with a private stack of type-name frames, one per namespace,
 class and function body, filled with every class, enum and typedef it
 passes. The unit's symbol table is built afterwards from the finished AST.
+
+Node attribute values are ``str``, ``bool`` or ``int``: names, types and
+operators are text, flags such as ``virtual`` or ``has_init`` are bools, and
+a binary or assignment operator's position is the ints ``op_row`` and
+``op_col``.
 """
 
 from __future__ import annotations
@@ -294,7 +299,7 @@ class _Parser:
                 if not self.accept(","):
                     break
         if self.accept(";"):
-            return self.node("ClassDef", start, {"name": name, "forward": "true"})
+            return self.node("ClassDef", start, {"name": name, "forward": True})
         self.expect("{")
         # unlike a namespace, a class body never continues an earlier one
         frame = _Frame()
@@ -356,12 +361,7 @@ class _Parser:
         name = self.expect_ident()
         self.expect("(")
         self.expect(")")
-        pure = self._accept_pure()
-        attrs = {
-            "name": name,
-            "virtual": "true" if virtual else "false",
-            "pure": "true" if pure else "false",
-        }
+        attrs = {"name": name, "virtual": virtual, "pure": self._accept_pure()}
         children = []
         if self.at("{"):
             children.append(self.parse_compound())
@@ -373,6 +373,7 @@ class _Parser:
         name = self.advance()
         params = self.parse_params()
         if self.accept(":"):  # ctor-initializer list, parsed and dropped
+            next_id = self._next_id  # the dropped nodes' ids are reused
             while True:
                 self.expect_ident()
                 self.expect("(")
@@ -383,6 +384,7 @@ class _Parser:
                 self.expect(")")
                 if not self.accept(","):
                     break
+            self._next_id = next_id
         children = list(params)
         if self.at("{"):
             children.append(self.parse_compound())
@@ -409,8 +411,10 @@ class _Parser:
             name = ""
             if self.at_kind(IDENT):
                 name = self.advance()
-            if self.accept("="):  # default argument, dropped
+            if self.accept("="):  # default argument, dropped with its ids
+                next_id = self._next_id
                 self.parse_assign()
+                self._next_id = next_id
             params.append(
                 self.node("ParamDecl", start, {"name": name, "type": base + stars})
             )
@@ -421,15 +425,13 @@ class _Parser:
 
     def parse_function_rest(self, start, return_type, name, virtual=False, static=False):
         params = self.parse_params()
-        const_method = self.accept("const")
-        pure = self._accept_pure()
         attrs = {
             "name": name,
             "return_type": return_type,
-            "virtual": "true" if virtual else "false",
-            "static": "true" if static else "false",
-            "const": "true" if const_method else "false",
-            "pure": "true" if pure else "false",
+            "virtual": virtual,
+            "static": static,
+            "const": self.accept("const"),
+            "pure": self._accept_pure(),
         }
         children = list(params)
         if self.at("{"):
@@ -454,18 +456,10 @@ class _Parser:
         while not self.at("}"):
             e_start = self.pos
             e_name = self.expect_ident()
-            children = []
-            has_init = False
-            if self.accept("="):
-                has_init = True
-                children.append(self.parse_assign())
+            has_init = self.accept("=")
+            children = [self.parse_assign()] if has_init else []
             enumerators.append(
-                self.node(
-                    "Enumerator",
-                    e_start,
-                    {"name": e_name, "has_init": "true" if has_init else "false"},
-                    children,
-                )
+                self.node("Enumerator", e_start, {"name": e_name, "has_init": has_init}, children)
             )
             if not self.accept(","):
                 break
@@ -509,15 +503,13 @@ class _Parser:
             children = []
             if self.accept("["):
                 attrs["type"] += "[]"
-                attrs["array"] = "true"
+                attrs["array"] = True
                 if not self.at("]"):
                     children.append(self.parse_assign())
                 self.expect("]")
-            if self.accept("="):
-                attrs["has_init"] = "true"
+            attrs["has_init"] = self.accept("=")
+            if attrs["has_init"]:
                 children.append(self.parse_assign())
-            else:
-                attrs["has_init"] = "false"
             decls.append(self.node("VarDecl", decl_start, attrs, children))
             if not self.accept(","):
                 break
@@ -589,11 +581,10 @@ class _Parser:
         self.expect(")")
         then = self._single_stmt()
         children = [cond, then]
-        attrs = {"has_else": "false"}
-        if self.accept("else"):
-            attrs["has_else"] = "true"
+        has_else = self.accept("else")
+        if has_else:
             children.append(self._single_stmt())
-        return self.node("IfStmt", start, attrs, children)
+        return self.node("IfStmt", start, {"has_else": has_else}, children)
 
     def _single_stmt(self):
         stmts = self.parse_stmt()
@@ -644,20 +635,19 @@ class _Parser:
         self.expect("for")
         self.expect("(")
         children = []
-        attrs = {"has_init": "false", "has_cond": "false", "has_step": "false"}
-        if not self.accept(";"):
-            attrs["has_init"] = "true"
+        attrs = {"has_init": not self.accept(";")}
+        if attrs["has_init"]:
             if self.at_declaration():
                 children.extend(self.parse_decl_stmt())
             else:
                 children.append(self.parse_assign())
                 self.expect(";")
-        if not self.at(";"):
-            attrs["has_cond"] = "true"
+        attrs["has_cond"] = not self.at(";")
+        if attrs["has_cond"]:
             children.append(self.parse_assign())
         self.expect(";")
-        if not self.at(")"):
-            attrs["has_step"] = "true"
+        attrs["has_step"] = not self.at(")")
+        if attrs["has_step"]:
             children.append(self.parse_assign())
         self.expect(")")
         children.append(self._single_stmt())
@@ -742,7 +732,7 @@ class _Parser:
         _kind, text, row, col = self.tokens[op]
         span = SourceSpan(self.file, lhs.span.row, lhs.span.col, rhs.span.end_row, rhs.span.end_col)
         self._next_id += 1
-        attrs = {"operator": text, "op_row": str(row), "op_col": str(col)}
+        attrs = {"operator": text, "op_row": row, "op_col": col}
         return AstNode(LANGUAGE, kind, span, attrs, [lhs, rhs], self._next_id)
 
     def parse_unary(self):
@@ -769,10 +759,9 @@ class _Parser:
         self.expect("new")
         base = self.parse_base_type()
         stars = self.parse_pointer_suffix()
-        attrs = {"type": base + stars, "array": "false"}
+        attrs = {"type": base + stars, "array": self.accept("[")}
         children = []
-        if self.accept("["):
-            attrs["array"] = "true"
+        if attrs["array"]:
             children.append(self.parse_assign())
             self.expect("]")
         elif self.accept("("):
@@ -786,14 +775,11 @@ class _Parser:
     def parse_delete(self):
         start = self.pos
         self.expect("delete")
-        array = False
-        if self.accept("["):
+        array = self.accept("[")
+        if array:
             self.expect("]")
-            array = True
         operand = self.parse_unary()
-        return self.node(
-            "DeleteExpr", start, {"array": "true" if array else "false"}, [operand]
-        )
+        return self.node("DeleteExpr", start, {"array": array}, [operand])
 
     def parse_postfix(self):
         start = self.pos
@@ -814,9 +800,7 @@ class _Parser:
                 expr = self.node("MemberExpr", start, {"operator": op, "name": name}, [expr])
             elif self.at("++") or self.at("--"):
                 op = self.advance()
-                expr = self.node(
-                    "UnaryExpr", start, {"operator": op, "postfix": "true"}, [expr]
-                )
+                expr = self.node("UnaryExpr", start, {"operator": op, "postfix": True}, [expr])
             else:
                 return expr
 

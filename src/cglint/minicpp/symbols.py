@@ -87,7 +87,7 @@ def _declare_variable(node, table, scope, **flags):
     binding = VariableBinding(
         name=node.attr("name"),
         declared_type=node.attr("type"),
-        has_initializer=node.attr("has_init") == "true",
+        has_initializer=node.attr("has_init", False),
         is_member=scope.kind is ScopeKind.CLASS,
         decl_span=node.span,
         **flags,
@@ -102,7 +102,7 @@ def _declare_variable(node, table, scope, **flags):
 def _walk_class(node, table, scope):
     binding = ClassBinding(name=node.attr("name"))
     table.declare(scope, binding, span=node.span)
-    if node.attr("forward") == "true":
+    if node.attr("forward"):
         table.bind_node(node, scope=scope, binding=binding)
         return
     class_scope = table.open_scope(ScopeKind.CLASS, binding.name, scope)
@@ -134,11 +134,11 @@ def _walk_function(node, table, scope, access):
     specifiers = set()
     if access is not None:
         specifiers.add(access)
-    if node.attr("virtual") == "true":
+    if node.attr("virtual"):
         specifiers.add(Specifier.VIRTUAL)
-    if node.attr("pure") == "true":
+    if node.attr("pure"):
         specifiers.update((Specifier.VIRTUAL, Specifier.PURE_VIRTUAL))
-    if node.attr("static") == "true":
+    if node.attr("static"):
         specifiers.add(Specifier.STATIC)
 
     params = [c for c in node.children if c.kind == "ParamDecl"]

@@ -44,6 +44,7 @@ class AstNode:
 
     ``kind`` is drawn from the owning frontend's published kind catalog;
     ``node_id`` values are unique within one unit, assigned in parse order.
+    Attribute values are ``str``, ``bool`` or ``int``.
     """
 
     language: str
@@ -115,8 +116,13 @@ def parse_bool(text):
     return value == "true"
 
 
+def parse_list(text):
+    """Comma-separated entries, each stripped; empty entries are dropped."""
+    return [entry.strip() for entry in text.split(",") if entry.strip()]
+
+
 # The types a rule property can declare, each with its conversion from text.
-PROPERTY_TYPES = {"int": int, "bool": parse_bool, "regex": re.compile, "str": str}
+PROPERTY_TYPES = {"int": int, "bool": parse_bool, "regex": re.compile, "str": str, "list": parse_list}
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,9 @@ def _sub(*kinds):
 
 def _op_span(node):
     """Span of the operator token recorded by the parser, if any."""
-    try:
-        return SourceSpan.point(
-            node.span.file, int(node.attr("op_row")), int(node.attr("op_col"))
-        )
-    except (TypeError, ValueError):
+    if "op_row" not in node.attributes:
         return node.span
+    return SourceSpan.point(node.span.file, node.attr("op_row"), node.attr("op_col"))
 
 
 def _condition_of(node):
@@ -42,9 +39,9 @@ def _condition_of(node):
         return children[0]
     if node.kind == "DoStmt":
         return children[-1]
-    if node.kind == "ForStmt" and node.attr("has_cond") == "true":
+    if node.kind == "ForStmt" and node.attr("has_cond"):
         index = len(children) - 2  # body is last
-        if node.attr("has_step") == "true":
+        if node.attr("has_step"):
             index -= 1
         if 0 <= index < len(children):
             return children[index]
@@ -96,13 +93,13 @@ class DestructorChecker(Rule):
         has_base = any(c.kind == "BaseSpec" for c in node.children)
         has_virtual = any(
             c.kind == "FunctionDef"
-            and (c.attr("virtual") == "true" or c.attr("pure") == "true")
+            and (c.attr("virtual") or c.attr("pure"))
             for c in node.children
         )
         if not (has_base or has_virtual):
             return
         dtor = next((c for c in node.children if c.kind == "Destructor"), None)
-        if dtor is None or dtor.attr("virtual") != "true":
+        if dtor is None or not dtor.attr("virtual"):
             ctx.report(
                 node.span,
                 "Class %r must declare a virtual destructor." % node.attr("name"),
@@ -123,11 +120,7 @@ class EnumChecker(Rule):
     def visit(self, node, ctx):
         if not node.attr("name"):
             ctx.report(node.span, "Anonymous enum declaration.")
-        inits = [
-            e.attr("has_init") == "true"
-            for e in node.children
-            if e.kind == "Enumerator"
-        ]
+        inits = [e.attr("has_init") for e in node.children if e.kind == "Enumerator"]
         if inits and any(inits) and not all(inits):
             ctx.report(
                 node.span,
@@ -344,7 +337,7 @@ class IfChecker(Rule):
         then = node.children[1]
         if then.kind != "CompoundStmt":
             ctx.report(then.span, "If branch without braces.")
-        if node.attr("has_else") == "true" and len(node.children) > 2:
+        if node.attr("has_else") and len(node.children) > 2:
             other = node.children[2]
             if other.kind not in ("CompoundStmt", "IfStmt"):  # else-if is exempt
                 ctx.report(other.span, "Else branch without braces.")
@@ -453,24 +446,17 @@ class MemoryChecker(Rule):
                     (c for c in sub.children if c.kind == "NewExpr"), None
                 )
                 if new_expr is not None:
-                    allocs[sub.attr("name")] = (
-                        new_expr.attr("array") == "true",
-                        sub.span,
-                    )
+                    allocs[sub.attr("name")] = (new_expr.attr("array", False), sub.span)
             elif sub.kind == "AssignExpr" and len(sub.children) == 2:
                 lhs, rhs = sub.children
                 if rhs.kind == "NewExpr" and lhs.kind == "IdentExpr":
-                    allocs.setdefault(
-                        lhs.attr("name"), (rhs.attr("array") == "true", sub.span)
-                    )
+                    allocs.setdefault(lhs.attr("name"), (rhs.attr("array", False), sub.span))
                 if rhs.kind == "IdentExpr" and _is_nonlocal_target(lhs, scope):
                     escaped.add(rhs.attr("name"))
             elif sub.kind == "DeleteExpr" and sub.children:
                 operand = sub.children[0]
                 if operand.kind == "IdentExpr":
-                    deletes.setdefault(operand.attr("name"), set()).add(
-                        sub.attr("array") == "true"
-                    )
+                    deletes.setdefault(operand.attr("name"), set()).add(sub.attr("array", False))
             elif sub.kind == "ReturnStmt" and sub.children:
                 value = sub.children[0]
                 if value.kind == "IdentExpr":
@@ -532,7 +518,7 @@ class NamingConventionChecker(Rule):
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
         subscriptions=_sub("ClassDef", "VarDecl", "FunctionDef"),
-        default_properties=(("hungarianPrefixes", "sz,psz,lp,dw,p_,i_,b_", "str"),),
+        default_properties=(("hungarianPrefixes", "sz,psz,lp,dw,p_,i_,b_", "list"),),
     )
 
     def visit(self, node, ctx):
@@ -554,12 +540,7 @@ class NamingConventionChecker(Rule):
                 ctx.report(
                     node.span, "Variable %r is not named in lowerCamelCase." % name
                 )
-            prefixes = [
-                p.strip()
-                for p in ctx.prop("hungarianPrefixes").split(",")
-                if p.strip()
-            ]
-            for prefix in prefixes:
+            for prefix in ctx.prop("hungarianPrefixes"):
                 rest = name[len(prefix) :]
                 if name.startswith(prefix) and rest and (
                     prefix.endswith("_") or rest[0].isupper()

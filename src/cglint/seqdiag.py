@@ -160,11 +160,9 @@ class _Parser:
                 raise UndeclaredObjectError(
                     self.span(obj_tok), "message names undeclared object %r" % obj_tok[1]
                 )
-        # the row is the arrow's, the column the left name's
-        span = SourceSpan(self.file, arrow_tok[2], left_tok[3], close[2], close[3])
         return self.node(
             "Message",
-            span,
+            self.span(left_tok, close),
             {
                 "source": left,
                 "target": right,

@@ -238,6 +238,17 @@ def test_seqdiag_run(tmp_path):
     assert results.total_findings() == 2
 
 
+def test_message_span_starts_at_its_left_name(tmp_path):
+    # the arrow starts a later line than the left name, and the ';' ends
+    # left of the name's column
+    chart = write(tmp_path, "q.sd", "sequencediagram d { object a:A;\n {" + " " * 25 + "a\n->a:m();}}\n")
+    code, xml_out = run(tmp_path, "--lang", "seqdiag", chart)
+    assert code == 1
+    results = from_xml(open(xml_out, "rb").read())
+    points = [(f.span.file, f.span.row, f.span.col) for r in results.reports for f in r.findings]
+    assert points == [(chart, 2, 28)] * 2
+
+
 def test_list_rules(capsys):
     assert main(["--lang", "minicpp", "--list-rules"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

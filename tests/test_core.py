@@ -185,12 +185,16 @@ def test_property_values_are_typed():
     desc = make_rule(
         "A",
         [],
-        defaults=[("n", "1", "int"), ("b", "true", "bool"), ("r", "a.*", "regex"), ("s", "x", "str")],
+        defaults=[
+            ("n", "1", "int"), ("b", "true", "bool"), ("r", "a.*", "regex"), ("s", "x", "str"), ("l", "x", "list"),
+        ],
     ).descriptor
     assert desc.property_value("n", "12") == 12
     assert desc.property_value("b", "FALSE") is False
     assert desc.property_value("r", "a.*").fullmatch("abc")
     assert desc.property_value("s", " x ") == " x "
+    assert desc.property_value("l", " sz, p_ ,,lp ,") == ["sz", "p_", "lp"]
+    assert desc.property_value("l", " , ") == []
     for name, text in [("n", "abc"), ("b", "yes"), ("b", "1"), ("r", "([")]:
         with pytest.raises(ValueError):
             desc.property_value(name, text)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import analyze_cpp
+from conftest import analyze_cpp, fixture_path
 
 from cglint.errors import ParseError
 from cglint.minicpp import NODE_KINDS, lex, parse
@@ -27,7 +27,7 @@ def test_enum_golden():
     assert enum.attr("name") == "Color"
     assert kinds(enum) == ["Enumerator", "Enumerator"]
     assert [e.attr("name") for e in enum.children] == ["RED", "GREEN"]
-    assert [e.attr("has_init") for e in enum.children] == ["false", "false"]
+    assert [e.attr("has_init") for e in enum.children] == [False, False]
 
 
 def test_class_with_base_and_destructor():
@@ -41,15 +41,15 @@ def test_class_with_base_and_destructor():
         "I",
     )
     dtor = cls.children[2]
-    assert (dtor.kind, dtor.attr("virtual")) == ("Destructor", "true")
+    assert (dtor.kind, dtor.attr("virtual")) == ("Destructor", True)
 
 
 def test_pure_virtual_method():
     unit = parse_src("class A { public: virtual double derive() = 0; };")
     fn = unit.children[0].children[1]
     assert fn.kind == "FunctionDef"
-    assert fn.attr("pure") == "true"
-    assert fn.attr("virtual") == "true"
+    assert fn.attr("pure") is True
+    assert fn.attr("virtual") is True
     assert fn.attr("return_type") == "double"
 
 
@@ -63,6 +63,126 @@ def test_node_ids_unique():
     unit = parse_src("class A { public: void f() { int x = 0; } }; int main() { return 0; }")
     ids = [n.node_id for n in unit.walk()]
     assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "void f(int a = 1 + 2) {}",
+        "class A { public: A(int x) : v(x + 1) {} int v; };",
+    ],
+    ids=["default_argument", "ctor_initializer"],
+)
+def test_node_ids_are_one_to_n(source):
+    """The nodes of a dropped default argument or ctor-initializer leave no
+    gap in the ids."""
+    ids = sorted(n.node_id for n in parse_src(source).walk())
+    assert ids == list(range(1, len(ids) + 1))
+
+
+FLAGS = (
+    "virtual", "pure", "static", "const", "forward", "has_init", "has_else",
+    "has_cond", "has_step", "array", "postfix",
+)
+
+FLAG_SOURCE = """class Fwd;
+class Base {
+public:
+  Base(int x) : v(x + 1) {}
+  virtual ~Base() {}
+  virtual int size() const = 0;
+  static int count();
+  void plain(int a = 2 * 3);
+  int v;
+};
+enum Plain { A, B };
+enum Init { C = 1, D = 2 };
+void f(int n) {
+  int arr[4];
+  int i = 0;
+  int* p = new int[n];
+  delete[] p;
+  int* q = new int(1);
+  delete q;
+  for (;;) { break; }
+  for (i = 0; i < n; i++) { }
+  if (n) { i += 1; } else { i = 2; }
+  if (n) { }
+}
+"""
+
+NO_FN_FLAGS = {"virtual": False, "static": False, "const": False, "pure": False}
+
+
+def typed_attributes(unit):
+    """``(kind, name, flags)`` of each node with a flag and ``(kind,
+    operator, op_row, op_col)`` of each operator node, in walk order; every
+    flag is a bool and every operator position an int."""
+    found = []
+    for node in unit.walk():
+        flags = {k: v for k, v in node.attributes.items() if k in FLAGS}
+        assert all(type(v) is bool for v in flags.values()), (node.kind, flags)
+        if flags:
+            found.append((node.kind, node.attr("name"), flags))
+        if node.kind in ("BinaryExpr", "AssignExpr"):
+            row, col = node.attr("op_row"), node.attr("op_col")
+            assert type(row) is int and type(col) is int, (node.kind, row, col)
+            found.append((node.kind, node.attr("operator"), row, col))
+    return found
+
+
+def test_attribute_types_on_every_flag():
+    assert typed_attributes(parse_src(FLAG_SOURCE)) == [
+        ("ClassDef", "Fwd", {"forward": True}),
+        ("Destructor", "Base", {"virtual": True, "pure": False}),
+        ("FunctionDef", "size", {"virtual": True, "static": False, "const": True, "pure": True}),
+        ("FunctionDef", "count", dict(NO_FN_FLAGS, static=True)),
+        ("FunctionDef", "plain", NO_FN_FLAGS),
+        ("VarDecl", "v", {"has_init": False}),
+        ("Enumerator", "A", {"has_init": False}),
+        ("Enumerator", "B", {"has_init": False}),
+        ("Enumerator", "C", {"has_init": True}),
+        ("Enumerator", "D", {"has_init": True}),
+        ("FunctionDef", "f", NO_FN_FLAGS),
+        ("VarDecl", "arr", {"array": True, "has_init": False}),
+        ("VarDecl", "i", {"has_init": True}),
+        ("VarDecl", "p", {"has_init": True}),
+        ("NewExpr", "", {"array": True}),
+        ("DeleteExpr", "", {"array": True}),
+        ("VarDecl", "q", {"has_init": True}),
+        ("NewExpr", "", {"array": False}),
+        ("DeleteExpr", "", {"array": False}),
+        ("ForStmt", "", {"has_init": False, "has_cond": False, "has_step": False}),
+        ("ForStmt", "", {"has_init": True, "has_cond": True, "has_step": True}),
+        ("AssignExpr", "=", 21, 10),
+        ("BinaryExpr", "<", 21, 17),
+        ("UnaryExpr", "", {"postfix": True}),
+        ("IfStmt", "", {"has_else": True}),
+        ("AssignExpr", "+=", 22, 14),
+        ("AssignExpr", "=", 22, 31),
+        ("IfStmt", "", {"has_else": False}),
+    ]
+
+
+def test_attribute_types_on_example_fixture():
+    with open(fixture_path("ExampleImpl.cpp"), encoding="utf-8") as handle:
+        unit = parse_src(handle.read())
+    assert typed_attributes(unit) == [
+        ("VarDecl", "ll", {"has_init": True}),
+        ("FunctionDef", "derive", NO_FN_FLAGS),
+        ("FunctionDef", "compute", NO_FN_FLAGS),
+        ("VarDecl", "ll", {"has_init": True}),
+        ("VarDecl", "total", {"has_init": True}),
+        ("BinaryExpr", "+", 16, 22),
+        ("IfStmt", "", {"has_else": False}),
+        ("BinaryExpr", ">", 17, 17),
+        ("AssignExpr", "=", 18, 19),
+        ("BinaryExpr", "+", 18, 27),
+        ("VarDecl", "arraySize", {"has_init": True}),
+        ("VarDecl", "other", {"has_init": True}),
+        ("VarDecl", "tempint", {"has_init": True}),
+        ("VarDecl", "tempint", {"has_init": False}),
+    ]
 
 
 def test_all_kinds_in_catalog():

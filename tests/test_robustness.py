@@ -4,9 +4,14 @@ Whatever bytes an input file holds, ``cli.main`` returns 0, 1 or 2 without
 raising, and writes an XML report that ``from_xml`` accepts and that lists
 the file. Inputs are random bytes, random text, token soup and mutated
 fixtures, in both languages. The tokens of both languages lie on the text
-they were given. Examples are derandomized so that every run checks the same
-inputs.
+they were given, and so does every node of a tree either parser builds:
+inside its parent, with ids 1..n and operators where they were read.
+Examples are derandomized so that every run checks the same inputs.
 """
+
+import os
+import random
+import sys
 
 import pytest
 
@@ -17,10 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import fixture_path  # noqa: E402
 
 from cglint.cli import main  # noqa: E402
-from cglint.errors import LexError, ParseError  # noqa: E402
+from cglint.errors import LexError, ParseError, SourceError  # noqa: E402
 from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
+from cglint.pipeline import FRONTENDS  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import gen  # noqa: E402
 
 EXTENSIONS = {"minicpp": ".cpp", "seqdiag": ".sd"}
 VOCABULARY = {
@@ -57,10 +66,7 @@ def token_soup(lang):
     return st.tuples(words, separators).map(lambda ws: ws[1].join(ws[0]))
 
 
-@st.composite
-def mutated_fixture(draw, lang):
-    with open(fixture_path(FIXTURES[lang]), encoding="utf-8") as handle:
-        text = handle.read()
+def mutate(draw, lang, text):
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(0, len(text)))
         end = draw(st.integers(start, min(len(text), start + 40)))
@@ -72,6 +78,25 @@ def mutated_fixture(draw, lang):
         else:
             text = text[:end] + text[start:end] + text[end:]
     return text
+
+
+@st.composite
+def mutated_fixture(draw, lang):
+    with open(fixture_path(FIXTURES[lang]), encoding="utf-8") as handle:
+        return mutate(draw, lang, handle.read())
+
+
+@st.composite
+def generated(draw, lang):
+    """A small unit or chart from the benchmark's generator, as written or
+    mutated."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if lang == "minicpp":
+        knobs = gen.CppKnobs(classes=1, methods=2, locals=3, depth=2, collide=0.2)
+        text, _planted = gen.cpp_unit(rng, knobs)
+    else:
+        text, _planted = gen.chart(rng, gen.ChartKnobs(objects=3, messages=12, depth=2), "chart")
+    return mutate(draw, lang, text) if draw(st.booleans()) else text
 
 
 LANGUAGES = pytest.mark.parametrize("lang", sorted(EXTENSIONS))
@@ -162,3 +187,57 @@ def test_seqdiag_spans_random_text(text):
 @given(data=st.data())
 def test_seqdiag_spans_token_soup(data):
     check_seqdiag_spans(data.draw(token_soup("seqdiag")))
+
+
+def check_tree(lang, text):
+    """If ``text`` parses, every node's span lies on ``text`` and inside its
+    parent's, the node ids are 1..n, and each binary or assignment
+    operator's ``(op_row, op_col)`` lies in its node's span, on the
+    operator's text. A unit without tokens is the point 1:1."""
+    try:
+        root = FRONTENDS[lang]["parse"](text, "input")
+    except SourceError:
+        return
+    lines = text.split("\n")
+    if not root.children:
+        assert (root.span.row, root.span.col, root.span.end_row, root.span.end_col) == (1, 1, 1, 1)
+        return
+    ids = []
+    stack = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        ids.append(node.node_id)
+        span = node.span
+        start, end = (span.row, span.col), (span.end_row, span.end_col)
+        for row, col in (start, end):
+            assert 1 <= row <= len(lines) and 1 <= col <= len(lines[row - 1]), (node.kind, span)
+        if parent is not None:
+            outer = parent.span
+            assert (outer.row, outer.col) <= start and end <= (outer.end_row, outer.end_col), (node.kind, span, outer)
+        if node.kind in ("BinaryExpr", "AssignExpr"):
+            op, row, col = node.attr("operator"), node.attr("op_row"), node.attr("op_col")
+            assert start <= (row, col) <= end, (node.kind, span, row, col)
+            assert lines[row - 1][col - 1 : col - 1 + len(op)] == op
+        stack.extend((child, node) for child in node.children)
+    assert sorted(ids) == list(range(1, len(ids) + 1))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_tree_token_soup(lang, data):
+    check_tree(lang, data.draw(token_soup(lang)))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_tree_mutated_fixture(lang, data):
+    check_tree(lang, data.draw(mutated_fixture(lang)))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_tree_generated(lang, data):
+    check_tree(lang, data.draw(generated(lang)))
