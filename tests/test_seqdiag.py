@@ -147,3 +147,49 @@ def test_token_error_spans(text, expected):
     assert type(exc.value) is ParseError
     span = exc.value.span
     assert (exc.value.message, (span.row, span.col, span.end_row, span.end_col)) == expected
+
+
+_OBJ = "sequencediagram d { object a:A; "
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", (ParseError, "unexpected end of input", (1, 1, 1, 1))),
+        # at the end of input the span is the last token's
+        ("sequencediagram", (ParseError, "unexpected end of input", (1, 1, 1, 15))),
+        ("sequencediagram d {", (ParseError, "unexpected end of input", (1, 19, 1, 19))),
+        (_OBJ + "{ a -> a : m(", (ParseError, "unexpected end of input", (1, 45, 1, 45))),
+        ("sequencediagram { }", (ParseError, "expected identifier, found '{'", (1, 17, 1, 17))),
+        (_OBJ + "{ a -> a : m(; } }", (ParseError, "expected identifier, found ';'", (1, 46, 1, 46))),
+        ("diagram d { }", (ParseError, "expected 'sequencediagram', found 'diagram'", (1, 1, 1, 7))),
+        ("sequencediagram d { object a A; }", (ParseError, "expected ':', found 'A'", (1, 30, 1, 30))),
+        (_OBJ + "{ a a : m(); } }", (ParseError, "expected '->' or '<-'", (1, 37, 1, 37))),
+        # at the end of input, at the left name
+        (_OBJ + "{ a", (ParseError, "expected '->' or '<-'", (1, 35, 1, 35))),
+        (
+            _OBJ + "\n" + "{" * 129 + "}" * 129 + "\n}",
+            (ParseError, "nesting deeper than 128 levels", (2, 129, 2, 129)),
+        ),
+        ("sequencediagram d { } extra", (ParseError, "trailing input after chart", (1, 23, 1, 27))),
+        (
+            "sequencediagram d {\n  object a:A;\n  { a -> ghost : go(); }\n}\n",
+            (UndeclaredObjectError, "message names undeclared object 'ghost'", (3, 10, 3, 14)),
+        ),
+        (
+            _OBJ + "{ ghost <- b : return; } }",
+            (UndeclaredObjectError, "message names undeclared object 'ghost'", (1, 35, 1, 39)),
+        ),
+    ],
+    ids=[
+        "end_empty", "end_after_long_token", "end_in_chart", "end_in_arguments",
+        "identifier", "identifier_in_arguments", "keyword", "colon",
+        "arrow", "arrow_at_end", "nesting", "trailing", "undeclared_target", "undeclared_source",
+    ],
+)
+def test_parse_error_spans(text, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_seq(text, "t.sd")
+    span = exc.value.span
+    found = (type(exc.value), exc.value.message, (span.row, span.col, span.end_row, span.end_col))
+    assert found == expected
