@@ -19,12 +19,12 @@ from .errors import CglintError, UnknownLanguageError
 from .model import Priority
 from .pipeline import get_frontend, run_pipeline
 from .report import render_html, summarize, to_xml
-from .rules import RULES_BY_LANGUAGE
+from .rules import rules_for
 
 
 def build_registry(language):
     try:
-        rules = RULES_BY_LANGUAGE[language]
+        rules = rules_for(language)
     except KeyError:
         raise UnknownLanguageError(language) from None
     return register_rules(RuleRegistry(), rules)

@@ -2,7 +2,9 @@
 
 Every input file goes through four stages in order: read, parse, symbols,
 traverse. ``FRONTENDS`` is the only per-language table; it names each
-language's parser, symbol builder and file extensions. ``analyze_file`` is
+language's parser, symbol builder and file extensions. A language's lexer,
+parser and symbol builder are imported on its first parse or symbol build,
+so a run loads only the front end of its own language. ``analyze_file`` is
 the unit's only error boundary: a file that cannot be read or decoded, or a
 lex or parse error, becomes one fatal diagnostic. Such a file contributes no
 findings but stays listed in the results, and never aborts the run.
@@ -13,27 +15,49 @@ from __future__ import annotations
 import codecs
 import datetime
 
-from . import seqdiag
 from .core import traverse
 from .errors import SourceError, UnknownLanguageError
-from .minicpp import lexer as cpp_lexer
-from .minicpp import parser as cpp_parser
-from .minicpp.symbols import build_minicpp_symbols
 from .model import AnalysisRoot, Diagnostic, SourceSpan, ValidationResults
 from .symtab import SymbolTable
 
+
+# The front-end functions import their modules on first use and look up the
+# modules' functions at each call, so a caller may wrap them.
+def _parse_minicpp(text, path):
+    from .minicpp import lexer, parser
+
+    return parser.parse(lexer.lex(text, file=path), file=path)
+
+
+def _minicpp_symbols(ast):
+    from .minicpp import symbols
+
+    return symbols.build_minicpp_symbols(ast)
+
+
+def _parse_seqdiag(text, path):
+    from . import seqdiag
+
+    return seqdiag.parse_seq(text, file=path)
+
+
+def _seqdiag_symbols(ast):
+    from . import seqdiag
+
+    return seqdiag.build_seqdiag_symbols(ast)
+
+
 # language -> parse(text, path) -> AST, symbols(AST) -> SymbolTable, and the
-# extensions a directory scan picks up. The parsers look up the lexer and
-# parser modules' functions at call time, so a caller may wrap them.
+# extensions a directory scan picks up.
 FRONTENDS = {
     "minicpp": {
-        "parse": lambda text, path: cpp_parser.parse(cpp_lexer.lex(text, file=path), file=path),
-        "symbols": build_minicpp_symbols,
+        "parse": _parse_minicpp,
+        "symbols": _minicpp_symbols,
         "extensions": (".cpp", ".ii"),
     },
     "seqdiag": {
-        "parse": lambda text, path: seqdiag.parse_seq(text, file=path),
-        "symbols": seqdiag.build_seqdiag_symbols,
+        "parse": _parse_seqdiag,
+        "symbols": _seqdiag_symbols,
         "extensions": (".sd",),
     },
 }

@@ -9,10 +9,11 @@ Grammar::
                   (IDENT "(" argList? ")" | "return" [IDENT]) ";"
 
 Tokens are the shared ``scan`` loop's ``(kind, text, row, col)`` tuples, of
-kind ``ident`` or ``punct``; Unicode blanks and ``//`` comments form the
-``skip`` group and yield no token, and only a line feed starts a new row. A
-character no token starts is a ParseError "unexpected character 'c'" at its
-position. Messages referencing undeclared objects are fatal.
+kind ``ident`` or ``punct``. Spaces and tabs before a token are part of its
+match; any other run of Unicode blanks and ``//`` comments forms the
+``skip`` group and yields no token, and only a line feed starts a new row.
+A character no token starts is a ParseError "unexpected character 'c'" at
+its position. Messages referencing undeclared objects are fatal.
 """
 
 from __future__ import annotations
@@ -28,11 +29,15 @@ LANGUAGE = "seqdiag"
 
 NODE_KINDS = ("SequenceDiagram", "ObjectDecl", "InteractionBlock", "Message")
 
+# Blanks before a token are part of its match, so a chart's usual single
+# spaces cost no match of their own; a run of other blanks, line breaks and
+# comments is one ``skip`` match.
 _TOKEN = re.compile(
-    r"""(?P<skip>\s+|//[^\n]*)
+    r"""[ \t]*(?:
+        (?P<skip>(?:\s+|//[^\n]*)+)
        |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
        |(?P<punct><<|>>|->|<-|[{}();:,])
-    """,
+    )""",
     re.VERBOSE,
 )
 
@@ -44,129 +49,148 @@ def _tokenize(text, file):
 
 
 class _Parser:
-    """Recursive descent over the token tuples of one chart. Spans are
-    built for nodes and errors only, from their first and last tokens."""
+    """Recursive descent over the token tuples of one chart. ``kinds`` and
+    ``texts`` are the tokens' fields as parallel lists, each ending in a
+    ``None`` that stands for the end of input, so looking ahead is a list
+    lookup. Spans are built for nodes and errors only, from their first and
+    last tokens."""
 
-    def __init__(self, text, file):
-        self.tokens = _tokenize(text, file)
+    def __init__(self, tokens, file):
+        self.tokens = tokens
+        self.kinds = [tok[0] for tok in tokens]
+        self.kinds.append(None)
+        self.texts = [tok[1] for tok in tokens]
+        self.texts.append(None)
         self.pos = 0
         self.file = file
         self.objects = set()
         self.depth = 0
         self._next_id = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def at(self, text):
+        return self.texts[self.pos] == text
 
-    def at(self, word):
-        return self.pos < len(self.tokens) and self.tokens[self.pos][1] == word
+    def span(self, index):
+        """The span of the token at ``index``."""
+        _kind, text, row, col = self.tokens[index]
+        return SourceSpan(self.file, row, col, row, col + len(text) - 1)
 
-    def span(self, first, last=None):
-        """The span from token ``first`` through token ``last`` (default:
-        ``first`` itself)."""
-        _kind, text, row, col = last or first
-        return SourceSpan(self.file, first[2], first[3], row, col + len(text) - 1)
+    def error(self, message, index=None):
+        """Raise a ParseError with ``message`` at the token at ``index``
+        (default: the current one). At the end of input the message is
+        "unexpected end of input", at the last token (1:1 if there is none)."""
+        index = self.pos if index is None else index
+        if self.texts[index] is not None:
+            raise ParseError(self.span(index), message)
+        if self.tokens:
+            raise ParseError(self.span(-1), "unexpected end of input")
+        raise ParseError(SourceSpan.point(self.file, 1, 1), "unexpected end of input")
 
-    def expect(self, expected=None, ident=False):
-        tok = self.peek()
-        if tok is None:
-            last = self.span(self.tokens[-1]) if self.tokens else SourceSpan.point(self.file, 1, 1)
-            raise ParseError(last, "unexpected end of input")
-        kind, word = tok[0], tok[1]
-        if ident:
-            if kind != "ident":
-                raise ParseError(self.span(tok), "expected identifier, found %r" % word)
-        elif word != expected:
-            raise ParseError(self.span(tok), "expected %r, found %r" % (expected, word))
+    def expect(self, text):
+        found = self.texts[self.pos]
+        if found != text:
+            self.error("expected %r, found %r" % (text, found))
         self.pos += 1
-        return tok
 
-    def node(self, kind, span, attrs=None, children=None):
+    def expect_ident(self):
+        """Consume an identifier and return its text."""
+        if self.kinds[self.pos] != "ident":
+            self.error("expected identifier, found %r" % self.texts[self.pos])
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
+    def node(self, kind, start, attrs, children=None):
+        """A node spanning the tokens from ``start`` to the last consumed."""
+        first = self.tokens[start]
+        _kind, text, row, col = self.tokens[self.pos - 1]
+        span = SourceSpan(self.file, first[2], first[3], row, col + len(text) - 1)
         self._next_id += 1
-        return AstNode(LANGUAGE, kind, span, attrs or {}, children or [], self._next_id)
+        return AstNode(LANGUAGE, kind, span, attrs, children or [], self._next_id)
 
     def parse(self):
-        first = self.expect("sequencediagram")
-        name = self.expect(ident=True)[1]
+        self.expect("sequencediagram")
+        name = self.expect_ident()
         self.expect("{")
         children = []
         while self.at("object"):
             children.append(self.parse_object())
         while self.at("{"):
             children.append(self.parse_block())
-        close = self.expect("}")
-        return self.node("SequenceDiagram", self.span(first, close), {"name": name}, children)
+        self.expect("}")
+        return self.node("SequenceDiagram", 0, {"name": name}, children)
 
     def parse_object(self):
-        first = self.expect("object")
-        name = self.expect(ident=True)[1]
+        start = self.pos
+        self.pos += 1  # "object"
+        name = self.expect_ident()
         self.expect(":")
-        type_name = self.expect(ident=True)[1]
-        close = self.expect(";")
+        type_name = self.expect_ident()
+        self.expect(";")
         self.objects.add(name)
-        return self.node("ObjectDecl", self.span(first, close), {"name": name, "type": type_name})
+        return self.node("ObjectDecl", start, {"name": name, "type": type_name})
 
     def parse_block(self):
-        first = self.expect("{")
+        start = self.pos
+        self.pos += 1  # "{"
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(self.span(first), "nesting deeper than %d levels" % MAX_NESTING)
+            self.error("nesting deeper than %d levels" % MAX_NESTING, start)
         children = []
-        while self.peek() is not None and not self.at("}"):
-            if self.at("{"):
+        texts = self.texts
+        # at the end of input, parse_message reports it
+        while texts[self.pos] != "}":
+            if texts[self.pos] == "{":
                 children.append(self.parse_block())
             else:
                 children.append(self.parse_message())
-        close = self.expect("}")
+        self.pos += 1
         self.depth -= 1
-        return self.node("InteractionBlock", self.span(first, close), {}, children)
+        return self.node("InteractionBlock", start, {}, children)
 
     def parse_message(self):
-        left_tok = self.expect(ident=True)
-        left = left_tok[1]
-        arrow_tok = self.peek()
-        if arrow_tok is None or arrow_tok[1] not in ("->", "<-"):
-            raise ParseError(self.span(arrow_tok or left_tok), "expected '->' or '<-'")
+        texts = self.texts
+        start = self.pos
+        source = self.expect_ident()
+        arrow = texts[self.pos]
+        if arrow != "->" and arrow != "<-":
+            self.error("expected '->' or '<-'", start if arrow is None else self.pos)
         self.pos += 1
-        right_tok = self.expect(ident=True)
-        right = right_tok[1]
+        target_at = self.pos
+        target = self.expect_ident()
         self.expect(":")
         stereotype = ""
-        if self.at("<<"):
+        if texts[self.pos] == "<<":
             self.pos += 1
-            stereotype = self.expect(ident=True)[1]
+            stereotype = self.expect_ident()
             self.expect(">>")
-        if self.at("return"):
+        if texts[self.pos] == "return":
             self.pos += 1
             payload = "return"
-            if self.peek() is not None and not self.at(";"):
-                payload += " " + self.expect(ident=True)[1]
+            if texts[self.pos] != ";":
+                payload += " " + self.expect_ident()
         else:
-            call_name = self.expect(ident=True)[1]
+            call = self.expect_ident()
             self.expect("(")
             args = []
-            while self.peek() is not None and not self.at(")"):
-                args.append(self.expect(ident=True)[1])
-                if self.at(","):
+            while texts[self.pos] is not None and texts[self.pos] != ")":
+                args.append(self.expect_ident())
+                if texts[self.pos] == ",":
                     self.pos += 1
             self.expect(")")
-            payload = "%s(%s)" % (call_name, ", ".join(args))
-        close = self.expect(";")
+            payload = "%s(%s)" % (call, ", ".join(args))
+        self.expect(";")
 
+        for index, name in ((start, source), (target_at, target)):
+            if name not in self.objects:
+                raise UndeclaredObjectError(self.span(index), "message names undeclared object %r" % name)
         # arrow head at the left name: '<-' means the right side calls back
-        direction = "CALL" if arrow_tok[1] == "->" else "RETURN"
-        for obj_tok in (left_tok, right_tok):
-            if obj_tok[1] not in self.objects:
-                raise UndeclaredObjectError(
-                    self.span(obj_tok), "message names undeclared object %r" % obj_tok[1]
-                )
         return self.node(
             "Message",
-            self.span(left_tok, close),
+            start,
             {
-                "source": left,
-                "target": right,
-                "direction": direction,
+                "source": source,
+                "target": target,
+                "direction": "CALL" if arrow == "->" else "RETURN",
                 "stereotype": stereotype,
                 "payload": payload,
             },
@@ -175,25 +199,20 @@ class _Parser:
 
 def parse_seq(text, file="<input>"):
     """Parse a sequence chart into its AST (language="seqdiag")."""
-    parser = _Parser(text, file)
+    parser = _Parser(_tokenize(text, file), file)
     ast = parser.parse()
-    extra = parser.peek()
-    if extra is not None:
-        raise ParseError(parser.span(extra), "trailing input after chart")
+    if not parser.at(None):
+        parser.error("trailing input after chart")
     return ast
 
 
 def build_seqdiag_symbols(chart):
+    """Declare each object of ``chart`` in the global scope; the grammar
+    puts ObjectDecl nodes nowhere else. No node is bound to a scope:
+    ``scope_of`` falls back to the global scope."""
     table = SymbolTable()
-    for node in chart.walk():
+    for node in chart.children:
         if node.kind == "ObjectDecl":
-            binding = VariableBinding(
-                name=node.attr("name"),
-                declared_type=node.attr("type"),
-                decl_span=node.span,
-            )
+            binding = VariableBinding(name=node.attr("name"), declared_type=node.attr("type"), decl_span=node.span)
             table.declare(table.global_scope, binding, span=node.span)
-            table.bind_node(node, scope=table.global_scope, binding=binding)
-        else:
-            table.bind_node(node, scope=table.global_scope)
     return table
