@@ -2,11 +2,12 @@
 
 Grammar::
 
-    chart      := "sequencediagram" IDENT "{" objectDecl* block "}"
+    chart      := "sequencediagram" IDENT "{" objectDecl* block* "}"
     objectDecl := "object" IDENT ":" IDENT ";"
     block      := "{" (message | block)* "}"
     message    := IDENT ("->" | "<-") IDENT ":" ["<<" IDENT ">>"]
-                  (IDENT "(" argList? ")" | "return" [IDENT]) ";"
+                  (IDENT "(" [argList] ")" | "return" [IDENT]) ";"
+    argList    := IDENT ("," IDENT)*
 
 Tokens are the shared ``scan`` loop's ``(kind, text, row, col)`` tuples, of
 kind ``ident`` or ``punct``. Spaces and tabs before a token are part of its
@@ -172,10 +173,11 @@ class _Parser:
             call = self.expect_ident()
             self.expect("(")
             args = []
-            while texts[self.pos] is not None and texts[self.pos] != ")":
+            if texts[self.pos] != ")":
                 args.append(self.expect_ident())
-                if texts[self.pos] == ",":
+                while texts[self.pos] == ",":
                     self.pos += 1
+                    args.append(self.expect_ident())
             self.expect(")")
             payload = "%s(%s)" % (call, ", ".join(args))
         self.expect(";")

@@ -162,6 +162,9 @@ _OBJ = "sequencediagram d { object a:A; "
         (_OBJ + "{ a -> a : m(", (ParseError, "unexpected end of input", (1, 45, 1, 45))),
         ("sequencediagram { }", (ParseError, "expected identifier, found '{'", (1, 17, 1, 17))),
         (_OBJ + "{ a -> a : m(; } }", (ParseError, "expected identifier, found ';'", (1, 46, 1, 46))),
+        # an argument list separates its names with commas, and ends in a name
+        (_OBJ + "{ a -> a : m(x y); } }", (ParseError, "expected ')', found 'y'", (1, 48, 1, 48))),
+        (_OBJ + "{ a -> a : m(x,); } }", (ParseError, "expected identifier, found ')'", (1, 48, 1, 48))),
         ("diagram d { }", (ParseError, "expected 'sequencediagram', found 'diagram'", (1, 1, 1, 7))),
         ("sequencediagram d { object a A; }", (ParseError, "expected ':', found 'A'", (1, 30, 1, 30))),
         (_OBJ + "{ a a : m(); } }", (ParseError, "expected '->' or '<-'", (1, 37, 1, 37))),
@@ -183,7 +186,8 @@ _OBJ = "sequencediagram d { object a:A; "
     ],
     ids=[
         "end_empty", "end_after_long_token", "end_in_chart", "end_in_arguments",
-        "identifier", "identifier_in_arguments", "keyword", "colon",
+        "identifier", "identifier_in_arguments", "arguments_without_comma",
+        "arguments_trailing_comma", "keyword", "colon",
         "arrow", "arrow_at_end", "nesting", "trailing", "undeclared_target", "undeclared_source",
     ],
 )
