@@ -184,7 +184,8 @@ class _Parser:
 
         for index, name in ((start, source), (target_at, target)):
             if name not in self.objects:
-                raise UndeclaredObjectError(self.span(index), "message names undeclared object %r" % name)
+                message = "message names undeclared object %r" % name
+                raise UndeclaredObjectError(self.span(index), message)
         # arrow head at the left name: '<-' means the right side calls back
         return self.node(
             "Message",
@@ -215,6 +216,8 @@ def build_seqdiag_symbols(chart):
     table = SymbolTable()
     for node in chart.children:
         if node.kind == "ObjectDecl":
-            binding = VariableBinding(name=node.attr("name"), declared_type=node.attr("type"), decl_span=node.span)
+            binding = VariableBinding(
+                name=node.attr("name"), declared_type=node.attr("type"), decl_span=node.span
+            )
             table.declare(table.global_scope, binding, span=node.span)
     return table
