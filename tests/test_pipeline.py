@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 from cglint.cli import build_registry
 from cglint.core import default_configs
 from cglint.pipeline import analyze_file, get_frontend, run_pipeline
 import pytest
+from conftest import fixture_path
 
+import cglint
 from cglint.errors import UnknownLanguageError
 
 
@@ -82,3 +88,32 @@ def test_default_timestamp_is_utc_iso(cpp_setup):
     results = run_pipeline([], "minicpp", registry, configs)
     assert results.created.endswith("Z")
     assert "T" in results.created
+
+
+# Runs the CLI on its arguments, then prints the cglint modules it loaded.
+_LOADED = """
+import sys
+from cglint.cli import main
+code = main(sys.argv[1:])
+print("loaded:", *sorted(name for name in sys.modules if name.startswith("cglint")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "lang, source, own, foreign",
+    [
+        ("seqdiag", "librarytest.sd", ("cglint.seqdiag", "cglint.rules.seq"), ("cglint.minicpp", "cglint.rules.cpp")),
+        ("minicpp", "ExampleImpl.cpp", ("cglint.minicpp", "cglint.rules.cpp"), ("cglint.seqdiag", "cglint.rules.seq")),
+    ],
+    ids=["seqdiag", "minicpp"],
+)
+def test_run_loads_only_its_own_language(tmp_path, lang, source, own, foreign):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cglint.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["--lang", lang, fixture_path(source), "--xml-out", str(tmp_path / "out.xml"), "--timestamp", "t"]
+    proc = subprocess.run([sys.executable, "-c", _LOADED] + argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()[1:]
+    assert all(name in loaded for name in own), loaded
+    assert [name for name in loaded if name.startswith(foreign)] == []

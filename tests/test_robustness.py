@@ -6,8 +6,12 @@ the file. Inputs are random bytes, random text, token soup and mutated
 fixtures, in both languages. The tokens of both languages lie on the text
 they were given. So does every node of a tree either parser builds from
 token soup, a mutated fixture or a small generated unit or chart: inside
-its parent, with ids 1..n and operators where they were read. Examples
-are derandomized so that every run checks the same inputs.
+its parent, with ids 1..n and operators where they were read. Every
+finding the rules report on such a tree points at a character of its file,
+or just past the end of a line. Over random generator knobs and seeds, the
+CLI reports every defect the generator planted, and a second run writes the
+same XML. Examples are derandomized so that every run checks the same
+inputs.
 """
 
 import os
@@ -22,10 +26,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import fixture_path  # noqa: E402
 
-from cglint.cli import main  # noqa: E402
+from cglint.cli import build_registry, main  # noqa: E402
+from cglint.core import default_configs, traverse  # noqa: E402
 from cglint.errors import LexError, ParseError, SourceError  # noqa: E402
 from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
-from cglint.pipeline import FRONTENDS  # noqa: E402
+from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
 
@@ -243,3 +248,72 @@ def test_tree_mutated_fixture(lang, data):
 @given(data=st.data())
 def test_tree_generated(lang, data):
     check_tree(lang, data.draw(generated(lang)))
+
+
+def check_finding_points(lang, text):
+    """Every finding of every rule, run with its defaults, points at a
+    character of ``text`` or just past the end of a line."""
+    root = analyze_file("input" + EXTENSIONS[lang], lang, text=text)
+    registry = build_registry(lang)
+    lines = text.split("\n")
+    for report in traverse(root, registry, default_configs(registry)):
+        for finding in report.findings:
+            row, col = finding.span.row, finding.span.col
+            assert 1 <= row <= len(lines) and 1 <= col <= len(lines[row - 1]) + 1, (finding, len(lines))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_finding_points_mutated_fixture(lang, data):
+    check_finding_points(lang, data.draw(mutated_fixture(lang)))
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_finding_points_generated(lang, data):
+    check_finding_points(lang, data.draw(generated(lang)))
+
+
+@st.composite
+def generated_corpus(draw, lang):
+    """``(text, planted)`` of a unit or chart from random generator knobs."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if lang == "minicpp":
+        knobs = gen.CppKnobs(
+            classes=draw(st.integers(1, 3)),
+            methods=draw(st.integers(1, 3)),
+            locals=draw(st.integers(1, 6)),
+            depth=draw(st.integers(1, 3)),
+            collide=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+            markers=draw(st.booleans()),
+        )
+        return gen.cpp_unit(rng, knobs)
+    # the generator picks a message's two ends from distinct objects
+    knobs = gen.ChartKnobs(
+        objects=draw(st.integers(2, 6)),
+        messages=draw(st.integers(0, 40)),
+        depth=draw(st.integers(1, 4)),
+    )
+    return gen.chart(rng, knobs, "chart")
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_planted_defects_reported(workdir, lang, data):
+    text, planted = data.draw(generated_corpus(lang))
+    src = workdir / ("planted" + EXTENSIONS[lang])
+    src.write_text(text, encoding="utf-8")
+    codes, outputs = [], []
+    for run in ("first", "second"):
+        xml_out = workdir / ("%s.xml" % run)
+        codes.append(main(["--lang", lang, str(src), "--xml-out", str(xml_out), "--timestamp", "t"]))
+        outputs.append(xml_out.read_bytes())
+    assert codes[0] == codes[1] != 2
+    assert outputs[0] == outputs[1]
+    reported = {report.descriptor.id: report.findings for report in from_xml(outputs[0]).reports}
+    for rule_id, fragment in gen.ORACLE_MESSAGES.items():
+        found = sum(fragment in finding.message for finding in reported.get(rule_id, ()))
+        assert found == planted[rule_id], (rule_id, found, planted[rule_id])
