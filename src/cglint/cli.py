@@ -3,8 +3,9 @@
 Exit code 0: no build-breaking findings and no errors.
 Exit code 1: at least one SHALL-priority finding (or, with ``--strict``,
 any finding at all).
-Exit code 2: configuration, parse, or I/O error. The XML output is written
-even when findings break the build.
+Exit code 2: configuration, parse, or I/O error, including a configuration
+file that is not UTF-8 and an output file that cannot be written. The XML
+output is written even when findings break the build.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ def main(argv=None):
     except (CglintError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print("error: %s: %s" % (args.config, exc), file=sys.stderr)
+        return 2
 
     files = collect_inputs(args.inputs, frontend["extensions"])
     diagnostics = []
@@ -109,12 +113,16 @@ def main(argv=None):
         diagnostics=diagnostics,
     )
 
-    with open(args.xml_out, "wb") as handle:
-        handle.write(to_xml(results))
-    if args.html_out:
-        summary = summarize(results, registry.descriptors())
-        with open(args.html_out, "w", encoding="utf-8") as handle:
-            handle.write(render_html(results, summary))
+    try:
+        with open(args.xml_out, "wb") as handle:
+            handle.write(to_xml(results))
+        if args.html_out:
+            summary = summarize(results, registry.descriptors())
+            with open(args.html_out, "w", encoding="utf-8") as handle:
+                handle.write(render_html(results, summary))
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     for report in results.reports:
         if report.findings:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import DuplicateRuleIdError, UnknownPropertyError, UnknownRuleIdError
 from .model import Finding, RuleConfig, RuleReport
+from .symtab import SymbolTable
 
 
 @dataclass
@@ -14,7 +15,7 @@ class RuleContext:
 
     ``properties`` holds every declared property converted to its type."""
 
-    table: object
+    table: SymbolTable
     properties: dict
     rule_id: str
     findings: list = field(default_factory=list)
@@ -101,6 +102,7 @@ class TraversalStats:
 
 def traverse(root, registry, configs, stats=None):
     """Walk ``root.ast`` once, notifying every enabled subscribed rule.
+    Rules read ``root.symbols``, or an empty table when it is not set.
 
     Returns one RuleReport per enabled rule (rules with zero findings
     included), ordered by rule id with findings sorted by position.
@@ -110,6 +112,7 @@ def traverse(root, registry, configs, stats=None):
     for config in configs:
         validate_config(registry, config)
     enabled = {c.rule_id: c for c in configs if c.enabled}
+    table = root.symbols if root.symbols is not None else SymbolTable()
     for rule_id in registry.rule_ids():
         if rule_id not in enabled:
             continue
@@ -121,7 +124,7 @@ def traverse(root, registry, configs, stats=None):
             name: rule_cls.descriptor.property_value(name, text)
             for name, text in texts[rule_id].items()
         }
-        ctx = RuleContext(table=root.symbols, properties=properties, rule_id=rule_id)
+        ctx = RuleContext(table=table, properties=properties, rule_id=rule_id)
         contexts[rule_id] = (rule_cls(), ctx)
 
     if root.ast is not None:

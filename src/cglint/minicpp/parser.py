@@ -6,6 +6,9 @@ resolves this with a private stack of type-name frames, one per namespace,
 class and function body, filled with every class, enum and typedef it
 passes. The unit's symbol table is built afterwards from the finished AST.
 
+Node ids and spans come from ``scan.Cursor``: every node goes through its
+``node`` or ``make``.
+
 Node attribute values are ``str``, ``bool`` or ``int``: names, types and
 operators are text, flags such as ``virtual`` or ``has_init`` are bools, and
 a binary or assignment operator's position is the ints ``op_row`` and
@@ -15,7 +18,8 @@ a binary or assignment operator's position is the ints ``op_row`` and
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..model import MAX_NESTING, AstNode, SourceSpan
+from ..model import SourceSpan
+from ..scan import Cursor
 from . import lexer
 from .lexer import IDENT, KEYWORD
 
@@ -63,35 +67,20 @@ class _Frame:
         self.children = {}
 
 
-class _Parser:
+class _Parser(Cursor):
     """Recursive descent over the ``(kind, text, row, col)`` tokens of one
-    unit. ``kinds`` and ``texts`` are the tokens' fields as parallel lists,
-    each ending in a ``None`` that stands for the end of input, so looking
-    ahead is a list lookup. A punctuator's or keyword's text is never the
-    text of a token of another kind, so ``at`` compares texts only. Spans
-    are built for nodes and errors only, from their first and last tokens.
+    unit. A punctuator's or keyword's text is never the text of a token of
+    another kind, so ``at`` compares texts only.
     """
 
     def __init__(self, tokens, file):
-        self.tokens = tokens
-        self.kinds = [tok[0] for tok in tokens]
-        self.kinds.append(None)
-        self.texts = [tok[1] for tok in tokens]
-        self.texts.append(None)
-        self.file = file
+        super().__init__(tokens, file, LANGUAGE, IDENT)
         self.frames = [_Frame()]
-        self.depth = 0
-        self._next_id = 0
-        self.pos = 0
 
     # --- token helpers -------------------------------------------------
 
     def at_end(self):
         return self.pos >= len(self.tokens)
-
-    def at(self, text, offset=0):
-        """True iff the text of the token ``offset`` ahead is ``text``."""
-        return self.texts[self.pos + offset] == text
 
     def at_kind(self, kind, offset=0):
         return self.kinds[self.pos + offset] == kind
@@ -108,47 +97,17 @@ class _Parser:
             return True
         return False
 
-    def expect(self, text):
-        found = self.texts[self.pos]
-        if found != text:
-            self.error("expected %r, found %s" % (text, "end of input" if found is None else repr(found)))
-        self.pos += 1
-
-    def expect_ident(self):
-        """Consume an identifier and return its text."""
-        if self.kinds[self.pos] != IDENT:
-            self.error("expected identifier, found %r" % ("end of input" if self.at_end() else self.texts[self.pos]))
-        return self.advance()
-
     def error(self, message):
         """Raise a ParseError at the current token; at the end of input, at
         the last character of the last token (1:1 if there is none)."""
         if not self.at_end():
-            _kind, text, row, col = self.tokens[self.pos]
-            span = SourceSpan(self.file, row, col, row, col + len(text) - 1)
+            span = self.span(self.pos)
         elif self.tokens:
             _kind, text, row, col = self.tokens[-1]
             span = SourceSpan.point(self.file, row, col + len(text) - 1)
         else:
             span = SourceSpan.point(self.file, 1, 1)
         raise ParseError(span, message)
-
-    def enter(self):
-        """Count one level of grammar nesting; the caller decrements
-        ``depth`` when it returns."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.error("nesting deeper than %d levels" % MAX_NESTING)
-
-    # --- node construction ---------------------------------------------
-
-    def node(self, kind, start, attrs=None, children=None):
-        """A node spanning the tokens from ``start`` to the last consumed."""
-        first = self.tokens[start]
-        last = self.tokens[self.pos - 1] if self.pos > start else first
-        span = SourceSpan(self.file, first[2], first[3], last[2], last[3] + len(last[1]) - 1)
-        self._next_id += 1
-        return AstNode(LANGUAGE, kind, span, attrs or {}, children or [], self._next_id)
 
     # --- type names ---------------------------------------------------
 
@@ -193,8 +152,7 @@ class _Parser:
             children.append(self.parse_top_decl())
         if self.tokens:
             return self.node("TranslationUnit", 0, children=children)
-        self._next_id += 1
-        return AstNode(LANGUAGE, "TranslationUnit", SourceSpan.point(self.file, 1, 1), node_id=self._next_id)
+        return self.make("TranslationUnit", SourceSpan.point(self.file, 1, 1))
 
     def parse_top_decl(self):
         self.enter()
@@ -592,9 +550,8 @@ class _Parser:
             return stmts[0]
         # several declarators from one declaration; keep them grouped
         first, last = stmts[0].span, stmts[-1].span
-        self._next_id += 1
         span = SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col)
-        return AstNode(LANGUAGE, "CompoundStmt", span, {}, stmts, self._next_id)
+        return self.make("CompoundStmt", span, {}, stmts)
 
     def parse_switch(self):
         start = self.pos
@@ -731,9 +688,7 @@ class _Parser:
         ``rhs``."""
         _kind, text, row, col = self.tokens[op]
         span = SourceSpan(self.file, lhs.span.row, lhs.span.col, rhs.span.end_row, rhs.span.end_col)
-        self._next_id += 1
-        attrs = {"operator": text, "op_row": row, "op_col": col}
-        return AstNode(LANGUAGE, kind, span, attrs, [lhs, rhs], self._next_id)
+        return self.make(kind, span, {"operator": text, "op_row": row, "op_col": col}, [lhs, rhs])
 
     def parse_unary(self):
         self.enter()

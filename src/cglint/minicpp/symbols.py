@@ -1,5 +1,12 @@
 """Symbol workflow for the C++ subset: builds the full scope tree and the
-class/function/variable bindings that rules query."""
+class/function/variable bindings that rules query.
+
+A namespace, a class that is not a forward declaration, a function,
+constructor or destructor, a compound statement and a ``for`` statement
+each open a scope, recorded in the table against the node; a class, a
+function, a named variable or parameter, a typedef and a named enum each
+declare a binding, recorded against its node. Expressions are not walked.
+"""
 
 from __future__ import annotations
 
@@ -19,9 +26,9 @@ _ACCESS = {
     "private": Specifier.PRIVATE,
 }
 
-# Expression subtrees hold only expressions and declare nothing, so they are
-# bound in one loop. Operator chains are not limited by the parser's nesting
-# count, so a recursive walk could exceed the interpreter's recursion limit.
+# Expression subtrees hold only expressions and declare nothing, so the walk
+# stops at them. Operator chains are not limited by the parser's nesting
+# count, so walking into one could exceed the interpreter's recursion limit.
 _EXPRESSIONS = frozenset((
     "AssignExpr", "BinaryExpr", "UnaryExpr", "CallExpr", "MemberExpr",
     "NewExpr", "DeleteExpr", "ParenExpr", "IdentExpr", "Literal",
@@ -30,7 +37,6 @@ _EXPRESSIONS = frozenset((
 
 def build_minicpp_symbols(unit):
     table = SymbolTable()
-    table.bind_node(unit, scope=table.global_scope)
     _walk_children(unit, table, table.global_scope)
     return table
 
@@ -43,24 +49,19 @@ def _walk_children(node, table, scope):
 def _walk(node, table, scope):
     kind = node.kind
     if kind in _EXPRESSIONS:
-        for inner in node.walk():
-            table.bind_node(inner, scope=scope)
-    elif kind == "NamespaceDef":
-        inner = table.open_scope(ScopeKind.NAMESPACE, node.attr("name"), scope)
-        table.bind_node(node, scope=inner)
+        return
+    if kind == "NamespaceDef":
+        inner = table.open_scope(ScopeKind.NAMESPACE, node.attr("name"), scope, node)
         _walk_children(node, table, inner)
     elif kind == "ClassDef":
         _walk_class(node, table, scope)
     elif kind in ("FunctionDef", "Constructor", "Destructor"):
         _walk_function(node, table, scope, access=None)
     elif kind == "CompoundStmt":
-        inner = table.open_scope(ScopeKind.BLOCK, None, scope)
-        table.bind_node(node, scope=inner)
-        _walk_children(node, table, inner)
+        _walk_children(node, table, table.open_scope(ScopeKind.BLOCK, None, scope, node))
     elif kind == "ForStmt":
         # the loop header introduces its own scope for the index variable
-        inner = table.open_scope(ScopeKind.BLOCK, None, scope)
-        table.bind_node(node, scope=inner)
+        inner = table.open_scope(ScopeKind.BLOCK, None, scope, node)
         for child in node.children:
             if child.kind == "VarDecl":
                 _declare_variable(child, table, inner, is_loop_index=True)
@@ -68,22 +69,17 @@ def _walk(node, table, scope):
                 _walk(child, table, inner)
     elif kind == "VarDecl":
         _declare_variable(node, table, scope)
-    elif kind == "TypedefDecl":
-        table.declare(scope, TypeBinding(node.attr("name")), span=node.span)
-        table.bind_node(node, scope=scope)
-    elif kind == "EnumDef":
+    elif kind in ("TypedefDecl", "EnumDef"):
+        # an enum's enumerators hold only expressions
         if node.attr("name"):
-            table.declare(scope, TypeBinding(node.attr("name")), span=node.span)
-        table.bind_node(node, scope=scope)
-        _walk_children(node, table, scope)
+            table.declare(scope, TypeBinding(node.attr("name")), node)
     else:
-        table.bind_node(node, scope=scope)
         _walk_children(node, table, scope)
 
 
 def _declare_variable(node, table, scope, **flags):
-    """Bind a VarDecl or ParamDecl and its initializer; an unnamed parameter
-    is bound but not declared."""
+    """Declare a VarDecl or ParamDecl; an unnamed parameter is not declared.
+    The node's children are expressions, which declare nothing."""
     binding = VariableBinding(
         name=node.attr("name"),
         declared_type=node.attr("type"),
@@ -93,21 +89,16 @@ def _declare_variable(node, table, scope, **flags):
         **flags,
     )
     if binding.name:
-        table.declare(scope, binding, span=node.span)
-    table.bind_node(node, scope=scope, binding=binding)
-    _walk_children(node, table, scope)
+        table.declare(scope, binding, node)
     return binding
 
 
 def _walk_class(node, table, scope):
-    binding = ClassBinding(name=node.attr("name"))
-    table.declare(scope, binding, span=node.span)
+    binding = table.declare(scope, ClassBinding(name=node.attr("name")), node)
     if node.attr("forward"):
-        table.bind_node(node, scope=scope, binding=binding)
         return
-    class_scope = table.open_scope(ScopeKind.CLASS, binding.name, scope)
+    class_scope = table.open_scope(ScopeKind.CLASS, binding.name, scope, node)
     binding.scope = class_scope
-    table.bind_node(node, scope=class_scope, binding=binding)
 
     access = Specifier.PRIVATE  # class members default to private
     for member in node.children:
@@ -118,10 +109,8 @@ def _walk_class(node, table, scope):
             binding.bases.append(
                 (base, _ACCESS[member.attr("access")], member.attr("name"))
             )
-            table.bind_node(member, scope=class_scope)
         elif member.kind == "AccessSection":
             access = _ACCESS[member.attr("access")]
-            table.bind_node(member, scope=class_scope)
         elif member.kind in ("FunctionDef", "Constructor", "Destructor"):
             binding.functions.append(_walk_function(member, table, class_scope, access))
         elif member.kind == "VarDecl":
@@ -151,9 +140,8 @@ def _walk_function(node, table, scope, access):
         is_constructor=node.kind == "Constructor",
         is_destructor=node.kind == "Destructor",
     )
-    table.declare(scope, binding, span=node.span)
-    fn_scope = table.open_scope(ScopeKind.FUNCTION, binding.name, scope)
-    table.bind_node(node, scope=fn_scope, binding=binding)
+    table.declare(scope, binding, node)
+    fn_scope = table.open_scope(ScopeKind.FUNCTION, binding.name, scope, node)
     for param in params:
         _declare_variable(param, table, fn_scope, is_parameter=True)
     if body is not None:

@@ -11,7 +11,7 @@ import re
 
 from ..core import Rule
 from ..model import Criticality, Priority, RuleDescriptor, SourceSpan
-from ..symtab import ClassBinding, ScopeKind, Specifier, equal_signature
+from ..symtab import ClassBinding, ScopeKind, Specifier, VariableBinding, equal_signature
 
 _LOWER_CAMEL = re.compile(r"[a-z][a-zA-Z0-9]*")
 _UPPER_CAMEL = re.compile(r"[A-Z][a-zA-Z0-9]*")
@@ -266,10 +266,7 @@ class IdentifierChecker(Rule):
     )
 
     def finish(self, ctx):
-        table = ctx.table
-        if table is None:
-            return
-        variables = [v for v in table.variables if v.name and v.scope is not None]
+        variables = [v for v in ctx.table.variables if v.name and v.scope is not None]
         keys = [_normalize(v.name) for v in variables]
         buckets = {}  # normalised name -> indices into variables, ascending
         for j, key in enumerate(keys):
@@ -355,8 +352,7 @@ class InitializedVariableChecker(Rule):
     )
 
     def visit(self, node, ctx):
-        table = ctx.table
-        binding = table.binding_of(node) if table is not None else None
+        binding = ctx.table.binding_of(node)
         if binding is None or binding.scope is None:
             return
         if binding.is_member or binding.is_parameter:
@@ -383,8 +379,7 @@ class InterfaceChecker(Rule):
     )
 
     def visit(self, node, ctx):
-        table = ctx.table
-        binding = table.binding_of(node) if table is not None else None
+        binding = ctx.table.binding_of(node)
         if not isinstance(binding, ClassBinding):
             return
         if binding.has_only_interface_methods():
@@ -438,7 +433,7 @@ class MemoryChecker(Rule):
         allocs = {}  # variable name -> (is array allocation, span)
         deletes = {}  # variable name -> set of array flags
         escaped = set()
-        scope = ctx.table.scope_of(body) if ctx.table is not None else None
+        scope = ctx.table.scope_of(body)
 
         for sub in _function_body_nodes(body):
             if sub.kind == "VarDecl":
@@ -491,22 +486,18 @@ def _function_body_nodes(body):
 
 
 def _is_nonlocal_target(lhs, scope):
+    """True iff assigning to ``lhs`` in ``scope`` stores outside the function:
+    a member, a parameter, or a name declared at global or namespace scope."""
     if lhs.kind == "MemberExpr":
         return True
-    if lhs.kind == "IdentExpr" and scope is not None:
-        binding = scope.lookup(lhs.attr("name"))
-        if binding is None:
-            return False
-        if getattr(binding, "is_member", False) or getattr(
-            binding, "is_parameter", False
-        ):
-            return True
-        target_scope = getattr(binding, "scope", None)
-        return target_scope is not None and target_scope.kind in (
-            ScopeKind.GLOBAL,
-            ScopeKind.NAMESPACE,
-        )
-    return False
+    if lhs.kind != "IdentExpr":
+        return False
+    binding = scope.lookup(lhs.attr("name"))
+    if binding is None:
+        return False
+    if isinstance(binding, VariableBinding) and (binding.is_member or binding.is_parameter):
+        return True
+    return binding.scope.kind in (ScopeKind.GLOBAL, ScopeKind.NAMESPACE)
 
 
 class NamingConventionChecker(Rule):
@@ -560,21 +551,17 @@ class NamespaceChecker(Rule):
         reference="",
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
-        subscriptions=_sub("TranslationUnit", "UsingDirective"),
+        subscriptions=_sub("TranslationUnit"),
     )
 
     def visit(self, node, ctx):
-        if node.kind == "UsingDirective":
-            table = ctx.table
-            scope = table.scope_of(node) if table is not None else None
-            if scope is not None and scope.kind is ScopeKind.GLOBAL:
-                ctx.report(
-                    node.span,
-                    "'using namespace %s' at global scope." % node.attr("name"),
-                )
-            return
         for child in node.children:
-            if child.kind == "ClassDef":
+            if child.kind == "UsingDirective":
+                ctx.report(
+                    child.span,
+                    "'using namespace %s' at global scope." % child.attr("name"),
+                )
+            elif child.kind == "ClassDef":
                 ctx.report(
                     child.span,
                     "Class %r declared outside any namespace." % child.attr("name"),
@@ -603,8 +590,7 @@ class SingleLetterVariableChecker(Rule):
         name = node.attr("name")
         if len(name) != 1:
             return
-        table = ctx.table
-        binding = table.binding_of(node) if table is not None else None
+        binding = ctx.table.binding_of(node)
         if (
             binding is not None
             and binding.is_loop_index

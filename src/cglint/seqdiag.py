@@ -14,7 +14,8 @@ kind ``ident`` or ``punct``. Spaces and tabs before a token are part of its
 match; any other run of Unicode blanks and ``//`` comments forms the
 ``skip`` group and yields no token, and only a line feed starts a new row.
 A character no token starts is a ParseError "unexpected character 'c'" at
-its position. Messages referencing undeclared objects are fatal.
+its position. Messages referencing undeclared objects are fatal. Node ids
+and spans come from ``scan.Cursor``, which the parser extends.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UndeclaredObjectError
-from .model import MAX_NESTING, AstNode, SourceSpan
-from .scan import scan
+from .model import SourceSpan
+from .scan import Cursor, scan
 from .symtab import SymbolTable, VariableBinding
 
 LANGUAGE = "seqdiag"
@@ -49,32 +50,13 @@ def _tokenize(text, file):
     return scan(_TOKEN, text, file, ParseError)
 
 
-class _Parser:
-    """Recursive descent over the token tuples of one chart. ``kinds`` and
-    ``texts`` are the tokens' fields as parallel lists, each ending in a
-    ``None`` that stands for the end of input, so looking ahead is a list
-    lookup. Spans are built for nodes and errors only, from their first and
-    last tokens."""
+class _Parser(Cursor):
+    """Recursive descent over the token tuples of one chart; ``objects``
+    holds the names declared so far."""
 
     def __init__(self, tokens, file):
-        self.tokens = tokens
-        self.kinds = [tok[0] for tok in tokens]
-        self.kinds.append(None)
-        self.texts = [tok[1] for tok in tokens]
-        self.texts.append(None)
-        self.pos = 0
-        self.file = file
+        super().__init__(tokens, file, LANGUAGE, "ident")
         self.objects = set()
-        self.depth = 0
-        self._next_id = 0
-
-    def at(self, text):
-        return self.texts[self.pos] == text
-
-    def span(self, index):
-        """The span of the token at ``index``."""
-        _kind, text, row, col = self.tokens[index]
-        return SourceSpan(self.file, row, col, row, col + len(text) - 1)
 
     def error(self, message, index=None):
         """Raise a ParseError with ``message`` at the token at ``index``
@@ -86,27 +68,6 @@ class _Parser:
         if self.tokens:
             raise ParseError(self.span(-1), "unexpected end of input")
         raise ParseError(SourceSpan.point(self.file, 1, 1), "unexpected end of input")
-
-    def expect(self, text):
-        found = self.texts[self.pos]
-        if found != text:
-            self.error("expected %r, found %r" % (text, found))
-        self.pos += 1
-
-    def expect_ident(self):
-        """Consume an identifier and return its text."""
-        if self.kinds[self.pos] != "ident":
-            self.error("expected identifier, found %r" % self.texts[self.pos])
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def node(self, kind, start, attrs, children=None):
-        """A node spanning the tokens from ``start`` to the last consumed."""
-        first = self.tokens[start]
-        _kind, text, row, col = self.tokens[self.pos - 1]
-        span = SourceSpan(self.file, first[2], first[3], row, col + len(text) - 1)
-        self._next_id += 1
-        return AstNode(LANGUAGE, kind, span, attrs, children or [], self._next_id)
 
     def parse(self):
         self.expect("sequencediagram")
@@ -132,10 +93,8 @@ class _Parser:
 
     def parse_block(self):
         start = self.pos
+        self.enter()
         self.pos += 1  # "{"
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.error("nesting deeper than %d levels" % MAX_NESTING, start)
         children = []
         texts = self.texts
         # at the end of input, parse_message reports it
@@ -211,13 +170,12 @@ def parse_seq(text, file="<input>"):
 
 def build_seqdiag_symbols(chart):
     """Declare each object of ``chart`` in the global scope; the grammar
-    puts ObjectDecl nodes nowhere else. No node is bound to a scope:
-    ``scope_of`` falls back to the global scope."""
+    puts ObjectDecl nodes nowhere else, and opens no other scope."""
     table = SymbolTable()
     for node in chart.children:
         if node.kind == "ObjectDecl":
             binding = VariableBinding(
                 name=node.attr("name"), declared_type=node.attr("type"), decl_span=node.span
             )
-            table.declare(table.global_scope, binding, span=node.span)
+            table.declare(table.global_scope, binding, node)
     return table

@@ -2,7 +2,9 @@
 
 Holds the bindings queried by rules (class/function/variable/type). Each
 unit gets one table, built from the finished AST by the builder named in
-its language's ``pipeline.FRONTENDS`` entry, and read-only once built.
+its language's ``pipeline.FRONTENDS`` entry, and read-only once built. The
+table indexes nodes by id only where a builder opens a scope or declares a
+binding, so ``scope_of`` and ``binding_of`` answer for those nodes alone.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ class ClassBinding:
 
 
 class SymbolTable:
-    """Per-unit scope tree plus node-to-scope/binding indexes."""
+    """Per-unit scope tree, plus the scope each node opens and the binding
+    each node declares."""
 
     def __init__(self):
         self.global_scope = Scope(ScopeKind.GLOBAL)
@@ -161,33 +164,31 @@ class SymbolTable:
         self._binding_by_node = {}
         self.variables = []
 
-    def open_scope(self, kind, name=None, parent=None):
-        parent = parent if parent is not None else self.global_scope
+    def open_scope(self, kind, name, parent, node):
+        """A new child scope of ``parent``, opened by ``node``."""
         scope = Scope(kind, name=name, parent=parent)
         parent.children.append(scope)
+        self._scope_by_node[node.node_id] = scope
         return scope
 
-    def declare(self, scope, binding, span=None):
+    def declare(self, scope, binding, node):
+        """Declare ``binding`` in ``scope`` as the binding of ``node``; a
+        name already declared there adds a non-fatal diagnostic."""
         if binding.name and scope.lookup_local(binding.name) is not None:
             self.diagnostics.append(
-                Diagnostic(span, "duplicate declaration of %r" % binding.name, fatal=False)
+                Diagnostic(node.span, "duplicate declaration of %r" % binding.name, fatal=False)
             )
         scope.declare(binding)
         if isinstance(binding, VariableBinding):
             self.variables.append(binding)
+        self._binding_by_node[node.node_id] = binding
         return binding
 
-    def bind_node(self, node, scope=None, binding=None):
-        if scope is not None:
-            self._scope_by_node[node.node_id] = scope
-        if binding is not None:
-            self._binding_by_node[node.node_id] = binding
-
     def scope_of(self, node):
-        """Innermost scope enclosing ``node``; GLOBAL is the fallback.
-        Scope-owning nodes map to their own scope."""
+        """The scope ``node`` opens; GLOBAL for a node that opens none."""
         return self._scope_by_node.get(node.node_id, self.global_scope)
 
     def binding_of(self, node):
+        """The binding ``node`` declares; None for a node that declares none."""
         return self._binding_by_node.get(node.node_id)
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import fixture_path
 
 from cglint.cli import main
-from cglint.minicpp.parser import MAX_NESTING
+from cglint.model import MAX_NESTING
 from cglint.report import from_xml
 
 
@@ -84,6 +84,28 @@ def test_bad_property_value_exits_two(tmp_path, capsys, rule, entry):
     code, _ = run(tmp_path, "--lang", "minicpp", "--config", config, src)
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_two(tmp_path, capsys):
+    src = write(tmp_path, "t.cpp", "int main() { return 0; }\n")
+    config = tmp_path / "rules.cfg"
+    config.write_bytes(b"[rule FunctionChecker]\nmaxLines = \xff\n")
+    code, _ = run(tmp_path, "--lang", "minicpp", "--config", str(config), src)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff" % config)
+
+
+@pytest.mark.parametrize("option", ["--xml-out", "--html-out"])
+def test_unwritable_output_exits_two(tmp_path, capsys, option):
+    src = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
+    missing = str(tmp_path / "missing" / "out")
+    code = main(
+        ["--lang", "minicpp", src, "--xml-out", str(tmp_path / "out.xml"),
+         "--timestamp", "t", option, missing]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
 
 
 def test_reopened_namespace_sees_its_types(tmp_path):

@@ -10,8 +10,10 @@ its parent, with ids 1..n and operators where they were read. Every
 finding the rules report on such a tree points at a character of its file,
 or just past the end of a line. Over random generator knobs and seeds, the
 CLI reports every defect the generator planted, and a second run writes the
-same XML. Examples are derandomized so that every run checks the same
-inputs.
+same XML. In a minicpp unit, the symbol table gives a scope for exactly the
+nodes that open one, one node per scope, and a binding for a node only
+under the node's name. Examples are derandomized so that every run checks
+the same inputs.
 """
 
 import os
@@ -274,6 +276,50 @@ def test_finding_points_mutated_fixture(lang, data):
 @given(data=st.data())
 def test_finding_points_generated(lang, data):
     check_finding_points(lang, data.draw(generated(lang)))
+
+
+# The node kinds that open a scope; a ClassDef opens one unless it is forward.
+SCOPE_OWNERS = ("NamespaceDef", "ClassDef", "FunctionDef", "Constructor", "Destructor", "CompoundStmt", "ForStmt")
+
+
+def check_symbol_index(text):
+    """If the unit parses, ``scope_of`` returns a non-global scope exactly
+    for the nodes that open one, each scope of the tree for exactly one
+    node, and every binding ``binding_of`` returns has its node's name."""
+    root = analyze_file("input.cpp", "minicpp", text=text)
+    if root.ast is None:
+        return
+    table = root.symbols
+    owned = []
+    for node in root.ast.walk():
+        scope = table.scope_of(node)
+        opens = node.kind in SCOPE_OWNERS and not node.attr("forward", False)
+        assert (scope is not table.global_scope) == opens, node.kind
+        if opens:
+            owned.append(scope)
+        binding = table.binding_of(node)
+        if binding is not None:
+            assert binding.name == node.attr("name"), (node.kind, binding)
+    scopes = []
+    stack = list(table.global_scope.children)
+    while stack:
+        scope = stack.pop()
+        scopes.append(scope)
+        stack.extend(scope.children)
+    assert len(owned) == len(scopes)
+    assert {id(scope) for scope in owned} == {id(scope) for scope in scopes}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_symbol_index_mutated_fixture(data):
+    check_symbol_index(data.draw(mutated_fixture("minicpp")))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_symbol_index_generated(data):
+    check_symbol_index(data.draw(generated("minicpp")))
 
 
 @st.composite

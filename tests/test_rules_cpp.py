@@ -1,5 +1,6 @@
 """One positive and one negative fixture for each of the 18 C++ checkers."""
 
+import pytest
 from conftest import run_rule
 
 
@@ -333,6 +334,35 @@ class TestMemoryChecker:
             == []
         )
 
+    def test_assigned_new_is_an_allocation(self):
+        findings = run_rule("MemoryChecker", "void f() { int* p = 0;\n  p = new int; }")
+        assert messages(findings) == [
+            "Variable 'p' is allocated with new but never freed."
+        ]
+        assert (findings[0].span.row, findings[0].span.col) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "class C { public: int* m; void f() { int* p = new int; m = p; } };",
+            "class C { public: int* m; void f() { int* p = new int; this->m = p; } };",
+            "void f(int* out) { int* p = new int; out = p; }",
+            "int* kept = 0;\nvoid f() { int* p = new int; kept = p; }",
+            "namespace app { int* kept = 0; void f() { int* p = new int; kept = p; } }",
+        ],
+        ids=["member", "this_member", "parameter", "global", "namespace"],
+    )
+    def test_assigned_to_nonlocal_target_escapes(self, source):
+        assert run_rule("MemoryChecker", source) == []
+
+    def test_assigned_to_local_target_reported(self):
+        findings = run_rule(
+            "MemoryChecker", "void f() { int* p = new int; int* q = 0; q = p; }"
+        )
+        assert messages(findings) == [
+            "Variable 'p' is allocated with new but never freed."
+        ]
+
 
 class TestNamingConventionChecker:
     def test_bad_class_name(self):
@@ -374,6 +404,10 @@ class TestNamespaceChecker:
     def test_main_exempt(self):
         findings = run_rule("NamespaceChecker", "int main() { return 0; }")
         assert findings == []
+
+    def test_using_in_function_body_fine(self):
+        src = "int main() { using namespace std; return 0; }"
+        assert run_rule("NamespaceChecker", src) == []
 
     def test_namespaced_code_fine(self):
         src = "namespace app { using namespace std; class C { }; void f() { } }"

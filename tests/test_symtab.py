@@ -103,8 +103,9 @@ def test_scope_of_nodes():
     root = analyze_cpp("class C { public: void m() { int local = 0; } };")
     table = root.symbols
     local = find(root.ast, "VarDecl", name="local")
-    scope = table.scope_of(local)
+    scope = table.binding_of(local).scope
     assert scope.kind is ScopeKind.BLOCK
+    assert scope is table.scope_of(find(root.ast, "CompoundStmt"))
     cls = find(root.ast, "ClassDef", name="C")
     assert table.scope_of(cls).kind is ScopeKind.CLASS
 
@@ -127,7 +128,6 @@ def test_long_operator_chain_binds_to_its_block():
         deepest = deepest.children[0]
     assert deepest.kind == "Literal"
     body = find(root.ast, "CompoundStmt")
-    assert table.scope_of(deepest) is table.scope_of(body)
     assert table.scope_of(body).kind is ScopeKind.BLOCK
 
 
@@ -182,3 +182,46 @@ def test_seqdiag_objects_become_bindings():
     names = [v.name for v in root.symbols.variables]
     assert names == ["a", "b"]
     assert all(v.scope is root.symbols.global_scope for v in root.symbols.variables)
+
+
+def test_forward_class_declares_without_scope():
+    root = analyze_cpp("class Later;")
+    table = root.symbols
+    node = find(root.ast, "ClassDef", name="Later")
+    binding = table.binding_of(node)
+    assert isinstance(binding, ClassBinding)
+    assert binding.scope is table.global_scope
+    assert table.scope_of(node) is table.global_scope
+    assert table.global_scope.children == []
+
+
+def test_unresolved_base_is_none():
+    root = analyze_cpp("class Known { };\nclass D : public Missing, private Known { };")
+    known, derived = classes(root)
+    assert derived.bases == [
+        (None, Specifier.PUBLIC, "Missing"),
+        (known, Specifier.PRIVATE, "Known"),
+    ]
+    assert derived.inherited_classes() == [known]
+
+
+def test_class_nested_in_class():
+    root = analyze_cpp("class Outer { class Inner { int m; }; };")
+    table = root.symbols
+    outer = table.scope_of(find(root.ast, "ClassDef", name="Outer"))
+    inner = table.scope_of(find(root.ast, "ClassDef", name="Inner"))
+    assert (inner.kind, inner.name, inner.parent) == (ScopeKind.CLASS, "Inner", outer)
+    assert isinstance(outer.lookup_local("Inner"), ClassBinding)
+    assert inner.lookup_local("m").is_member
+
+
+def test_declarators_of_a_branch_share_a_block():
+    root = analyze_cpp("void f(bool c) { if (c) int a, b; }")
+    table = root.symbols
+    branch = find(root.ast, "IfStmt").children[1]
+    assert branch.kind == "CompoundStmt"
+    assert [(n.kind, n.attr("name")) for n in branch.children] == [("VarDecl", "a"), ("VarDecl", "b")]
+    block = table.scope_of(branch)
+    assert block.kind is ScopeKind.BLOCK
+    assert block.parent is table.scope_of(find(root.ast, "CompoundStmt"))
+    assert [table.binding_of(n).scope for n in branch.children] == [block, block]
