@@ -16,19 +16,14 @@ import sys
 
 from .config import load_config
 from .core import RuleRegistry, default_configs, register_rules
-from .errors import CglintError, UnknownLanguageError
+from .errors import CglintError
 from .model import Priority
-from .pipeline import get_frontend, run_pipeline
+from .pipeline import FRONTENDS, get_frontend, read_text, run_pipeline
 from .report import render_html, summarize, to_xml
-from .rules import rules_for
 
 
 def build_registry(language):
-    try:
-        rules = rules_for(language)
-    except KeyError:
-        raise UnknownLanguageError(language) from None
-    return register_rules(RuleRegistry(), rules)
+    return register_rules(RuleRegistry(), get_frontend(language)["rules"]())
 
 
 def list_rules(language):
@@ -49,15 +44,17 @@ def list_rules(language):
 
 
 def collect_inputs(paths, extensions):
-    files = []
+    """The files named by ``paths``, sorted and without exact duplicates; a
+    directory contributes the files under it with one of ``extensions``."""
+    files = set()
     for path in paths:
         if os.path.isdir(path):
             for dirpath, _dirnames, filenames in os.walk(path):
-                for name in sorted(filenames):
+                for name in filenames:
                     if os.path.splitext(name)[1] in extensions:
-                        files.append(os.path.join(dirpath, name))
+                        files.add(os.path.join(dirpath, name))
         else:
-            files.append(path)
+            files.add(path)
     return sorted(files)
 
 
@@ -66,7 +63,7 @@ def make_parser():
         prog="cglint", description="Validate sources against coding guidelines."
     )
     parser.add_argument("inputs", nargs="*", help="input files or directories")
-    parser.add_argument("--lang", required=True, help="language id (minicpp, seqdiag)")
+    parser.add_argument("--lang", required=True, help="language id (%s)" % ", ".join(FRONTENDS))
     parser.add_argument("--config", help="rule configuration file")
     parser.add_argument("--xml-out", default="vfresults.xml", help="XML output path")
     parser.add_argument("--html-out", help="HTML report output path")
@@ -90,8 +87,7 @@ def main(argv=None):
             return 0
         registry = build_registry(args.lang)
         if args.config:
-            with open(args.config, encoding="utf-8") as handle:
-                configs = load_config(handle.read(), registry)
+            configs = load_config(read_text(args.config), registry)
         else:
             configs = default_configs(registry)
         frontend = get_frontend(args.lang)

@@ -10,13 +10,16 @@ The format is deliberately small::
 
 Rules absent from the file stay enabled with their default properties.
 Unknown sections, rule ids, and property keys are hard errors, and so is a
-property value its declared type (int, bool, regex, str or list) rejects.
+property value its declared type (int, bool, regex, str or list) rejects or
+that holds a character XML 1.0 cannot carry. The file itself is read with
+``pipeline.read_text``, as a source file is.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigSyntaxError, UnknownPropertyError, UnknownRuleIdError
 from .model import Priority, RuleConfig, parse_bool
+from .report import NOT_XML_CHAR
 
 
 def load_config(text, registry):
@@ -63,6 +66,10 @@ def load_config(text, registry):
                     lineno, "priority must be SHOULD, SHALL or WILL"
                 ) from None
         elif key in descriptor.defaults():
+            bad = NOT_XML_CHAR.search(value)
+            if bad:
+                reason = "%s: character %r cannot be written to XML" % (key, bad.group())
+                raise ConfigSyntaxError(lineno, reason)
             try:
                 descriptor.property_value(key, value)
             except ValueError as exc:

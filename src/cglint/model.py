@@ -116,13 +116,20 @@ def parse_bool(text):
     return value == "true"
 
 
+def parse_int(text):
+    """A non-negative integer in ASCII digits; anything else is a ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected digits, found %r" % text)
+    return int(text)
+
+
 def parse_list(text):
     """Comma-separated entries, each stripped; empty entries are dropped."""
     return [entry.strip() for entry in text.split(",") if entry.strip()]
 
 
 # The types a rule property can declare, each with its conversion from text.
-PROPERTY_TYPES = {"int": int, "bool": parse_bool, "regex": re.compile, "str": str, "list": parse_list}
+PROPERTY_TYPES = {"int": parse_int, "bool": parse_bool, "regex": re.compile, "str": str, "list": parse_list}
 
 
 @dataclass(frozen=True)

@@ -2,62 +2,48 @@
 
 Every input file goes through four stages in order: read, parse, symbols,
 traverse. ``FRONTENDS`` is the only per-language table; it names each
-language's parser, symbol builder and file extensions. A language's lexer,
-parser and symbol builder are imported on its first parse or symbol build,
-so a run loads only the front end of its own language. ``analyze_file`` is
-the unit's only error boundary: a file that cannot be read or decoded, or a
-lex or parse error, becomes one fatal diagnostic. Such a file contributes no
-findings but stays listed in the results, and never aborts the run.
+language's parser, symbol builder, rules and file extensions, so adding a
+language is one entry plus its own modules. A language's modules are
+imported on the first call that needs them, so a run loads only the front
+end and the rules of its own language. ``get_frontend`` is the one place
+that rejects an unknown language. ``analyze_file`` is the unit's only error
+boundary: a file that cannot be read or decoded, or a lex or parse error,
+becomes one fatal diagnostic. Such a file contributes no findings but stays
+listed in the results, and never aborts the run.
 """
 
 from __future__ import annotations
 
 import codecs
 import datetime
+import importlib
 
 from .core import traverse
 from .errors import SourceError, UnknownLanguageError
 from .model import AnalysisRoot, Diagnostic, SourceSpan, ValidationResults
+from .report import display_path
 from .symtab import SymbolTable
 
 
-# The front-end functions import their modules on first use and look up the
-# modules' functions at each call, so a caller may wrap them.
-def _parse_minicpp(text, path):
-    from .minicpp import lexer, parser
-
-    return parser.parse(lexer.lex(text, file=path), file=path)
+def _load(module, name):
+    """``name`` of ``module`` (relative to this package), imported on first use."""
+    return getattr(importlib.import_module(module, __package__), name)
 
 
-def _minicpp_symbols(ast):
-    from .minicpp import symbols
-
-    return symbols.build_minicpp_symbols(ast)
-
-
-def _parse_seqdiag(text, path):
-    from . import seqdiag
-
-    return seqdiag.parse_seq(text, file=path)
-
-
-def _seqdiag_symbols(ast):
-    from . import seqdiag
-
-    return seqdiag.build_seqdiag_symbols(ast)
-
-
-# language -> parse(text, path) -> AST, symbols(AST) -> SymbolTable, and the
-# extensions a directory scan picks up.
+# language -> parse(text, path) -> AST, symbols(AST) -> SymbolTable, rules()
+# -> its rule classes, and the extensions a directory scan picks up. Each
+# function looks its target up at every call, so a caller may wrap it.
 FRONTENDS = {
     "minicpp": {
-        "parse": _parse_minicpp,
-        "symbols": _minicpp_symbols,
+        "parse": lambda text, path: _load(".minicpp", "parse_source")(text, path),
+        "symbols": lambda ast: _load(".minicpp.symbols", "build_minicpp_symbols")(ast),
+        "rules": lambda: _load(".rules.cpp", "CPP_RULES"),
         "extensions": (".cpp", ".ii"),
     },
     "seqdiag": {
-        "parse": _parse_seqdiag,
-        "symbols": _seqdiag_symbols,
+        "parse": lambda text, path: _load(".seqdiag", "parse_seq")(text, file=path),
+        "symbols": lambda ast: _load(".seqdiag", "build_seqdiag_symbols")(ast),
+        "rules": lambda: _load(".rules.seq", "SEQ_RULES"),
         "extensions": (".sd",),
     },
 }
@@ -70,32 +56,40 @@ def get_frontend(language):
         raise UnknownLanguageError(language) from None
 
 
+def read_text(path):
+    """The text of the file at ``path``, for a source file and a
+    configuration file alike: a complete leading UTF-8 byte-order mark is
+    dropped (a truncated one is not UTF-8), the rest is decoded as strict
+    UTF-8, and newlines are universal. Raises OSError or UnicodeDecodeError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def analyze_file(path, language, text=None):
     """Read (unless ``text`` is given), parse and build symbols for one file.
 
-    The file is decoded as strict UTF-8 after dropping a complete leading
-    byte-order mark (a truncated one is not UTF-8); a decode error points
-    at the first byte that is not UTF-8.
+    The unit, its spans and its diagnostics name the file by
+    ``report.display_path(path)``; a decode error points at the first byte
+    that is not UTF-8.
     """
     frontend = get_frontend(language)
     path = str(path)
-    root = AnalysisRoot(file=path, content="")
+    name = display_path(path)
+    root = AnalysisRoot(file=name, content="")
     try:
         if text is None:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            if data.startswith(codecs.BOM_UTF8):
-                data = data[len(codecs.BOM_UTF8) :]
-            # universal newlines, as reading in text mode gives them
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            text = read_text(path)
         root.content = text
-        root.ast = frontend["parse"](text, path)
+        root.ast = frontend["parse"](text, name)
     except SourceError as exc:
         root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
     except UnicodeDecodeError as exc:
         before = exc.object[: exc.start]  # the file's bytes after any byte-order mark
         col = len(before[before.rfind(b"\n") + 1 :].decode("utf-8")) + 1
-        span = SourceSpan.point(path, before.count(b"\n") + 1, col)
+        span = SourceSpan.point(name, before.count(b"\n") + 1, col)
         root.diagnostics.append(Diagnostic(span, str(exc), fatal=True))
     except OSError as exc:
         root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))

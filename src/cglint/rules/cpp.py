@@ -196,11 +196,11 @@ class FlowControlChecker(Rule):
             ctx.report(node.span, "'goto' statement used.")
         elif node.kind == "LabelStmt":
             ctx.report(node.span, "Label %r declared." % node.attr("name"))
-        else:
-            body = node.children[-1] if node.children else None
-            if body is not None:
-                for brk in _direct_breaks(body):
-                    ctx.report(brk.span, "'break' used to leave a loop.")
+        elif node.children:
+            # a do statement's body comes before its condition
+            body = node.children[0 if node.kind == "DoStmt" else -1]
+            for brk in _direct_breaks(body):
+                ctx.report(brk.span, "'break' used to leave a loop.")
 
 
 def _direct_breaks(node):
@@ -487,15 +487,16 @@ def _function_body_nodes(body):
 
 def _is_nonlocal_target(lhs, scope):
     """True iff assigning to ``lhs`` in ``scope`` stores outside the function:
-    a member, a parameter, or a name declared at global or namespace scope."""
+    a member, a parameter, or a variable declared at global or namespace
+    scope."""
     if lhs.kind == "MemberExpr":
         return True
     if lhs.kind != "IdentExpr":
         return False
     binding = scope.lookup(lhs.attr("name"))
-    if binding is None:
+    if not isinstance(binding, VariableBinding):
         return False
-    if isinstance(binding, VariableBinding) and (binding.is_member or binding.is_parameter):
+    if binding.is_member or binding.is_parameter:
         return True
     return binding.scope.kind in (ScopeKind.GLOBAL, ScopeKind.NAMESPACE)
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import pytest
@@ -10,7 +11,7 @@ from cglint.report import from_xml
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -76,6 +77,10 @@ def test_bad_config_exits_two(tmp_path):
         ("FunctionChecker", "maxLines = abc"),
         ("TypeDefChecker", "pattern = (["),
         ("InterfaceChecker", "CloseAPI = yes"),
+        ("FunctionChecker", "maxLines = 1_0"),
+        ("FunctionChecker", "maxLines = \u0663"),
+        ("FunctionChecker", "maxLines = +2"),
+        ("FunctionChecker", "maxLines = -1"),
     ],
 )
 def test_bad_property_value_exits_two(tmp_path, capsys, rule, entry):
@@ -93,6 +98,57 @@ def test_config_not_utf8_exits_two(tmp_path, capsys):
     code, _ = run(tmp_path, "--lang", "minicpp", "--config", str(config), src)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff" % config)
+
+
+def test_config_byte_order_mark_is_ignored(tmp_path):
+    src = write(tmp_path, "t.cpp", "void f() {\n  int a = 0;\n  a = 1;\n}\n")
+    config = tmp_path / "rules.cfg"
+    config.write_bytes(b"\xef\xbb\xbf[rule FunctionChecker]\r\nmaxLines = 1\r\n")
+    code, xml_out = run(tmp_path, "--lang", "minicpp", "--config", str(config), src)
+    assert code == 0
+    by_id = {r.descriptor.id: r for r in from_xml(open(xml_out, "rb").read()).reports}
+    assert by_id["FunctionChecker"].effective_properties["maxLines"] == "1"
+    assert "body lines" in by_id["FunctionChecker"].findings[0].message
+
+
+def test_config_value_xml_cannot_carry_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "rules.cfg", "[rule TriggerChecker]\ntestDriver = a\x01b\n")
+    code, xml_out = run(tmp_path, "--lang", "seqdiag", "--config", config, fixture_path("librarytest.sd"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: testDriver: character '\\x01' cannot be written to XML\n"
+    assert not os.path.exists(xml_out)
+
+
+def test_file_name_not_utf8_is_escaped(tmp_path, capsys):
+    (tmp_path / os.fsdecode(b"bad\xff.cpp")).write_bytes(b"void f() { int* p = new int; }\n")
+    shown = str(tmp_path / "bad\\xff.cpp")
+    html_out = str(tmp_path / "report.html")
+    code, xml_out = run(tmp_path, "--lang", "minicpp", str(tmp_path), "--html-out", html_out)
+    assert code == 1
+    results = from_xml(open(xml_out, "rb").read())
+    assert results.files == [shown]
+    assert {f.span.file for r in results.reports for f in r.findings} == {shown}
+    assert shown in open(html_out, encoding="utf-8").read()
+    assert capsys.readouterr().err == ""
+
+
+def test_file_name_xml_cannot_carry_is_escaped(tmp_path, capsys):
+    write(tmp_path, "a\x01b.cpp", "class {")
+    shown = str(tmp_path / "a\\x01b.cpp")
+    code, xml_out = run(tmp_path, "--lang", "minicpp", str(tmp_path))
+    assert code == 2
+    assert from_xml(open(xml_out, "rb").read()).files == [shown]
+    assert capsys.readouterr().err.startswith("%s:1:7: " % shown)
+
+
+def test_input_named_twice_is_analysed_once(tmp_path):
+    src = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
+    code, xml_out = run(tmp_path, "--lang", "minicpp", src, src, str(tmp_path))
+    assert code == 1
+    results = from_xml(open(xml_out, "rb").read())
+    assert results.files == [src]
+    by_id = {r.descriptor.id: r for r in results.reports}
+    assert len(by_id["MemoryChecker"].findings) == 1
 
 
 @pytest.mark.parametrize("option", ["--xml-out", "--html-out"])

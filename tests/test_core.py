@@ -195,7 +195,9 @@ def test_property_values_are_typed():
     assert desc.property_value("s", " x ") == " x "
     assert desc.property_value("l", " sz, p_ ,,lp ,") == ["sz", "p_", "lp"]
     assert desc.property_value("l", " , ") == []
-    for name, text in [("n", "abc"), ("b", "yes"), ("b", "1"), ("r", "([")]:
+    for name, text in [
+        ("n", "abc"), ("n", "1_0"), ("n", "\u0663"), ("n", "+2"), ("n", "-1"), ("b", "yes"), ("b", "1"), ("r", "(["),
+    ]:
         with pytest.raises(ValueError):
             desc.property_value(name, text)
 

@@ -1,15 +1,19 @@
 import os
+import re
 import subprocess
 import sys
 
-from cglint.cli import build_registry
-from cglint.core import default_configs
-from cglint.pipeline import analyze_file, get_frontend, run_pipeline
+from cglint.cli import build_registry, main
+from cglint.core import Rule, default_configs
+from cglint.pipeline import FRONTENDS, analyze_file, get_frontend, run_pipeline
 import pytest
 from conftest import fixture_path
 
 import cglint
 from cglint.errors import UnknownLanguageError
+from cglint.model import AstNode, Criticality, Priority, RuleDescriptor, SourceSpan
+from cglint.report import from_xml
+from cglint.symtab import SymbolTable
 
 
 @pytest.fixture
@@ -117,3 +121,48 @@ def test_run_loads_only_its_own_language(tmp_path, lang, source, own, foreign):
     loaded = proc.stdout.splitlines()[-1].split()[1:]
     assert all(name in loaded for name in own), loaded
     assert [name for name in loaded if name.startswith(foreign)] == []
+
+
+class _ShoutChecker(Rule):
+    descriptor = RuleDescriptor(
+        id="ShoutChecker",
+        title="Shout checker",
+        description="Flags a word written in capitals.",
+        reference="",
+        priority=Priority.SHALL,
+        criticality=Criticality.LOW,
+        subscriptions=(("toy", "Word"),),
+    )
+
+    def visit(self, node, ctx):
+        if node.attr("text").isupper():
+            ctx.report(node.span, "Word %r is shouted." % node.attr("text"))
+
+
+def _parse_toy(text, path):
+    """One ``Word`` node per word of a one-line text."""
+    words = [
+        AstNode("toy", "Word", SourceSpan.point(path, 1, match.start() + 1), {"text": match.group()}, node_id=i)
+        for i, match in enumerate(re.finditer(r"\S+", text), start=2)
+    ]
+    return AstNode("toy", "Text", SourceSpan.point(path, 1, 1), children=words, node_id=1)
+
+
+def test_a_language_is_one_frontends_entry(tmp_path, monkeypatch):
+    toy = {
+        "parse": _parse_toy,
+        "symbols": lambda ast: SymbolTable(),
+        "rules": lambda: [_ShoutChecker],
+        "extensions": (".toy",),
+    }
+    monkeypatch.setitem(FRONTENDS, "toy", toy)
+    write(tmp_path, "greeting.toy", "hello WORLD")
+    write(tmp_path, "skipped.txt", "HELLO")
+    xml_out = str(tmp_path / "out.xml")
+    code = main(["--lang", "toy", str(tmp_path), "--xml-out", xml_out, "--timestamp", "t"])
+    assert code == 1
+    results = from_xml(open(xml_out, "rb").read())
+    assert results.files == [str(tmp_path / "greeting.toy")]
+    [report] = results.reports
+    assert report.descriptor.id == "ShoutChecker"
+    assert [(f.span.col, f.message) for f in report.findings] == [(7, "Word 'WORLD' is shouted.")]

@@ -134,6 +134,18 @@ class TestFlowControlChecker:
         )
         assert findings == []
 
+    def test_break_in_do_body(self):
+        findings = run_rule("FlowControlChecker", "void f(int x) { do { break; } while (x); }")
+        assert messages(findings) == ["'break' used to leave a loop."]
+        assert (findings[0].span.row, findings[0].span.col) == (1, 22)
+
+    def test_break_in_switch_in_do_body_not_charged_to_loop(self):
+        findings = run_rule(
+            "FlowControlChecker",
+            "void f(int x) { do { switch (x) { default: break; } } while (x); }",
+        )
+        assert findings == []
+
 
 class TestFunctionChecker:
     def test_too_many_lines_with_property(self):
@@ -354,6 +366,19 @@ class TestMemoryChecker:
     )
     def test_assigned_to_nonlocal_target_escapes(self, source):
         assert run_rule("MemoryChecker", source) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "void g();\nvoid f() { int* p = new int; g = p; }",
+            "namespace app { void g(); void f() { int* p = new int; g = p; } }",
+        ],
+        ids=["function", "namespace_function"],
+    )
+    def test_assigned_to_non_variable_reported(self, source):
+        assert messages(run_rule("MemoryChecker", source)) == [
+            "Variable 'p' is allocated with new but never freed."
+        ]
 
     def test_assigned_to_local_target_reported(self):
         findings = run_rule(
