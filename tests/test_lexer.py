@@ -103,8 +103,20 @@ def lex_error(text):
         ),
         ("a\r\n# 1 x\nb", [(IDENT, "a", (1, 1, 1, 1)), (IDENT, "b", (3, 1, 3, 1))]),
         ("/*\n\n*/ x", [(IDENT, "x", (3, 4, 3, 4))]),
+        # nothing but blanks or a comment after the last token
+        ("a // c", [(IDENT, "a", (1, 1, 1, 1))]),
+        ("a /* b */", [(IDENT, "a", (1, 1, 1, 1))]),
+        ("a \n\n ", [(IDENT, "a", (1, 1, 1, 1))]),
+        # a token that starts beyond ASCII
+        ("².5", [(FLOAT_LIT, "².5", (1, 1, 1, 3))]),
+        (".é", [(PUNCT, ".", (1, 1, 1, 1)), (IDENT, "é", (1, 2, 1, 2))]),
+        ("é.x", [(IDENT, "é", (1, 1, 1, 1)), (PUNCT, ".", (1, 2, 1, 2)), (IDENT, "x", (1, 3, 1, 3))]),
     ],
-    ids=["letters", "superscript", "dot_superscript", "numbers", "crlf_marker", "comment_rows"],
+    ids=[
+        "letters", "superscript", "dot_superscript", "numbers", "crlf_marker", "comment_rows",
+        "end_line_comment", "end_block_comment", "end_blanks", "superscript_float", "dot_letter",
+        "letter_dot_letter",
+    ],
 )
 def test_token_spans(text, expected):
     assert spans(lex(text)) == expected
@@ -118,8 +130,14 @@ def test_token_spans(text, expected):
         ("a # b", ("unexpected character '#'", (1, 3, 1, 3))),
         ('x "a\\\n"', ("unterminated literal", (1, 3, 1, 3))),
         ("a\n  /* b", ("unterminated comment", (2, 3, 2, 3))),
+        # a quote inside a comment opens no literal
+        ("// don't\n @", ("unexpected character '@'", (2, 2, 2, 2))),
+        (".Ⅻ", ("unexpected character 'Ⅻ'", (1, 2, 1, 2))),
     ],
-    ids=["fraction", "roman_numeral", "marker_not_at_col_1", "escaped_newline", "open_comment"],
+    ids=[
+        "fraction", "roman_numeral", "marker_not_at_col_1", "escaped_newline", "open_comment",
+        "quote_in_comment", "dot_roman_numeral",
+    ],
 )
 def test_lex_error_spans(text, expected):
     assert lex_error(text) == expected

@@ -124,8 +124,9 @@ def test_symbols_for_chart():
                                         [("a", 1, 1), ("b", 1, 3), ("c", 1, 5), ("d", 1, 7), ("e", 2, 3)]]),
         ("// x\nab//y\n->", [("ident", "ab", 2, 1), ("punct", "->", 3, 1)]),
         ("", []),
+        ("a //c", [("ident", "a", 1, 1)]),
     ],
-    ids=["crlf_tab_chart", "unicode_blanks", "comments", "empty"],
+    ids=["crlf_tab_chart", "unicode_blanks", "comments", "empty", "end_comment"],
 )
 def test_token_spans(text, expected):
     assert _tokenize(text, "t.sd") == expected
@@ -138,8 +139,10 @@ def test_token_spans(text, expected):
         ("a\r\n\t#", ("unexpected character '#'", (2, 2, 2, 2))),
         ("a - b", ("unexpected character '-'", (1, 3, 1, 3))),
         ("// é\n½", ("unexpected character '½'", (2, 1, 2, 1))),
+        # a quote inside a comment opens nothing
+        ("// it's\n@", ("unexpected character '@'", (2, 1, 2, 1))),
     ],
-    ids=["non_ascii_letter", "crlf_tab", "lone_minus", "after_comment"],
+    ids=["non_ascii_letter", "crlf_tab", "lone_minus", "after_comment", "quote_in_comment"],
 )
 def test_token_error_spans(text, expected):
     with pytest.raises(ParseError) as exc:
