@@ -44,18 +44,21 @@ def list_rules(language):
 
 
 def collect_inputs(paths, extensions):
-    """The files named by ``paths``, sorted and without exact duplicates; a
-    directory contributes the files under it with one of ``extensions``."""
-    files = set()
+    """The files named by ``paths``, sorted; a directory contributes the
+    files under it with one of ``extensions``. Spellings of one path that
+    ``os.path.normpath`` makes equal, such as ``a.cpp`` and ``./a.cpp``,
+    name one file, shown as the first spelling given."""
+    files = {}  # normalised path -> the first spelling given
     for path in paths:
         if os.path.isdir(path):
             for dirpath, _dirnames, filenames in os.walk(path):
                 for name in filenames:
                     if os.path.splitext(name)[1] in extensions:
-                        files.add(os.path.join(dirpath, name))
+                        found = os.path.join(dirpath, name)
+                        files.setdefault(os.path.normpath(found), found)
         else:
-            files.add(path)
-    return sorted(files)
+            files.setdefault(os.path.normpath(path), path)
+    return sorted(files.values())
 
 
 def make_parser():

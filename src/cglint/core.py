@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import DuplicateRuleIdError, UnknownPropertyError, UnknownRuleIdError
-from .model import Finding, RuleConfig, RuleReport
+from .model import Diagnostic, Finding, RuleConfig, RuleReport
 from .symtab import SymbolTable
 
 
@@ -104,6 +104,14 @@ def traverse(root, registry, configs, stats=None):
     """Walk ``root.ast`` once, notifying every enabled subscribed rule.
     Rules read ``root.symbols``, or an empty table when it is not set.
 
+    The dispatch plan maps a node's ``(language, kind)`` to the bound
+    ``visit`` and the context of each enabled rule subscribed to it; an
+    entry is filled the first time its kind is seen. A rule whose ``visit``
+    or ``finish`` raises is dropped from the unit: it adds one fatal
+    internal-error diagnostic to ``root.diagnostics``, at the node it was
+    visiting (the unit's start for ``finish``), and reports no findings for
+    the unit. Every other rule keeps its findings.
+
     Returns one RuleReport per enabled rule (rules with zero findings
     included), ordered by rule id with findings sorted by position.
     """
@@ -128,15 +136,38 @@ def traverse(root, registry, configs, stats=None):
         contexts[rule_id] = (rule_cls(), ctx)
 
     if root.ast is not None:
-        for node in root.ast.walk():
-            if stats is not None:
-                stats.visits += 1
-            for rule_id in registry.subscribers(node.language, node.kind):
-                entry = contexts.get(rule_id)
-                if entry is not None:
-                    entry[0].visit(node, entry[1])
-        for rule, ctx in contexts.values():
-            rule.finish(ctx)
+        live = dict(contexts)  # the rules that have not raised
+        plan = {}
+        stack = [root.ast]
+        pop, push = stack.pop, stack.extend
+        visits = 0
+        while stack:
+            node = pop()
+            visits += 1
+            key = (node.language, node.kind)
+            calls = plan.get(key)
+            if calls is None:
+                calls = plan[key] = [
+                    (live[rule_id][0].visit, live[rule_id][1])
+                    for rule_id in registry.subscribers(*key)
+                    if rule_id in live
+                ]
+            for visit, ctx in calls:
+                try:
+                    visit(node, ctx)
+                except Exception as exc:
+                    if ctx.rule_id in live:  # not dropped at an earlier call
+                        _drop(root, live, ctx, exc, node.span)
+                        plan.clear()
+            if node.children:
+                push(reversed(node.children))
+        if stats is not None:
+            stats.visits += visits
+        for rule, ctx in list(live.values()):
+            try:
+                rule.finish(ctx)
+            except Exception as exc:
+                _drop(root, live, ctx, exc, root.ast.span)
 
     reports = []
     for rule_id, (rule, ctx) in sorted(contexts.items()):
@@ -152,3 +183,12 @@ def traverse(root, registry, configs, stats=None):
             )
         )
     return reports
+
+
+def _drop(root, live, ctx, exc, span):
+    """Drop the rule of ``ctx``, which raised ``exc`` at ``span``, from the
+    unit: it reports no findings, and ``root`` gets one internal-error
+    diagnostic for it."""
+    del live[ctx.rule_id]
+    ctx.findings.clear()
+    root.diagnostics.append(Diagnostic.internal("rule " + ctx.rule_id, exc, span.start_point()))

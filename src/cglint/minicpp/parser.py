@@ -68,8 +68,7 @@ class _Frame:
 
 
 class _Parser(Cursor):
-    """Recursive descent over the ``(kind, text, row, col)`` tokens of one
-    unit. A punctuator's or keyword's text is never the text of a token of
+    """Recursive descent over the ``Tokens`` of one unit. A punctuator's or keyword's text is never the text of a token of
     another kind, so ``at`` compares texts only.
     """
 
@@ -80,7 +79,7 @@ class _Parser(Cursor):
     # --- token helpers -------------------------------------------------
 
     def at_end(self):
-        return self.pos >= len(self.tokens)
+        return self.pos >= self.count
 
     def at_kind(self, kind, offset=0):
         return self.kinds[self.pos + offset] == kind
@@ -102,9 +101,9 @@ class _Parser(Cursor):
         the last character of the last token (1:1 if there is none)."""
         if not self.at_end():
             span = self.span(self.pos)
-        elif self.tokens:
-            _kind, text, row, col = self.tokens[-1]
-            span = SourceSpan.point(self.file, row, col + len(text) - 1)
+        elif self.count:
+            last = self.count - 1
+            span = SourceSpan.point(self.file, *self.point(self.starts[last] + len(self.texts[last]) - 1))
         else:
             span = SourceSpan.point(self.file, 1, 1)
         raise ParseError(span, message)
@@ -150,7 +149,7 @@ class _Parser(Cursor):
         children = []
         while not self.at_end():
             children.append(self.parse_top_decl())
-        if self.tokens:
+        if self.count:
             return self.node("TranslationUnit", 0, children=children)
         return self.make("TranslationUnit", SourceSpan.point(self.file, 1, 1))
 
@@ -548,7 +547,8 @@ class _Parser(Cursor):
         stmts = self.parse_stmt()
         if len(stmts) == 1:
             return stmts[0]
-        # several declarators from one declaration; keep them grouped
+        # several declarators from one declaration, in order; keep them
+        # grouped under a span from the first to the last
         first, last = stmts[0].span, stmts[-1].span
         span = SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col)
         return self.make("CompoundStmt", span, {}, stmts)
@@ -685,10 +685,11 @@ class _Parser(Cursor):
 
     def _op_node(self, kind, lhs, rhs, op):
         """A node for operator token ``op`` (an index) between ``lhs`` and
-        ``rhs``."""
-        _kind, text, row, col = self.tokens[op]
+        ``rhs``. The operands' spans are in order, so the span from the
+        start of one to the end of the other needs no check."""
+        row, col = self.point(self.starts[op])
         span = SourceSpan(self.file, lhs.span.row, lhs.span.col, rhs.span.end_row, rhs.span.end_col)
-        return self.make(kind, span, {"operator": text, "op_row": row, "op_col": col}, [lhs, rhs])
+        return self.make(kind, span, {"operator": self.texts[op], "op_row": row, "op_col": col}, [lhs, rhs])
 
     def parse_unary(self):
         self.enter()

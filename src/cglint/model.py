@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import enum
+import os
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """1-based, inclusive source region. A point span has end == start."""
+class SourceSpan(NamedTuple):
+    """1-based, inclusive source region. A point span has end == start.
+
+    A span is a tuple, so it also compares equal to a plain tuple with the
+    same fields. ``point`` checks that a span is 1-based; ``scan.Cursor``
+    builds a span from two ordered tokens, and a parser from ordered child
+    spans, so those need no check.
+    """
 
     file: str
     row: int
@@ -17,18 +24,14 @@ class SourceSpan:
     end_row: int
     end_col: int
 
-    def __post_init__(self):
-        if self.row < 1 or self.col < 1:
-            raise ValueError("span start must be 1-based: %r" % (self,))
-        if (self.end_row, self.end_col) < (self.row, self.col):
-            raise ValueError("span ends before it starts: %r" % (self,))
-
     @classmethod
     def point(cls, file, row, col):
+        if row < 1 or col < 1:
+            raise ValueError("span start must be 1-based: %r" % ((file, row, col),))
         return cls(file, row, col, row, col)
 
     def start_point(self):
-        return SourceSpan.point(self.file, self.row, self.col)
+        return SourceSpan(self.file, self.row, self.col, self.row, self.col)
 
 
 # Syntax nesting beyond which a parser stops with a ParseError: minicpp
@@ -38,7 +41,6 @@ class SourceSpan:
 MAX_NESTING = 128
 
 
-@dataclass
 class AstNode:
     """Generic, language-tagged syntax-graph node.
 
@@ -47,12 +49,18 @@ class AstNode:
     Attribute values are ``str``, ``bool`` or ``int``.
     """
 
-    language: str
-    kind: str
-    span: SourceSpan
-    attributes: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
-    node_id: int = 0
+    __slots__ = ("language", "kind", "span", "attributes", "children", "node_id")
+
+    def __init__(self, language, kind, span, attributes=None, children=None, node_id=0):
+        self.language = language
+        self.kind = kind
+        self.span = span
+        self.attributes = {} if attributes is None else attributes
+        self.children = [] if children is None else children
+        self.node_id = node_id
+
+    def __repr__(self):
+        return "AstNode(%r, %r, %r, node_id=%d)" % (self.language, self.kind, self.span, self.node_id)
 
     def attr(self, name, default=""):
         return self.attributes.get(name, default)
@@ -78,12 +86,25 @@ class Diagnostic:
     message: str
     fatal: bool = True
 
+    @classmethod
+    def internal(cls, where, exc, span=None):
+        """A fatal diagnostic for an unexpected exception ``exc`` raised in
+        ``where`` (a stage or a rule), naming the exception and the line
+        of code that raised it."""
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        origin = "%s:%d" % (os.path.basename(tb.tb_frame.f_code.co_filename), tb.tb_lineno)
+        return cls(span, "internal error in %s: %s: %s (%s)" % (where, type(exc).__name__, exc, origin))
+
 
 @dataclass
 class AnalysisRoot:
     """One parsed source unit plus everything later workflow stages attach.
 
-    ``ast`` is present iff ``diagnostics`` contains no fatal entry.
+    ``ast`` is present iff the unit was read and parsed and its symbols
+    were built. Until the rules run, that is iff ``diagnostics`` holds no
+    fatal entry; ``core.traverse`` adds one for each rule that raises.
     """
 
     file: str

@@ -6,10 +6,12 @@ language's parser, symbol builder, rules and file extensions, so adding a
 language is one entry plus its own modules. A language's modules are
 imported on the first call that needs them, so a run loads only the front
 end and the rules of its own language. ``get_frontend`` is the one place
-that rejects an unknown language. ``analyze_file`` is the unit's only error
-boundary: a file that cannot be read or decoded, or a lex or parse error,
-becomes one fatal diagnostic. Such a file contributes no findings but stays
-listed in the results, and never aborts the run.
+that rejects an unknown language. ``analyze_file`` is the unit's error
+boundary: a file that cannot be read or decoded, a lex or parse error, or an
+unexpected exception while parsing or building symbols (an internal error
+naming its stage) becomes one fatal diagnostic. Such a file contributes no
+findings but stays listed in the results, and never aborts the run.
+``core.traverse`` is the boundary of each rule in the same way.
 """
 
 from __future__ import annotations
@@ -93,7 +95,14 @@ def analyze_file(path, language, text=None):
         root.diagnostics.append(Diagnostic(span, str(exc), fatal=True))
     except OSError as exc:
         root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
-    build_symbols(root)
+    except Exception as exc:
+        root.diagnostics.append(Diagnostic.internal("parse", exc))
+    try:
+        build_symbols(root)
+    except Exception as exc:
+        root.ast = None
+        root.symbols = SymbolTable()
+        root.diagnostics.append(Diagnostic.internal("symbols", exc))
     return root
 
 
@@ -121,10 +130,10 @@ def run_pipeline(files, language, registry, configs, timestamp=None, diagnostics
     for path in files:
         root = analyze_file(path, language)
         paths.append(root.file)
+        reports = traverse(root, registry, configs)
         if diagnostics is not None:
             for diag in root.diagnostics:
                 diagnostics.append((root.file, diag))
-        reports = traverse(root, registry, configs)
         for report in reports:
             existing = merged.get(report.descriptor.id)
             if existing is None:

@@ -1,87 +1,164 @@
-"""The tokenizing loop both front ends share.
+"""The scanner both front ends share, and the token cursor both parsers
+extend.
 
-A language gives one compiled pattern whose alternatives are named groups.
-A match of the group ``skip`` (blanks, line breaks, comments) yields no
-token; any other group yields a token of the group's name, unless a hook
-reclassifies it. A token is a plain ``(kind, text, row, col)`` tuple, row
-and column 1-based; a token never spans lines, so it ends at column
-``col + len(text) - 1``. Rows advance by the line feeds each match holds.
+A language gives one pattern, built by ``pattern`` from its gap (blanks,
+line breaks, comments: text that is no token) and its token alternatives,
+and a ``Kinds`` table that names the kind of each distinct word. ``scan``
+splits the whole text with one ``re.split`` call and classifies the words
+with one ``map`` over that table, so a valid text runs no Python code per
+token. A token carries its offset, not its position: a row and a column,
+both 1-based, are decoded from the text's line table only for a node's or
+an error's span. Only a line feed starts a new row, and a valid token never
+spans lines.
 
 ``Cursor`` is the token lookahead both parsers extend. It is the one place
-that assigns node ids and builds node spans; spans are built for nodes and
-errors only, never per token.
+that assigns node ids and builds node spans.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice
+
 from .model import MAX_NESTING, AstNode, SourceSpan
 
+_new_tuple = tuple.__new__
 
-def scan(pattern, text, file, error, hooks=None):
-    """Tokenize ``text`` with ``pattern``.
 
-    A group may leave blanks before itself in its match, so the token's
-    text and column are the group's own. ``hooks`` maps a group name to
-    ``hook(text, start, word) -> (kind, word)``: the token the group's match
-    at offset ``start`` stands for, which may be longer or shorter than the
-    match. A hook that returns kind ``None`` rejects the match, and its
-    ``word`` is the error message. ``error`` (a SourceError class) is
-    raised at a point span: with the hook's message at the start of a
-    rejected token, or with "unexpected character 'c'" at a character where
-    no group matches.
+def pattern(blank, comments, tokens):
+    """The split pattern of a language: a gap, then a token, one character
+    no token starts, or the end of the text.
+
+    The gap is any run of the one-character class ``blank`` and the
+    ``comments`` alternatives. The ``tokens`` alternatives are tried in
+    order and hold no capturing group. Since one character always matches,
+    a split skips no text, and never resynchronises inside a comment or a
+    literal.
     """
-    hooks = hooks or {}
-    tokens = []
-    append = tokens.append
-    match = pattern.match
-    row = 1
-    line_start = 0  # offset of the first character of ``row``
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            span = SourceSpan.point(file, row, pos - line_start + 1)
-            raise error(span, "unexpected character %r" % text[pos])
-        kind = m.lastgroup
-        if kind == "skip":
-            word = m.group()
-            newlines = word.count("\n")
-            if newlines:
-                row += newlines
-                line_start = pos + word.rfind("\n") + 1
-            pos = m.end()
-            continue
-        start = m.start(kind)
-        word = m.group(kind)
-        col = start - line_start + 1
-        pos = m.end()
-        if kind in hooks:
-            kind, word = hooks[kind](text, start, word)
+    gap = r"%s*(?:(?:%s)%s*)*" % (blank, comments, blank)
+    return re.compile(r"(%s)(%s|.|\Z)" % (gap, "|".join(tokens)), re.DOTALL)
+
+
+class Kinds(dict):
+    """word -> token kind, each distinct word classified once by
+    ``classify(word)``. Kind ``None`` marks a word that its text alone does
+    not settle, such as an error; it is classified again at each use and not
+    kept, so a table holds only token words."""
+
+    def __init__(self, classify):
+        super().__init__()
+        self.classify = classify
+
+    def __missing__(self, word):
+        kind = self.classify(word)
+        if kind is not None:
+            self[word] = kind
+        return kind
+
+
+class Tokens:
+    """The tokens of one text.
+
+    ``kinds`` and ``texts`` are parallel lists, each ending in a ``None``
+    that stands for the end of input; ``starts`` holds each token's offset
+    and ``lines`` the offset each line starts at. ``len(tokens)`` counts the
+    tokens, and ``tokens[i]`` is the ``(kind, text, row, col)`` tuple of
+    token ``i``.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "lines")
+
+    def __init__(self, kinds, texts, starts, lines):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.lines = lines
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        index = range(len(self.starts))[index]
+        row, col = point(self.lines, self.starts[index])
+        return self.kinds[index], self.texts[index], row, col
+
+
+def point(lines, offset):
+    """The 1-based ``(row, col)`` of ``offset`` in a text whose lines start
+    at the offsets ``lines``."""
+    row = bisect_right(lines, offset)
+    return row, offset - lines[row - 1] + 1
+
+
+def scan(pattern, kinds, text, file, error, settle):
+    """Split ``text`` with ``pattern`` into ``Tokens`` whose kinds come from
+    ``kinds``.
+
+    A word of kind ``None`` is passed, in text order, to
+    ``settle(text, start, word)``, which returns the ``(kind, word, start)``
+    tokens that the word at offset ``start`` stands for. They may end past
+    the word; the tokens they cover are dropped. A returned token of kind
+    ``None`` rejects the text: ``error`` (a SourceError class) is raised at
+    the point ``start``, with ``word`` as its message.
+    """
+    pieces = pattern.split(text)  # [between, gap, token]* between, between always ""
+    del pieces[::3]  # [gap, token]*
+    texts = pieces[1::2]
+    while texts and not texts[-1]:  # the empty matches at the end
+        texts.pop()
+    starts = list(islice(accumulate(map(len, pieces)), 0, 2 * len(texts), 2))
+    kinds_of = list(map(kinds.__getitem__, texts))
+    lines = [0, *accumulate(map((1).__add__, map(len, text.split("\n"))))]
+    if None in kinds_of:
+        kinds_of, texts, starts = _settle(kinds_of, texts, starts, text, settle, lines, file, error)
+    kinds_of.append(None)
+    texts.append(None)
+    return Tokens(kinds_of, texts, starts, lines)
+
+
+def _settle(kinds, texts, starts, text, settle, lines, file, error):
+    """``kinds``, ``texts`` and ``starts`` with each word of kind ``None``
+    replaced by the tokens ``settle`` returns for it; see ``scan``."""
+    out_kinds, out_texts, out_starts = [], [], []
+    done = 0  # the tokens before ``done`` are settled
+    while True:
+        try:
+            index = kinds.index(None, done)
+        except ValueError:
+            break
+        out_kinds += kinds[done:index]
+        out_texts += texts[done:index]
+        out_starts += starts[done:index]
+        end = starts[index] + len(texts[index])
+        for kind, word, start in settle(text, starts[index], texts[index]):
             if kind is None:
-                raise error(SourceSpan.point(file, row, col), word)
-            pos = start + len(word)
-        append((kind, word, row, col))
-    return tokens
+                raise error(SourceSpan.point(file, *point(lines, start)), word)
+            out_kinds.append(kind)
+            out_texts.append(word)
+            out_starts.append(start)
+            end = max(end, start + len(word))
+        done = bisect_left(starts, end, index + 1)
+    return out_kinds + kinds[done:], out_texts + texts[done:], out_starts + starts[done:]
 
 
 class Cursor:
-    """Lookahead over the tokens of one unit, and the builder of its nodes.
+    """Lookahead over the ``Tokens`` of one unit, and the builder of its
+    nodes.
 
-    ``kinds`` and ``texts`` are the tokens' fields as parallel lists, each
-    ending in a ``None`` that stands for the end of input, so looking ahead
-    is a list lookup. A parser subclasses it and defines ``error(message)``,
-    which raises at the current token and says how the end of input is
-    reported. Node ids run 1..n in the order nodes are made, so a unit's
-    root, made last, has the largest.
+    Looking ahead is a lookup in the ``kinds`` and ``texts`` lists, whose
+    ``None`` ends the input. A parser subclasses it and defines
+    ``error(message)``, which raises at the current token and says how the
+    end of input is reported. Node ids run 1..n in the order nodes are made,
+    so a unit's root, made last, has the largest.
     """
 
     def __init__(self, tokens, file, language, ident):
-        self.tokens = tokens
-        self.kinds = [tok[0] for tok in tokens]
-        self.kinds.append(None)
-        self.texts = [tok[1] for tok in tokens]
-        self.texts.append(None)
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.starts = tokens.starts
+        self.lines = tokens.lines
+        self.count = len(tokens)
         self.file = file
         self.language = language
         self.ident = ident  # the token kind of an identifier
@@ -93,10 +170,9 @@ class Cursor:
         """True iff the text of the token ``offset`` ahead is ``text``."""
         return self.texts[self.pos + offset] == text
 
-    def span(self, index):
-        """The span of the token at ``index``."""
-        _kind, text, row, col = self.tokens[index]
-        return SourceSpan(self.file, row, col, row, col + len(text) - 1)
+    def point(self, offset):
+        """The ``(row, col)`` of ``offset``."""
+        return point(self.lines, offset)
 
     def expect(self, text):
         found = self.texts[self.pos]
@@ -127,7 +203,21 @@ class Cursor:
     def node(self, kind, start, attrs=None, children=None):
         """A node spanning the tokens from ``start`` to the last consumed
         (just the token at ``start`` if none was)."""
-        first = self.tokens[start]
-        last = self.tokens[self.pos - 1] if self.pos > start else first
-        span = SourceSpan(self.file, first[2], first[3], last[2], last[3] + len(last[1]) - 1)
-        return self.make(kind, span, attrs, children)
+        return self.make(kind, self.span(start, self.pos - 1 if self.pos > start else start), attrs, children)
+
+    def span(self, first, last=None):
+        """The span from the first character of token ``first`` to the last
+        of token ``last`` (by default ``first``). The tokens are in order
+        and a token never spans lines, so the span is ordered and needs no
+        check."""
+        if last is None:
+            last = first
+        lines = self.lines
+        offset = self.starts[first]
+        row = bisect_right(lines, offset)
+        col = offset - lines[row - 1] + 1
+        offset = self.starts[last]
+        end_row = bisect_right(lines, offset)
+        end_col = offset - lines[end_row - 1] + len(self.texts[last])
+        # what SourceSpan(...) does, without its Python-level __new__
+        return _new_tuple(SourceSpan, (self.file, row, col, end_row, end_col))

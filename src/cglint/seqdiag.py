@@ -9,12 +9,10 @@ Grammar::
                   (IDENT "(" [argList] ")" | "return" [IDENT]) ";"
     argList    := IDENT ("," IDENT)*
 
-Tokens are the shared ``scan`` loop's ``(kind, text, row, col)`` tuples, of
-kind ``ident`` or ``punct``. Spaces and tabs before a token are part of its
-match; any other run of Unicode blanks and ``//`` comments forms the
-``skip`` group and yields no token, and only a line feed starts a new row.
-A character no token starts is a ParseError "unexpected character 'c'" at
-its position. Messages referencing undeclared objects are fatal. Node ids
+The shared scanner splits a chart into ``Tokens`` of kind ``ident`` or
+``punct``. Unicode blanks and ``//`` comments form the gap between tokens
+and yield none, and only a line feed starts a new row. A character no token
+starts is a ParseError "unexpected character 'c'" at its position. Messages referencing undeclared objects are fatal. Node ids
 and spans come from ``scan.Cursor``, which the parser extends.
 """
 
@@ -24,34 +22,39 @@ import re
 
 from .errors import ParseError, UndeclaredObjectError
 from .model import SourceSpan
-from .scan import Cursor, scan
+from .scan import Cursor, Kinds, pattern, scan
 from .symtab import SymbolTable, VariableBinding
 
 LANGUAGE = "seqdiag"
 
 NODE_KINDS = ("SequenceDiagram", "ObjectDecl", "InteractionBlock", "Message")
 
-# Blanks before a token are part of its match, so a chart's usual single
-# spaces cost no match of their own; a run of other blanks, line breaks and
-# comments is one ``skip`` match.
-_TOKEN = re.compile(
-    r"""[ \t]*(?:
-        (?P<skip>(?:\s+|//[^\n]*)+)
-       |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-       |(?P<punct><<|>>|->|<-|[{}();:,])
-    )""",
-    re.VERBOSE,
-)
+_SPLIT = pattern(r"\s", r"//[^\n]*", [r"[A-Za-z_][A-Za-z0-9_]*", r"<<|>>|->|<-|[{}();:,]"])
+_IDENT = re.compile(r"[A-Za-z_]")
+_PUNCT = frozenset(("<<", ">>", "->", "<-", *"{}();:,"))
+
+
+def _classify(word):
+    if _IDENT.match(word):
+        return "ident"
+    return "punct" if word in _PUNCT else None
+
+
+def _reject(text, start, word):
+    return [(None, "unexpected character %r" % word, start)]
+
+
+_KINDS = Kinds(_classify)
 
 
 def _tokenize(text, file):
-    """``(kind, text, row, col)`` tokens of ``text``, kind ``ident`` or
-    ``punct``; raises ParseError on the first character no token starts."""
-    return scan(_TOKEN, text, file, ParseError)
+    """The ``Tokens`` of ``text``, of kind ``ident`` or ``punct``; raises
+    ParseError on the first character no token starts."""
+    return scan(_SPLIT, _KINDS, text, file, ParseError, _reject)
 
 
 class _Parser(Cursor):
-    """Recursive descent over the token tuples of one chart; ``objects``
+    """Recursive descent over the tokens of one chart; ``objects``
     holds the names declared so far."""
 
     def __init__(self, tokens, file):
@@ -65,8 +68,8 @@ class _Parser(Cursor):
         index = self.pos if index is None else index
         if self.texts[index] is not None:
             raise ParseError(self.span(index), message)
-        if self.tokens:
-            raise ParseError(self.span(-1), "unexpected end of input")
+        if self.count:
+            raise ParseError(self.span(self.count - 1), "unexpected end of input")
         raise ParseError(SourceSpan.point(self.file, 1, 1), "unexpected end of input")
 
     def parse(self):

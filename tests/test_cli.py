@@ -307,6 +307,29 @@ def test_directory_scan_filters_by_extension(tmp_path):
     assert all(f.endswith(".cpp") for f in results.files)
 
 
+@pytest.mark.parametrize(
+    "inputs, shown",
+    [
+        (["a.cpp", "./a.cpp"], ["a.cpp"]),
+        (["d", "d/x.cpp"], ["d/x.cpp"]),
+        (["./d/x.cpp", "d"], ["./d/x.cpp"]),
+    ],
+    ids=["dot_slash", "directory_then_file", "file_then_directory"],
+)
+def test_one_file_named_twice_is_analysed_once(tmp_path, monkeypatch, inputs, shown):
+    monkeypatch.chdir(tmp_path)
+    leak = "void f() { int* p = new int; }\n"
+    write(tmp_path, "a.cpp", leak)
+    (tmp_path / "d").mkdir()
+    write(tmp_path, "d/x.cpp", leak)
+    code = main(["--lang", "minicpp", *inputs, "--xml-out", "out.xml", "--timestamp", "t"])
+    assert code == 1
+    results = from_xml(open("out.xml", "rb").read())
+    assert results.files == shown
+    by_id = {r.descriptor.id: r for r in results.reports}
+    assert [f.span.file for f in by_id["MemoryChecker"].findings] == shown
+
+
 def test_seqdiag_run(tmp_path):
     chart = str(tmp_path / "librarytest.sd")
     shutil.copy(fixture_path("librarytest.sd"), chart)

@@ -166,3 +166,83 @@ def test_a_language_is_one_frontends_entry(tmp_path, monkeypatch):
     [report] = results.reports
     assert report.descriptor.id == "ShoutChecker"
     assert [(f.span.col, f.message) for f in report.findings] == [(7, "Word 'WORLD' is shouted.")]
+
+
+class _BrokenChecker(Rule):
+    """Reports every word, and raises at the word ``boom``, or in ``finish``
+    after a word ``late``."""
+
+    descriptor = RuleDescriptor(
+        id="BrokenChecker",
+        title="Broken checker",
+        description="Raises on some words.",
+        reference="",
+        priority=Priority.SHOULD,
+        criticality=Criticality.LOW,
+        subscriptions=(("toy", "Word"),),
+    )
+
+    def visit(self, node, ctx):
+        ctx.report(node.span, "Word %r seen." % node.attr("text"))
+        if node.attr("text") == "boom":
+            raise RuntimeError("boom")
+
+    def finish(self, ctx):
+        if any("'late'" in finding.message for finding in ctx.findings):
+            raise KeyError("late")
+
+
+def _crash(*_args):
+    raise RuntimeError("crash")
+
+
+def _toy_run(tmp_path, monkeypatch, capsys, texts, **entry):
+    """Run the CLI on one toy file per text, with ``_ShoutChecker`` and
+    ``_BrokenChecker``; returns the exit code, the results read back from
+    the XML, the paths and standard error."""
+    toy = {
+        "parse": _parse_toy,
+        "symbols": lambda ast: SymbolTable(),
+        "rules": lambda: [_ShoutChecker, _BrokenChecker],
+        "extensions": (".toy",),
+        **entry,
+    }
+    monkeypatch.setitem(FRONTENDS, "toy", toy)
+    paths = [write(tmp_path, "%s.toy" % name, text) for name, text in texts]
+    xml_out = str(tmp_path / "out.xml")
+    code = main(["--lang", "toy", str(tmp_path), "--xml-out", xml_out, "--timestamp", "t"])
+    return code, from_xml(open(xml_out, "rb").read()), paths, capsys.readouterr().err
+
+
+def _findings(results):
+    return {r.descriptor.id: [(f.span.file, f.message) for f in r.findings] for r in results.reports}
+
+
+def test_a_rule_that_raises_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    code, results, (a, b, c), err = _toy_run(
+        tmp_path, monkeypatch, capsys, [("a", "hello WORLD boom"), ("b", "LOUD"), ("c", "late")]
+    )
+    assert code == 2
+    assert results.files == [a, b, c]
+    found = _findings(results)
+    # the broken rule keeps only the unit where it did not raise
+    assert found["BrokenChecker"] == [(b, "Word 'LOUD' seen.")]
+    assert found["ShoutChecker"] == [(a, "Word 'WORLD' is shouted."), (b, "Word 'LOUD' is shouted.")]
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("%s:1:13: internal error in rule BrokenChecker: RuntimeError: boom (" % a)
+    assert lines[1].startswith("%s:1:1: internal error in rule BrokenChecker: KeyError: 'late' (" % c)
+
+
+@pytest.mark.parametrize("stage", ["parse", "symbols"])
+def test_an_unexpected_exception_in_a_stage_is_an_internal_error(tmp_path, monkeypatch, capsys, stage):
+    if stage == "parse":
+        entry = {"parse": lambda text, path: _crash() if "crash" in text else _parse_toy(text, path)}
+    else:
+        entry = {"symbols": lambda ast: _crash() if ast.children[0].attr("text") == "crash" else SymbolTable()}
+    texts = [("bad", "crash"), ("good", "LOUD")]
+    code, results, (bad, good), err = _toy_run(tmp_path, monkeypatch, capsys, texts, **entry)
+    assert code == 2
+    assert results.files == [bad, good]
+    assert _findings(results)["ShoutChecker"] == [(good, "Word 'LOUD' is shouted.")]
+    assert err.startswith("%s: internal error in %s: RuntimeError: crash (test_pipeline.py:" % (bad, stage))

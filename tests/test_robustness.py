@@ -19,6 +19,7 @@ the same inputs.
 import os
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -28,10 +29,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import fixture_path  # noqa: E402
 
+from scan_oracle import oracle_lex, oracle_tokenize  # noqa: E402
+
 from cglint.cli import build_registry, main  # noqa: E402
-from cglint.core import default_configs, traverse  # noqa: E402
+from cglint.core import Rule, default_configs, traverse  # noqa: E402
 from cglint.errors import LexError, ParseError, SourceError  # noqa: E402
 from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
+from cglint.model import Criticality, Priority, RuleDescriptor  # noqa: E402
 from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
@@ -195,6 +199,41 @@ def test_seqdiag_spans_random_text(text):
 @given(data=st.data())
 def test_seqdiag_spans_token_soup(data):
     check_seqdiag_spans(data.draw(token_soup("seqdiag")))
+
+
+SCANNERS = {"minicpp": (lex, oracle_lex), "seqdiag": (_tokenize, oracle_tokenize)}
+# Words that start, end or break a token in either language, characters
+# beyond ASCII that ``\w``, ``isalpha``, ``isdigit`` and ``\s`` classify
+# differently, and blanks that are no line break.
+SCANNER_WORDS = (
+    list("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~ \t\n\r\x0c\xa0\u2028éß²½Ⅻ٣")
+    + ["//", "/*", "*/", "a", "x1", "0", ".5", "1e5", "class", "int", "sequencediagram", "->", "<<"]
+)
+
+
+def scanned(scan, text):
+    """The token tuples of ``text``, or its error's class, message and span."""
+    try:
+        return list(scan(text, "input"))
+    except SourceError as exc:
+        return type(exc), exc.message, exc.span
+
+
+@LANGUAGES
+@settings(PROPERTY, max_examples=300)
+@given(text=st.one_of(st.text(max_size=80), st.lists(st.sampled_from(SCANNER_WORDS), max_size=40).map("".join)))
+def test_scanner_matches_oracle_random_text(lang, text):
+    scan, oracle = SCANNERS[lang]
+    assert scanned(scan, text) == scanned(oracle, text)
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_scanner_matches_oracle_token_soup(lang, data):
+    text = data.draw(token_soup(lang))
+    scan, oracle = SCANNERS[lang]
+    assert scanned(scan, text) == scanned(oracle, text)
 
 
 def check_tree(lang, text):
@@ -363,3 +402,49 @@ def test_planted_defects_reported(workdir, lang, data):
     for rule_id, fragment in gen.ORACLE_MESSAGES.items():
         found = sum(fragment in finding.message for finding in reported.get(rule_id, ()))
         assert found == planted[rule_id], (rule_id, found, planted[rule_id])
+
+
+def raising_rule(lang, kind):
+    """A rule that raises at every node of ``kind``."""
+
+    class RaisingChecker(Rule):
+        descriptor = RuleDescriptor(
+            id="RaisingChecker",
+            title="Raising checker",
+            description="Raises at one node kind.",
+            reference="",
+            priority=Priority.SHOULD,
+            criticality=Criticality.LOW,
+            subscriptions=((lang, kind),),
+        )
+
+        def visit(self, node, ctx):
+            raise RuntimeError(kind)
+
+    return RaisingChecker
+
+
+@LANGUAGES
+@PROPERTY
+@given(data=st.data())
+def test_a_raising_rule_costs_only_its_own_findings(workdir, lang, data):
+    """A rule that raises at a node kind the unit holds makes the run exit
+    2, and every other rule reports what it reports without it."""
+    text, _planted = data.draw(generated_corpus(lang))
+    src = workdir / ("raising" + EXTENSIONS[lang])
+    src.write_text(text, encoding="utf-8")
+    kind = data.draw(st.sampled_from(sorted({node.kind for node in FRONTENDS[lang]["parse"](text, "x").walk()})))
+    runs = []
+    for extra in ((), (raising_rule(lang, kind),)):
+        rules = FRONTENDS[lang]["rules"]
+        entry = dict(FRONTENDS[lang], rules=lambda rules=rules, extra=extra: [*rules(), *extra])
+        xml_out = workdir / "raising.xml"
+        with mock.patch.dict(FRONTENDS, {lang: entry}):
+            code = main(["--lang", lang, str(src), "--xml-out", str(xml_out), "--timestamp", "t"])
+        results = from_xml(xml_out.read_bytes())
+        assert results.files == [str(src)]
+        found = {r.descriptor.id: r.findings for r in results.reports if r.descriptor.id != "RaisingChecker"}
+        runs.append((code, found))
+    (code, found), (raised_code, raised_found) = runs
+    assert code != 2 and raised_code == 2
+    assert raised_found == found

@@ -129,7 +129,7 @@ def test_symbols_for_chart():
     ids=["crlf_tab_chart", "unicode_blanks", "comments", "empty", "end_comment"],
 )
 def test_token_spans(text, expected):
-    assert _tokenize(text, "t.sd") == expected
+    assert list(_tokenize(text, "t.sd")) == expected
 
 
 @pytest.mark.parametrize(
