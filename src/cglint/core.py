@@ -158,7 +158,7 @@ def traverse(root, registry, configs, stats=None):
                 except Exception as exc:
                     if ctx.rule_id in live:  # not dropped at an earlier call
                         _drop(root, live, ctx, exc, node.span)
-                        plan.clear()
+                        plan.clear()  # refilled without the dropped rule
             if node.children:
                 push(reversed(node.children))
         if stats is not None:

@@ -68,8 +68,9 @@ class _Frame:
 
 
 class _Parser(Cursor):
-    """Recursive descent over the ``Tokens`` of one unit. A punctuator's or keyword's text is never the text of a token of
-    another kind, so ``at`` compares texts only.
+    """Recursive descent over the ``Tokens`` of one unit. A punctuator's or
+    keyword's text is never the text of a token of another kind, so ``at``
+    compares texts only.
     """
 
     def __init__(self, tokens, file):

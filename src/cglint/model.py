@@ -46,7 +46,8 @@ class AstNode:
 
     ``kind`` is drawn from the owning frontend's published kind catalog;
     ``node_id`` values are unique within one unit, assigned in parse order.
-    Attribute values are ``str``, ``bool`` or ``int``.
+    Attribute values are ``str``, ``bool`` or ``int``. A node has exactly
+    these six slots, and compares equal only to itself.
     """
 
     __slots__ = ("language", "kind", "span", "attributes", "children", "node_id")

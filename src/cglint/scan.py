@@ -5,8 +5,8 @@ A language gives one pattern, built by ``pattern`` from its gap (blanks,
 line breaks, comments: text that is no token) and its token alternatives,
 and a ``Kinds`` table that names the kind of each distinct word. ``scan``
 splits the whole text with one ``re.split`` call and classifies the words
-with one ``map`` over that table, so a valid text runs no Python code per
-token. A token carries its offset, not its position: a row and a column,
+with one ``map`` over that table, so a valid text runs Python code once per
+distinct word, not once per token. A token carries its offset, not its position: a row and a column,
 both 1-based, are decoded from the text's line table only for a node's or
 an error's span. Only a line feed starts a new row, and a valid token never
 spans lines.
@@ -31,8 +31,9 @@ def pattern(blank, comments, tokens):
     no token starts, or the end of the text.
 
     The gap is any run of the one-character class ``blank`` and the
-    ``comments`` alternatives. The ``tokens`` alternatives are tried in
-    order and hold no capturing group. Since one character always matches,
+    ``comments`` alternatives (comments, line markers: any other text that
+    is no token). The ``tokens`` alternatives are tried in order and hold
+    no capturing group. Since one character always matches,
     a split skips no text, and never resynchronises inside a comment or a
     literal.
     """
@@ -102,7 +103,7 @@ def scan(pattern, kinds, text, file, error, settle):
     ``None`` rejects the text: ``error`` (a SourceError class) is raised at
     the point ``start``, with ``word`` as its message.
     """
-    pieces = pattern.split(text)  # [between, gap, token]* between, between always ""
+    pieces = pattern.split(text)  # [between, gap, token]* and the rest, all betweens ""
     del pieces[::3]  # [gap, token]*
     texts = pieces[1::2]
     while texts and not texts[-1]:  # the empty matches at the end
