@@ -33,9 +33,9 @@ def pattern(blank, comments, tokens):
     The gap is any run of the one-character class ``blank`` and the
     ``comments`` alternatives (comments, line markers: any other text that
     is no token). The ``tokens`` alternatives are tried in order and hold
-    no capturing group. Since one character always matches,
-    a split skips no text, and never resynchronises inside a comment or a
-    literal.
+    no capturing group; ``.`` matches a line feed too. Since one character
+    always matches, a split skips no text, and never resynchronises inside
+    a comment or a literal.
     """
     gap = r"%s*(?:(?:%s)%s*)*" % (blank, comments, blank)
     return re.compile(r"(%s)(%s|.|\Z)" % (gap, "|".join(tokens)), re.DOTALL)
@@ -45,7 +45,8 @@ class Kinds(dict):
     """word -> token kind, each distinct word classified once by
     ``classify(word)``. Kind ``None`` marks a word that its text alone does
     not settle, such as an error; it is classified again at each use and not
-    kept, so a table holds only token words."""
+    kept, so a table holds only token words. A table lives as long as the
+    process and grows by each distinct word of every text it scans."""
 
     def __init__(self, classify):
         super().__init__()

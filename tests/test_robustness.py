@@ -12,7 +12,11 @@ or just past the end of a line. Over random generator knobs and seeds, the
 CLI reports every defect the generator planted, and a second run writes the
 same XML. In a minicpp unit, the symbol table gives a scope for exactly the
 nodes that open one, one node per scope, and a binding for a node only
-under the node's name. Examples are derandomized so that every run checks
+under the node's name. Over random text and token soup, both scanners give
+the tokens, or the error, of the match-per-token oracle in
+``scan_oracle.py``. A rule that raises at a node kind a generated unit or
+chart holds makes the run exit 2 and leaves every other rule's findings as
+they are without it. Examples are derandomized so that every run checks
 the same inputs.
 """
 
