@@ -324,7 +324,7 @@ def test_one_file_named_twice_is_analysed_once(tmp_path, monkeypatch, inputs, sh
     write(tmp_path, "d/x.cpp", leak)
     code = main(["--lang", "minicpp", *inputs, "--xml-out", "out.xml", "--timestamp", "t"])
     assert code == 1
-    results = from_xml(open("out.xml", "rb").read())
+    results = from_xml((tmp_path / "out.xml").read_bytes())
     assert results.files == shown
     by_id = {r.descriptor.id: r for r in results.reports}
     assert [f.span.file for f in by_id["MemoryChecker"].findings] == shown

@@ -209,9 +209,9 @@ def _toy_run(tmp_path, monkeypatch, capsys, texts, **entry):
     }
     monkeypatch.setitem(FRONTENDS, "toy", toy)
     paths = [write(tmp_path, "%s.toy" % name, text) for name, text in texts]
-    xml_out = str(tmp_path / "out.xml")
-    code = main(["--lang", "toy", str(tmp_path), "--xml-out", xml_out, "--timestamp", "t"])
-    return code, from_xml(open(xml_out, "rb").read()), paths, capsys.readouterr().err
+    xml_out = tmp_path / "out.xml"
+    code = main(["--lang", "toy", str(tmp_path), "--xml-out", str(xml_out), "--timestamp", "t"])
+    return code, from_xml(xml_out.read_bytes()), paths, capsys.readouterr().err
 
 
 def _findings(results):
