@@ -116,7 +116,7 @@ def main(argv=None):
         with open(args.xml_out, "wb") as handle:
             handle.write(to_xml(results))
         if args.html_out:
-            summary = summarize(results, registry.descriptors())
+            summary = summarize(results)
             with open(args.html_out, "w", encoding="utf-8") as handle:
                 handle.write(render_html(results, summary))
     except OSError as exc:

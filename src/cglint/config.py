@@ -17,14 +17,15 @@ that holds a character XML 1.0 cannot carry. The file itself is read with
 
 from __future__ import annotations
 
+from .core import default_configs
 from .errors import ConfigSyntaxError, UnknownPropertyError, UnknownRuleIdError
-from .model import Priority, RuleConfig, parse_bool
+from .model import Priority, parse_bool
 from .report import NOT_XML_CHAR
 
 
 def load_config(text, registry):
     """Parse configuration ``text`` into one RuleConfig per registered rule."""
-    configs = {rid: RuleConfig(rule_id=rid) for rid in registry.rule_ids()}
+    configs = {config.rule_id: config for config in default_configs(registry)}
     current = None  # RuleConfig of the open [rule ...] section
     descriptor = None  # its rule's descriptor
 

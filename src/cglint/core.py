@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import DuplicateRuleIdError, UnknownPropertyError, UnknownRuleIdError
+from .errors import DuplicateRuleIdError, UnknownRuleIdError
 from .model import Diagnostic, Finding, RuleConfig, RuleReport
 from .symtab import SymbolTable
 
@@ -85,16 +85,6 @@ def default_configs(registry):
     return [RuleConfig(rule_id=rid) for rid in registry.rule_ids()]
 
 
-def validate_config(registry, config):
-    rule_cls = registry.get(config.rule_id)
-    declared = rule_cls.descriptor.defaults()
-    for key in config.properties:
-        if key not in declared:
-            raise UnknownPropertyError(
-                "rule %s has no property %r" % (config.rule_id, key)
-            )
-
-
 @dataclass
 class TraversalStats:
     visits: int = 0
@@ -103,6 +93,10 @@ class TraversalStats:
 def traverse(root, registry, configs, stats=None):
     """Walk ``root.ast`` once, notifying every enabled subscribed rule.
     Rules read ``root.symbols``, or an empty table when it is not set.
+
+    Every config, enabled or not, has its property texts (the rule's
+    defaults updated with ``config.properties``) converted by
+    ``RuleDescriptor.property_value``, which is their only check.
 
     The dispatch plan maps a node's ``(language, kind)`` to the bound
     ``visit`` and the context of each enabled rule subscribed to it; an
@@ -113,30 +107,26 @@ def traverse(root, registry, configs, stats=None):
     the unit. Every other rule keeps its findings.
 
     Returns one RuleReport per enabled rule (rules with zero findings
-    included), ordered by rule id with findings sorted by position.
+    included), with its priority override applied and its property texts,
+    ordered by rule id with findings sorted by position.
     """
-    contexts = {}  # rule id -> (rule instance, context), registration order
-    texts = {}  # rule id -> property name -> configured text, for the report
-    for config in configs:
-        validate_config(registry, config)
-    enabled = {c.rule_id: c for c in configs if c.enabled}
     table = root.symbols if root.symbols is not None else SymbolTable()
-    for rule_id in registry.rule_ids():
-        if rule_id not in enabled:
+    live = {}  # rule id -> (rule instance, context) of each enabled rule that has not raised
+    reports = {}  # rule id -> report of each enabled rule, whose findings are its context's
+    for config in configs:
+        rule_cls = registry.get(config.rule_id)
+        descriptor = rule_cls.descriptor
+        texts = {**descriptor.defaults(), **config.properties}
+        properties = {name: descriptor.property_value(name, text) for name, text in texts.items()}
+        if not config.enabled:
             continue
-        config = enabled[rule_id]
-        rule_cls = registry.get(rule_id)
-        texts[rule_id] = rule_cls.descriptor.defaults()
-        texts[rule_id].update(config.properties)
-        properties = {
-            name: rule_cls.descriptor.property_value(name, text)
-            for name, text in texts[rule_id].items()
-        }
-        ctx = RuleContext(table=table, properties=properties, rule_id=rule_id)
-        contexts[rule_id] = (rule_cls(), ctx)
+        ctx = RuleContext(table=table, properties=properties, rule_id=config.rule_id)
+        live[config.rule_id] = (rule_cls(), ctx)
+        if config.priority_override is not None:
+            descriptor = replace(descriptor, priority=config.priority_override)
+        reports[config.rule_id] = RuleReport(descriptor=descriptor, effective_properties=texts, findings=ctx.findings)
 
     if root.ast is not None:
-        live = dict(contexts)  # the rules that have not raised
         plan = {}
         stack = [root.ast]
         pop, push = stack.pop, stack.extend
@@ -169,20 +159,9 @@ def traverse(root, registry, configs, stats=None):
             except Exception as exc:
                 _drop(root, live, ctx, exc, root.ast.span)
 
-    reports = []
-    for rule_id, (rule, ctx) in sorted(contexts.items()):
-        config = enabled[rule_id]
-        descriptor = rule.descriptor
-        if config.priority_override is not None:
-            descriptor = replace(descriptor, priority=config.priority_override)
-        reports.append(
-            RuleReport(
-                descriptor=descriptor,
-                effective_properties=texts[rule_id],
-                findings=sorted(ctx.findings, key=Finding.sort_key),
-            )
-        )
-    return reports
+    for report in reports.values():
+        report.findings.sort(key=Finding.sort_key)
+    return [reports[rule_id] for rule_id in sorted(reports)]
 
 
 def _drop(root, live, ctx, exc, span):

@@ -8,6 +8,8 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .errors import UnknownPropertyError
+
 
 class SourceSpan(NamedTuple):
     """1-based, inclusive source region. A point span has end == start.
@@ -179,9 +181,12 @@ class RuleDescriptor:
         return {name: text for name, text, _type in self.default_properties}
 
     def property_value(self, name, text):
-        """Convert ``text`` to the declared type of property ``name``;
-        raises ValueError when that type rejects it."""
-        type_name = next(t for n, _d, t in self.default_properties if n == name)
+        """Convert ``text`` to the declared type of property ``name``. This
+        is the one check of a property: an undeclared ``name`` raises
+        UnknownPropertyError, and a ``text`` its type rejects ValueError."""
+        type_name = next((t for n, _d, t in self.default_properties if n == name), None)
+        if type_name is None:
+            raise UnknownPropertyError("rule %s has no property %r" % (self.id, name))
         try:
             return PROPERTY_TYPES[type_name](text)
         except (ValueError, re.error):

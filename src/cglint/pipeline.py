@@ -22,7 +22,7 @@ import importlib
 
 from .core import traverse
 from .errors import SourceError, UnknownLanguageError
-from .model import AnalysisRoot, Diagnostic, SourceSpan, ValidationResults
+from .model import AnalysisRoot, Diagnostic, Finding, SourceSpan, ValidationResults
 from .report import display_path
 from .symtab import SymbolTable
 
@@ -122,32 +122,25 @@ def default_timestamp():
 
 
 def run_pipeline(files, language, registry, configs, timestamp=None, diagnostics=None):
-    """Analyze ``files`` and merge the per-file reports into one results
-    object. ``diagnostics``, when given, collects (path, Diagnostic) pairs."""
+    """Analyze ``files`` and gather their findings into one results object.
+
+    The reports are those ``traverse`` gives for an empty unit: one per
+    enabled rule, ordered by rule id, with its effective priority and
+    properties, also when there are no files. Each unit's findings are
+    added to them and sorted once. ``diagnostics``, when given, collects
+    (path, Diagnostic) pairs."""
     get_frontend(language)
-    merged = {}  # rule id -> RuleReport
+    reports = traverse(AnalysisRoot(file="", content=""), registry, configs)
     paths = []
     for path in files:
         root = analyze_file(path, language)
         paths.append(root.file)
-        reports = traverse(root, registry, configs)
+        for report, unit in zip(reports, traverse(root, registry, configs)):
+            report.findings.extend(unit.findings)
         if diagnostics is not None:
-            for diag in root.diagnostics:
-                diagnostics.append((root.file, diag))
-        for report in reports:
-            existing = merged.get(report.descriptor.id)
-            if existing is None:
-                merged[report.descriptor.id] = report
-            else:
-                existing.findings.extend(report.findings)
-    for report in merged.values():
-        report.findings.sort(key=lambda f: f.sort_key())
-    if not merged:
-        # no files analyzed: still report every enabled rule, empty
-        empty_root = AnalysisRoot(file="", content="", ast=None)
-        for report in traverse(empty_root, registry, configs):
-            merged[report.descriptor.id] = report
-    reports = [merged[rule_id] for rule_id in sorted(merged)]
+            diagnostics.extend((root.file, diag) for diag in root.diagnostics)
+    for report in reports:
+        report.findings.sort(key=Finding.sort_key)
     return ValidationResults(
         created=timestamp if timestamp is not None else default_timestamp(),
         reports=reports,

@@ -11,7 +11,6 @@ import datetime
 import html
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from xml.etree import ElementTree as ET
 
 from .errors import XmlSchemaError
@@ -23,6 +22,7 @@ from .model import (
     RuleReport,
     SourceSpan,
     ValidationResults,
+    parse_int,
 )
 
 
@@ -50,28 +50,15 @@ class SeveritySummary:
     percentages: dict  # Criticality -> float, one decimal, round-half-up
 
 
-def _round1(value):
-    return float(Decimal(value).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
-def summarize(results, descriptors):
-    """Count findings per effective criticality and derive percentages."""
-    criticality_by_rule = {d.id: d.criticality for d in descriptors}
-    for report in results.reports:
-        criticality_by_rule.setdefault(
-            report.descriptor.id, report.descriptor.criticality
-        )
+def summarize(results):
+    """Count findings per criticality of each report's descriptor, and each
+    count's share of the total in percent, rounded half up to one decimal
+    in integers: ``(2000 * count + total) // (2 * total)`` tenths."""
     counts = {c: 0 for c in Criticality}
     for report in results.reports:
-        crit = criticality_by_rule[report.descriptor.id]
-        counts[crit] += len(report.findings)
+        counts[report.descriptor.criticality] += len(report.findings)
     total = sum(counts.values())
-    if total == 0:
-        percentages = {c: 0.0 for c in Criticality}
-    else:
-        percentages = {
-            c: _round1(Decimal(100 * counts[c]) / Decimal(total)) for c in Criticality
-        }
+    percentages = {c: (2000 * n + total) // (2 * total) / 10 if total else 0.0 for c, n in counts.items()}
     return SeveritySummary(total=total, counts=counts, percentages=percentages)
 
 
@@ -170,18 +157,13 @@ def _parse_rule(element):
         if child.tag == "property":
             properties[_require(child, "name")] = _require(child, "value")
         elif child.tag == "message":
+            # row and col are ASCII digits of at least 1, text is not empty
             try:
-                row = int(_require(child, "row"))
-                col = int(_require(child, "col"))
-            except ValueError:
-                raise XmlSchemaError("non-integer row/col in message") from None
-            findings.append(
-                Finding(
-                    rule_id=descriptor.id,
-                    span=SourceSpan.point(_require(child, "file"), row, col),
-                    message=_require(child, "text"),
-                )
-            )
+                row, col = parse_int(_require(child, "row")), parse_int(_require(child, "col"))
+                span = SourceSpan.point(_require(child, "file"), row, col)
+                findings.append(Finding(descriptor.id, span, _require(child, "text")))
+            except ValueError as exc:
+                raise XmlSchemaError("bad message element: %s" % exc) from None
         else:
             raise XmlSchemaError("unexpected element %r" % child.tag)
     return RuleReport(
@@ -201,7 +183,7 @@ def render_html(results, summary=None):
     """Self-contained HTML report: summary, category and file lists, and a
     message table per rule with findings."""
     if summary is None:
-        summary = summarize(results, [r.descriptor for r in results.reports])
+        summary = summarize(results)
     total = results.total_findings()
     active = [r for r in results.reports if r.findings]
     out = []

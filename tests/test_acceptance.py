@@ -205,7 +205,7 @@ def test_criterion_6_summary_math():
         ]
         reports.append(RuleReport(descriptor=desc, findings=findings))
     results = ValidationResults(created="t", reports=reports, files=["f.cpp"])
-    summary = summarize(results, [r.descriptor for r in reports])
+    summary = summarize(results)
     assert summary.total == 5338
     assert summary.percentages[Criticality.HIGH] == 8.6
     assert summary.percentages[Criticality.MEDIUM] == 29.5

@@ -209,14 +209,33 @@ def test_every_default_property_converts():
                 cls.descriptor.property_value(name, text)
 
 
-def test_unknown_property_rejected():
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_unknown_property_rejected(enabled):
     root = analyze_cpp(SOURCE)
     registry = RuleRegistry()
     registry.register(make_rule("A", [("minicpp", "IfStmt")]))
     configs = default_configs(registry)
+    configs[0].enabled = enabled
     configs[0].properties["bogus"] = "1"
     with pytest.raises(UnknownPropertyError):
         traverse(root, registry, configs)
+
+
+def test_disabled_config_value_is_checked():
+    root = analyze_cpp(SOURCE)
+    registry = RuleRegistry()
+    registry.register(make_rule("A", [("minicpp", "IfStmt")], defaults=[("n", "1", "int")]))
+    configs = default_configs(registry)
+    configs[0].enabled = False
+    configs[0].properties["n"] = "x"
+    with pytest.raises(ValueError, match="expected int, found 'x'"):
+        traverse(root, registry, configs)
+
+
+def test_undeclared_property_value_raises():
+    desc = make_rule("A", [], defaults=[("n", "1", "int")]).descriptor
+    with pytest.raises(UnknownPropertyError, match="rule A has no property 'm'"):
+        desc.property_value("m", "1")
 
 
 class TestLoadConfig:

@@ -1,11 +1,14 @@
-"""Byte-for-byte regression of the CLI's XML on the two fixtures.
+"""Byte-for-byte regression of the CLI's XML and HTML on the two fixtures,
+and on ``ExampleImpl.cpp`` with ``override.cfg``, which overrides a
+priority, sets a property and disables a rule.
 
 Regenerate a golden only for an intended output change, from the fixtures
 directory so that the paths stay relative::
 
     cd tests/fixtures
     python3 -m cglint.cli --lang minicpp ExampleImpl.cpp \\
-        --timestamp 2014-09-08T00:00:00Z --xml-out ../golden/ExampleImpl.xml
+        --timestamp 2014-09-08T00:00:00Z --xml-out ../golden/ExampleImpl.xml \\
+        --html-out ../golden/ExampleImpl.html
 """
 
 import os
@@ -17,21 +20,26 @@ from cglint.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+# fixture, language, extra options, golden name without extension, exit code
+CASES = [
+    ("ExampleImpl.cpp", "minicpp", [], "ExampleImpl", 1),
+    ("librarytest.sd", "seqdiag", [], "librarytest", 1),
+    ("ExampleImpl.cpp", "minicpp", ["--config", "override.cfg"], "ExampleImpl-override", 0),
+]
+
 
 @pytest.mark.parametrize(
-    "fixture,lang,golden",
-    [
-        ("ExampleImpl.cpp", "minicpp", "ExampleImpl.xml"),
-        ("librarytest.sd", "seqdiag", "librarytest.xml"),
-    ],
+    "fixture,lang,options,golden,code",
+    CASES,
+    ids=["%s-%s-%s.xml" % (fixture, lang, golden) for fixture, lang, _o, golden, _c in CASES],
 )
-def test_fixture_xml_matches_golden(fixture, lang, golden, tmp_path, monkeypatch):
+def test_fixture_xml_matches_golden(fixture, lang, options, golden, code, tmp_path, monkeypatch):
     monkeypatch.chdir(FIXTURES)
-    out = tmp_path / "out.xml"
-    code = main(
-        ["--lang", lang, fixture, "--timestamp", "2014-09-08T00:00:00Z",
-         "--xml-out", str(out)]
-    )
-    assert code == 1
-    with open(os.path.join(GOLDEN, golden), "rb") as handle:
-        assert out.read_bytes() == handle.read()
+    xml_out, html_out = tmp_path / "out.xml", tmp_path / "out.html"
+    assert main(
+        ["--lang", lang, fixture, *options, "--timestamp", "2014-09-08T00:00:00Z",
+         "--xml-out", str(xml_out), "--html-out", str(html_out)]
+    ) == code
+    for out, extension in ((xml_out, ".xml"), (html_out, ".html")):
+        with open(os.path.join(GOLDEN, golden + extension), "rb") as handle:
+            assert out.read_bytes() == handle.read()

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 from cglint.cli import build_registry, main
-from cglint.core import Rule, default_configs
+from cglint.core import Rule, RuleRegistry, default_configs, register_rules
 from cglint.pipeline import FRONTENDS, analyze_file, get_frontend, run_pipeline
 import pytest
 from conftest import fixture_path
@@ -94,12 +94,13 @@ def test_default_timestamp_is_utc_iso(cpp_setup):
     assert "T" in results.created
 
 
-# Runs the CLI on its arguments, then prints the cglint modules it loaded.
+# Runs the CLI on its arguments, then prints the cglint modules it loaded,
+# and decimal if it loaded that.
 _LOADED = """
 import sys
 from cglint.cli import main
 code = main(sys.argv[1:])
-print("loaded:", *sorted(name for name in sys.modules if name.startswith("cglint")))
+print("loaded:", *sorted(name for name in sys.modules if name.startswith("cglint") or name == "decimal"))
 sys.exit(code)
 """
 
@@ -121,6 +122,7 @@ def test_run_loads_only_its_own_language(tmp_path, lang, source, own, foreign):
     loaded = proc.stdout.splitlines()[-1].split()[1:]
     assert all(name in loaded for name in own), loaded
     assert [name for name in loaded if name.startswith(foreign)] == []
+    assert "decimal" not in loaded
 
 
 class _ShoutChecker(Rule):
@@ -246,3 +248,46 @@ def test_an_unexpected_exception_in_a_stage_is_an_internal_error(tmp_path, monke
     assert results.files == [bad, good]
     assert _findings(results)["ShoutChecker"] == [(good, "Word 'LOUD' is shouted.")]
     assert err.startswith("%s: internal error in %s: RuntimeError: crash (test_pipeline.py:" % (bad, stage))
+
+
+class _LongWordChecker(Rule):
+    """Reports every word longer than its ``maxLength`` property."""
+
+    descriptor = RuleDescriptor(
+        id="LongWordChecker",
+        title="Long word checker",
+        description="Flags a long word.",
+        reference="",
+        priority=Priority.SHOULD,
+        criticality=Criticality.LOW,
+        subscriptions=(("toy", "Word"),),
+        default_properties=(("maxLength", "8", "int"), ("note", "", "str")),
+    )
+
+    def visit(self, node, ctx):
+        if len(node.attr("text")) > ctx.prop("maxLength"):
+            ctx.report(node.span, "Word %r is long." % node.attr("text"))
+
+
+def test_a_run_reports_each_enabled_rule_with_or_without_files(tmp_path, monkeypatch):
+    toy = {"parse": _parse_toy, "symbols": lambda ast: SymbolTable(), "rules": lambda: [], "extensions": (".toy",)}
+    monkeypatch.setitem(FRONTENDS, "toy", toy)
+    registry = register_rules(RuleRegistry(), [_LongWordChecker, _ShoutChecker, _BrokenChecker])
+    configs = default_configs(registry)
+    configs[0].priority_override = Priority.SHALL
+    configs[0].properties["maxLength"] = "3"
+    configs[1].enabled = False
+    a = write(tmp_path, "a.toy", "hello boom")
+    b = write(tmp_path, "b.toy", "LOUD")
+    with_files = run_pipeline([b, a], "toy", registry, configs, timestamp="t")
+    without = run_pipeline([], "toy", registry, configs, timestamp="t")
+    for results in (with_files, without):
+        assert [(r.descriptor.id, r.descriptor.priority, r.effective_properties) for r in results.reports] == [
+            ("BrokenChecker", Priority.SHOULD, {}),
+            ("LongWordChecker", Priority.SHALL, {"maxLength": "3", "note": ""}),
+        ]
+    assert [r.descriptor for r in with_files.reports] == [r.descriptor for r in without.reports]
+    found = {r.descriptor.id: [(f.span.file, f.message) for f in r.findings] for r in with_files.reports}
+    # the broken rule raised in a.toy and keeps only b.toy's findings
+    assert found["BrokenChecker"] == [(b, "Word 'LOUD' seen.")]
+    assert found["LongWordChecker"] == [(a, "Word 'hello' is long."), (a, "Word 'boom' is long."), (b, "Word 'LOUD' is long.")]

@@ -1,7 +1,10 @@
 import random
 import string
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from xml.etree import ElementTree as ET
 
 from cglint.errors import XmlSchemaError
@@ -66,7 +69,7 @@ class TestSummarize:
                 )
             )
         results = ValidationResults(created="t", reports=reports, files=["f.cpp"])
-        summary = summarize(results, [r.descriptor for r in reports])
+        summary = summarize(results)
         assert summary.total == 5338
         assert summary.counts[Criticality.HIGH] == 459
         assert summary.percentages[Criticality.HIGH] == 8.6
@@ -86,13 +89,32 @@ class TestSummarize:
             ),
         ]
         results = ValidationResults(created="t", reports=reports)
-        summary = summarize(results, [r.descriptor for r in reports])
+        summary = summarize(results)
         assert summary.percentages[Criticality.HIGH] == 6.3
 
     def test_empty_results(self):
-        summary = summarize(ValidationResults(created="t"), [])
+        summary = summarize(ValidationResults(created="t"))
         assert summary.total == 0
         assert all(p == 0.0 for p in summary.percentages.values())
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(counts=st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
+    def test_percentages_round_half_up(self, counts):
+        """Each percentage is 100 * count / total rounded half up to one
+        decimal, as ``Decimal`` computes it."""
+        reports = [
+            RuleReport(descriptor=descriptor(crit.value, criticality=crit), findings=[finding(crit.value, "f.cpp", 1, 1, "m")] * count)
+            for crit, count in zip(Criticality, counts)
+        ]
+        summary = summarize(ValidationResults(created="t", reports=reports))
+        total = sum(counts)
+        for crit, count in zip(Criticality, counts):
+            expected = 0.0
+            if total:
+                exact = Decimal(100 * count) / Decimal(total)
+                expected = float(exact.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+            assert summary.counts[crit] == count
+            assert summary.percentages[crit] == expected
 
 
 class TestXml:
@@ -206,14 +228,29 @@ class TestFromXmlErrors:
         with pytest.raises(XmlSchemaError):
             from_xml(data)
 
-    def test_non_integer_row(self):
+    @pytest.mark.parametrize(
+        "row, col, text",
+        [
+            ("x", "1", "m"),
+            ("1", "1", ""),
+            ("0", "1", "m"),
+            ("1", "-3", "m"),
+            (" 1", "1", "m"),
+            ("1_0", "1", "m"),
+            ("\u0661", "1", "m"),
+        ],
+        ids=["letter", "empty-text", "zero", "negative-col", "space", "underscore", "arabic-indic-digit"],
+    )
+    def test_non_integer_row(self, row, col, text):
+        """A message that ``to_xml`` cannot have written: its row and col
+        are ASCII digits of at least 1, and its text is not empty."""
         data = (
-            b"<vfresults created='t' findings='1'>"
-            b"<rule id='R' title='T' description='D' reference='' "
-            b"priority='SHALL' criticality='LOW' findings='1'>"
-            b"<message file='a.cpp' row='x' col='1' text='m'/>"
-            b"</rule></vfresults>"
-        )
+            "<vfresults created='t' findings='1'>"
+            "<rule id='R' title='T' description='D' reference='' "
+            "priority='SHALL' criticality='LOW' findings='1'>"
+            "<message file='a.cpp' row='%s' col='%s' text='%s'/>"
+            "</rule></vfresults>" % (row, col, text)
+        ).encode("utf-8")
         with pytest.raises(XmlSchemaError):
             from_xml(data)
 
