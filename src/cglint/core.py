@@ -28,14 +28,17 @@ class RuleContext:
 
 
 class Rule:
-    """Base class for listeners. Subclasses set ``descriptor`` and override
-    ``visit`` (called once per subscribed node, pre-order) and optionally
-    ``finish`` (called once after the walk, for whole-unit rules).
+    """Base class for listeners, one instance per unit. Subclasses set
+    ``descriptor`` and override ``visit`` (once per subscribed node, pre-order),
+    optionally ``leave`` (after each such node's subtree) and ``finish`` (after the walk).
     """
 
     descriptor = None
 
     def visit(self, node, ctx):
+        pass
+
+    def leave(self, node, ctx):
         pass
 
     def finish(self, ctx):
@@ -85,9 +88,8 @@ def default_configs(registry):
     return [RuleConfig(rule_id=rid) for rid in registry.rule_ids()]
 
 
-@dataclass
 class TraversalStats:
-    visits: int = 0
+    visits = 0  # nodes visited, summed over the walks this record is passed to
 
 
 def traverse(root, registry, configs, stats=None):
@@ -99,12 +101,12 @@ def traverse(root, registry, configs, stats=None):
     ``RuleDescriptor.property_value``, which is their only check.
 
     The dispatch plan maps a node's ``(language, kind)`` to the bound
-    ``visit`` and the context of each enabled rule subscribed to it; an
-    entry is filled the first time its kind is seen. A rule whose ``visit``
-    or ``finish`` raises is dropped from the unit: it adds one fatal
-    internal-error diagnostic to ``root.diagnostics``, at the node it was
-    visiting (the unit's start for ``finish``), and reports no findings for
-    the unit. Every other rule keeps its findings.
+    ``visit``, and ``leave`` where overridden, of each enabled rule
+    subscribed to it; an entry is filled the first time its kind is seen. A
+    rule whose ``visit``, ``leave`` or ``finish`` raises is dropped from the
+    unit: it adds one fatal internal-error diagnostic to ``root.diagnostics``,
+    at the node of the call (the unit's start for ``finish``), and reports
+    no findings for the unit. Every other rule keeps its findings.
 
     Returns one RuleReport per enabled rule (rules with zero findings
     included), with its priority override applied and its property texts,
@@ -133,24 +135,29 @@ def traverse(root, registry, configs, stats=None):
         visits = 0
         while stack:
             node = pop()
-            visits += 1
-            key = (node.language, node.kind)
-            calls = plan.get(key)
-            if calls is None:
-                calls = plan[key] = [
-                    (live[rule_id][0].visit, live[rule_id][1])
-                    for rule_id in registry.subscribers(*key)
-                    if rule_id in live
-                ]
-            for visit, ctx in calls:
+            if node.__class__ is tuple:  # (node, its leave calls), pushed under its children
+                node, calls = node
+                calls = [(leave, ctx) for leave, ctx in calls if ctx.rule_id in live]  # none for rules dropped since
+            else:
+                visits += 1
+                key = (node.language, node.kind)
+                entry = plan.get(key)
+                if entry is None:
+                    rules = [live[rule_id] for rule_id in registry.subscribers(*key) if rule_id in live]
+                    leaves = [(rule.leave, ctx) for rule, ctx in rules if type(rule).leave is not Rule.leave]
+                    entry = plan[key] = ([(rule.visit, ctx) for rule, ctx in rules], leaves)
+                calls, leaves = entry
+                if leaves:
+                    stack.append((node, leaves))
+                if node.children:
+                    push(reversed(node.children))
+            for call, ctx in calls:
                 try:
-                    visit(node, ctx)
+                    call(node, ctx)
                 except Exception as exc:
                     if ctx.rule_id in live:  # not dropped at an earlier call
                         _drop(root, live, ctx, exc, node.span)
                         plan.clear()  # refilled without the dropped rule
-            if node.children:
-                push(reversed(node.children))
         if stats is not None:
             stats.visits += visits
         for rule, ctx in list(live.values()):

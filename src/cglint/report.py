@@ -108,7 +108,9 @@ def to_xml(results):
 
 
 def from_xml(data):
-    """Parse bytes produced by :func:`to_xml` back into ValidationResults."""
+    """Parse bytes produced by :func:`to_xml` back into ValidationResults.
+    The ``findings`` count of the document, of each file and of each rule
+    must equal the number of messages read for it."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -117,15 +119,22 @@ def from_xml(data):
         raise XmlSchemaError("expected root element 'vfresults', got %r" % root.tag)
     created = _require(root, "created")
     files = []
+    file_elements = []
     reports = []
     for child in root:
         if child.tag == "file":
             files.append(_require(child, "path"))
+            file_elements.append(child)
         elif child.tag == "rule":
             reports.append(_parse_rule(child))
         else:
             raise XmlSchemaError("unexpected element %r" % child.tag)
-    return ValidationResults(created=created, reports=reports, files=files)
+    results = ValidationResults(created=created, reports=reports, files=files)
+    _check_count(root, results.total_findings())
+    by_file = results.findings_by_file()
+    for element, path in zip(file_elements, files):
+        _check_count(element, by_file[path])
+    return results
 
 
 def _require(element, attribute):
@@ -135,6 +144,14 @@ def _require(element, attribute):
             "element %r lacks attribute %r" % (element.tag, attribute)
         )
     return value
+
+
+def _check_count(element, count):
+    """Raise unless the ``findings`` attribute of ``element`` is ``count``, as
+    :func:`to_xml` writes it."""
+    stated = _require(element, "findings")
+    if stated != str(count):
+        raise XmlSchemaError("element %r states %r findings but holds %d" % (element.tag, stated, count))
 
 
 def _parse_rule(element):
@@ -166,6 +183,7 @@ def _parse_rule(element):
                 raise XmlSchemaError("bad message element: %s" % exc) from None
         else:
             raise XmlSchemaError("unexpected element %r" % child.tag)
+    _check_count(element, len(findings))
     return RuleReport(
         descriptor=descriptor, effective_properties=properties, findings=findings
     )

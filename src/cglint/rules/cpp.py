@@ -1,8 +1,8 @@
 """The 18 guideline checkers for the C++ subset.
 
-Every checker is a listener: it receives pre-order notifications for its
-subscribed node kinds and may use the unit's symbol table. Checkers never
-fail; node shapes they do not recognize yield no finding.
+Each checker listens on the unit's one walk: it is notified of its node kinds
+in pre-order and, if it defines ``leave``, after their subtrees. It may use
+the symbol table; node shapes it does not recognize yield no finding.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ _UPPER_CAMEL = re.compile(r"[A-Z][a-zA-Z0-9]*")
 
 _LOOPS = ("WhileStmt", "DoStmt", "ForStmt")
 _BREAKABLE = _LOOPS + ("SwitchStmt",)
+_FUNCTIONS = ("FunctionDef", "Constructor", "Destructor")
+_SCOPES = ("CompoundStmt", "ForStmt")  # the statements that open a scope
 
 
 def _sub(*kinds):
@@ -188,34 +190,25 @@ class FlowControlChecker(Rule):
         reference="",
         priority=Priority.SHALL,
         criticality=Criticality.MEDIUM,
-        subscriptions=_sub("GotoStmt", "LabelStmt", "WhileStmt", "DoStmt", "ForStmt"),
+        subscriptions=_sub("GotoStmt", "LabelStmt", "BreakStmt", *_BREAKABLE),
     )
+
+    def __init__(self):
+        self._breakables = []  # kinds of the enclosing loops and switches, innermost last
 
     def visit(self, node, ctx):
         if node.kind == "GotoStmt":
             ctx.report(node.span, "'goto' statement used.")
         elif node.kind == "LabelStmt":
             ctx.report(node.span, "Label %r declared." % node.attr("name"))
-        elif node.children:
-            # a do statement's body comes before its condition
-            body = node.children[0 if node.kind == "DoStmt" else -1]
-            for brk in _direct_breaks(body):
-                ctx.report(brk.span, "'break' used to leave a loop.")
+        elif node.kind != "BreakStmt":
+            self._breakables.append(node.kind)
+        elif self._breakables and self._breakables[-1] in _LOOPS:
+            ctx.report(node.span, "'break' used to leave a loop.")
 
-
-def _direct_breaks(node):
-    """Break statements whose nearest enclosing breakable is the caller."""
-    found = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.kind == "BreakStmt":
-            found.append(current)
-            continue
-        if current.kind in _BREAKABLE:
-            continue
-        stack.extend(reversed(current.children))
-    return found
+    def leave(self, node, ctx):
+        if node.kind in _BREAKABLE:
+            self._breakables.pop()
 
 
 class FunctionChecker(Rule):
@@ -423,72 +416,72 @@ class MemoryChecker(Rule):
         reference="",
         priority=Priority.SHALL,
         criticality=Criticality.HIGH,
-        subscriptions=_sub("FunctionDef", "Constructor", "Destructor"),
+        subscriptions=_sub(*_FUNCTIONS, "ClassDef", *_SCOPES, "VarDecl", "AssignExpr", "DeleteExpr", "ReturnStmt"),
     )
 
+    def __init__(self):
+        self._frames = [None]  # a _Frame per enclosing function, innermost last; None outside them and per class
+
     def visit(self, node, ctx):
-        body = next((c for c in node.children if c.kind == "CompoundStmt"), None)
-        if body is None:
+        kind, frame = node.kind, self._frames[-1]
+        if kind in _FUNCTIONS:
+            self._frames.append(_Frame(ctx.table.scope_of(node)))
+        elif kind == "ClassDef":
+            self._frames.append(None)  # its members belong to no function around it
+        elif frame is None:
             return
-        allocs = {}  # variable name -> (is array allocation, span)
-        deletes = {}  # variable name -> set of array flags
-        escaped = set()
-        scope = ctx.table.scope_of(body)
+        elif kind in _SCOPES:
+            frame.scopes.append(ctx.table.scope_of(node))
+        elif kind == "VarDecl":
+            new_expr = next((c for c in node.children if c.kind == "NewExpr"), None)
+            if new_expr is not None:
+                frame.allocs[node.attr("name")] = (new_expr.attr("array", False), node.span)
+        elif kind == "AssignExpr" and len(node.children) == 2:
+            lhs, rhs = node.children
+            if rhs.kind == "NewExpr" and lhs.kind == "IdentExpr":
+                frame.allocs.setdefault(lhs.attr("name"), (rhs.attr("array", False), node.span))
+            if rhs.kind == "IdentExpr" and _is_nonlocal_target(lhs, frame.scopes[-1]):
+                frame.escaped.add(rhs.attr("name"))
+        elif kind == "DeleteExpr" and node.children:
+            operand = node.children[0]
+            if operand.kind == "IdentExpr":
+                frame.deletes.setdefault(operand.attr("name"), set()).add(node.attr("array", False))
+        elif kind == "ReturnStmt" and node.children:
+            value = node.children[0]
+            if value.kind == "IdentExpr":
+                frame.escaped.add(value.attr("name"))
 
-        for sub in _function_body_nodes(body):
-            if sub.kind == "VarDecl":
-                new_expr = next(
-                    (c for c in sub.children if c.kind == "NewExpr"), None
-                )
-                if new_expr is not None:
-                    allocs[sub.attr("name")] = (new_expr.attr("array", False), sub.span)
-            elif sub.kind == "AssignExpr" and len(sub.children) == 2:
-                lhs, rhs = sub.children
-                if rhs.kind == "NewExpr" and lhs.kind == "IdentExpr":
-                    allocs.setdefault(lhs.attr("name"), (rhs.attr("array", False), sub.span))
-                if rhs.kind == "IdentExpr" and _is_nonlocal_target(lhs, scope):
-                    escaped.add(rhs.attr("name"))
-            elif sub.kind == "DeleteExpr" and sub.children:
-                operand = sub.children[0]
-                if operand.kind == "IdentExpr":
-                    deletes.setdefault(operand.attr("name"), set()).add(sub.attr("array", False))
-            elif sub.kind == "ReturnStmt" and sub.children:
-                value = sub.children[0]
-                if value.kind == "IdentExpr":
-                    escaped.add(value.attr("name"))
-
-        for name, (is_array, span) in allocs.items():
-            if name in escaped:
-                continue
-            freed = deletes.get(name)
-            if not freed:
-                ctx.report(
-                    span,
-                    "Variable %r is allocated with new but never freed." % name,
-                )
-            elif is_array not in freed:
-                ctx.report(
-                    span,
-                    "Variable %r is freed with the wrong delete form "
-                    "(new[] pairs with delete[])." % name,
-                )
+    def leave(self, node, ctx):
+        if node.kind == "ClassDef":
+            self._frames.pop()
+        elif node.kind in _SCOPES and self._frames[-1] is not None:
+            self._frames[-1].scopes.pop()
+        elif node.kind in _FUNCTIONS:
+            frame = self._frames.pop()
+            for name, (is_array, span) in frame.allocs.items():
+                if name in frame.escaped:
+                    continue
+                freed = frame.deletes.get(name)
+                if not freed:
+                    ctx.report(span, "Variable %r is allocated with new but never freed." % name)
+                elif is_array not in freed:
+                    ctx.report(span, "Variable %r is freed with the wrong delete form (new[] pairs with delete[])." % name)
 
 
-def _function_body_nodes(body):
-    # do not descend into local class definitions
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in reversed(node.children):
-            if child.kind != "ClassDef":
-                stack.append(child)
+class _Frame:
+    """What one function allocates with new, deletes, and lets escape."""
+
+    def __init__(self, scope):
+        self.allocs = {}  # variable name -> (is array allocation, span)
+        self.deletes = {}  # variable name -> set of array flags
+        self.escaped = set()
+        self.scopes = [scope]  # the innermost block or for scope last
 
 
 def _is_nonlocal_target(lhs, scope):
-    """True iff assigning to ``lhs`` in ``scope`` stores outside the function:
-    a member, a parameter, or a variable declared at global or namespace
-    scope."""
+    """True iff assigning to ``lhs``, its name looked up from the innermost
+    ``scope``, stores outside the function: a member, a parameter, or a
+    variable declared at global or namespace scope."""
     if lhs.kind == "MemberExpr":
         return True
     if lhs.kind != "IdentExpr":

@@ -142,6 +142,7 @@ def test_criterion_3_single_pass():
         stats = TraversalStats()
         traverse(root, registry, default_configs(registry), stats=stats)
         assert stats.visits == node_count, (trial, len(subset))
+        assert root.diagnostics == [], (trial, root.diagnostics)  # no rule raised
 
 
 @criterion("criterion 4 (per-rule truth tables)")

@@ -55,6 +55,22 @@ def make_rule(rule_id, subscriptions, defaults=()):
     return _R
 
 
+def listening_rule(rule_id, kinds, events):
+    """A rule that records each ``visit`` and ``leave`` call as ``(method,
+    node id)`` in ``events``."""
+
+    class _L(Rule):
+        descriptor = make_rule(rule_id, [("minicpp", kind) for kind in kinds]).descriptor
+
+        def visit(self, node, ctx):
+            events.append(("visit", node.node_id))
+
+        def leave(self, node, ctx):
+            events.append(("leave", node.node_id))
+
+    return _L
+
+
 def test_builtin_rule_counts(cpp_registry, seq_registry):
     assert cpp_registry.rule_count() == 18
     assert seq_registry.rule_count() == 2
@@ -80,17 +96,69 @@ def test_unknown_rule_id(cpp_registry):
 
 
 def test_single_pass_visit_count():
-    """The walk visits each node once no matter how many rules run."""
+    """The walk visits each node once no matter how many rules run, and a
+    rule's ``leave`` calls are not visits."""
     root = analyze_cpp(SOURCE)
     node_count = root.ast.count()
+    kinds = {node.kind for node in root.ast.walk()}
 
     for rule_count in (0, 1, 5, 18):
-        registry = RuleRegistry()
-        for i in range(rule_count):
-            registry.register(make_rule("R%d" % i, [("minicpp", "IfStmt")]))
-        stats = TraversalStats()
-        traverse(root, registry, default_configs(registry), stats=stats)
-        assert stats.visits == node_count
+        for leaving in (False, True):
+            registry = RuleRegistry()
+            for i in range(rule_count):
+                registry.register(make_rule("R%d" % i, [("minicpp", "IfStmt")]))
+            if leaving:
+                registry.register(listening_rule("Leaving", kinds, []))
+            stats = TraversalStats()
+            traverse(root, registry, default_configs(registry), stats=stats)
+            assert stats.visits == node_count
+
+
+def post_order(node):
+    for child in node.children:
+        yield from post_order(child)
+    yield node
+
+
+def test_leave_follows_each_subtree():
+    """``leave`` is called once per subscribed node, in post-order, each
+    call after every visit in the node's subtree."""
+    root = analyze_cpp(SOURCE)
+    kinds = ["ClassDef", "FunctionDef", "CompoundStmt", "IfStmt", "WhileStmt", "VarDecl", "AssignExpr"]
+    events = []
+    registry = RuleRegistry()
+    registry.register(listening_rule("Leaving", kinds, events))
+    traverse(root, registry, default_configs(registry))
+
+    subscribed = [node for node in post_order(root.ast) if node.kind in kinds]
+    assert [nid for method, nid in events if method == "leave"] == [node.node_id for node in subscribed]
+    for node in subscribed:
+        left = events.index(("leave", node.node_id))
+        inside = {sub.node_id for sub in node.walk()}
+        assert all(i < left for i, (method, nid) in enumerate(events) if method == "visit" and nid in inside)
+
+
+def test_a_dropped_rule_gets_no_pending_leave():
+    """A rule whose ``visit`` raises inside a subscribed node is not left
+    from that node, and keeps no findings; another rule is unaffected."""
+    root = analyze_cpp(SOURCE)
+    events = []
+
+    class Raising(listening_rule("Raising", ["FunctionDef", "IfStmt"], events)):
+        def visit(self, node, ctx):
+            super().visit(node, ctx)
+            ctx.report(node.span, "saw %s" % node.kind)
+            if node.kind == "IfStmt":
+                raise RuntimeError("boom")
+
+    registry = RuleRegistry()
+    registry.register(Raising)
+    registry.register(make_rule("Other", [("minicpp", "WhileStmt")]))
+    reports = traverse(root, registry, default_configs(registry))
+    assert [method for method, _nid in events] == ["visit", "visit"]
+    assert [(r.descriptor.id, len(r.findings)) for r in reports] == [("Other", 1), ("Raising", 0)]
+    (diagnostic,) = root.diagnostics
+    assert diagnostic.message.startswith("internal error in rule Raising: RuntimeError: boom")
 
 
 def test_dispatch_only_to_subscribers():

@@ -17,6 +17,7 @@ import pytest
 from conftest import FIXTURES
 
 from cglint.cli import main
+from cglint.report import from_xml
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -43,3 +44,4 @@ def test_fixture_xml_matches_golden(fixture, lang, options, golden, code, tmp_pa
     for out, extension in ((xml_out, ".xml"), (html_out, ".html")):
         with open(os.path.join(GOLDEN, golden + extension), "rb") as handle:
             assert out.read_bytes() == handle.read()
+    assert from_xml(xml_out.read_bytes()).files == [fixture]  # the golden reads back, its counts checked

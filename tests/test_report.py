@@ -17,7 +17,7 @@ from cglint.model import (
     SourceSpan,
     ValidationResults,
 )
-from cglint.report import from_xml, render_html, summarize, to_xml
+from cglint.report import NOT_XML_CHAR, from_xml, render_html, summarize, to_xml
 
 
 def descriptor(rule_id, priority=Priority.SHALL, criticality=Criticality.LOW):
@@ -202,6 +202,40 @@ def random_results(rng):
     return results
 
 
+# Texts an XML attribute can carry: no surrogate and no character XML 1.0
+# forbids.
+XML_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+    lambda text: not NOT_XML_CHAR.search(text)
+)
+
+
+@st.composite
+def generated_results(draw):
+    """Results as a run gives them: sorted unique files, reports ordered by
+    rule id, each with its findings in those files sorted by position."""
+    files = sorted(draw(st.sets(XML_TEXT, max_size=3)))
+    reports = []
+    for rule_id in sorted(draw(st.sets(st.from_regex(r"[A-Z][a-z]{0,5}Checker", fullmatch=True), max_size=4))):
+        desc = descriptor(rule_id, draw(st.sampled_from(Priority)), draw(st.sampled_from(Criticality)))
+        findings = []
+        if files:
+            spans = st.tuples(st.sampled_from(files), st.integers(1, 10**4), st.integers(1, 500))
+            for (file, row, col), text in draw(st.lists(st.tuples(spans, XML_TEXT), max_size=5)):
+                findings.append(finding(rule_id, file, row, col, text))
+        properties = draw(st.dictionaries(XML_TEXT, XML_TEXT, max_size=3))
+        findings.sort(key=Finding.sort_key)
+        reports.append(RuleReport(descriptor=desc, effective_properties=properties, findings=findings))
+    return ValidationResults(created=draw(XML_TEXT), reports=reports, files=files)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(results=generated_results())
+def test_round_trip_property(results):
+    """``from_xml(to_xml(r))`` gives back ``r``: its files, and its reports
+    with their findings."""
+    assert from_xml(to_xml(results)) == results
+
+
 class TestFromXmlErrors:
     def test_not_xml(self):
         with pytest.raises(XmlSchemaError):
@@ -253,6 +287,25 @@ class TestFromXmlErrors:
         ).encode("utf-8")
         with pytest.raises(XmlSchemaError):
             from_xml(data)
+
+    @pytest.mark.parametrize(
+        "total, file_count, rule_count",
+        [("7", "3", None), ("2", "1", "1"), ("1", "0", "1"), ("1", "1", "2"), ("1", "01", "1"), ("1", None, "1")],
+        ids=["no-messages", "document", "file", "rule", "leading-zero", "missing"],
+    )
+    def test_findings_count_disagrees(self, total, file_count, rule_count):
+        """A ``findings`` count that ``to_xml`` cannot have written: it is
+        missing or not the number of messages read."""
+        file_count = "" if file_count is None else "findings='%s'" % file_count
+        rule = ""
+        if rule_count is not None:
+            rule = (
+                "<rule id='R' title='T' description='D' reference='' priority='SHALL' criticality='LOW' "
+                "findings='%s'><message file='a.cpp' row='1' col='1' text='m'/></rule>" % rule_count
+            )
+        data = "<vfresults created='t' findings='%s'><file path='a.cpp' %s/>%s</vfresults>" % (total, file_count, rule)
+        with pytest.raises(XmlSchemaError, match="findings"):
+            from_xml(data.encode("utf-8"))
 
 
 class TestHtml:

@@ -14,10 +14,13 @@ same XML. In a minicpp unit, the symbol table gives a scope for exactly the
 nodes that open one, one node per scope, and a binding for a node only
 under the node's name. Over random text and token soup, both scanners give
 the tokens, or the error, of the match-per-token oracle in
-``scan_oracle.py``. A rule that raises at a node kind a generated unit or
-chart holds makes the run exit 2 and leaves every other rule's findings as
-they are without it. Examples are derandomized so that every run checks
-the same inputs.
+``scan_oracle.py``. Over generated units, mutated fixtures and units that
+nest loops, switches, blocks and local classes around pointers,
+MemoryChecker and FlowControlChecker report what their re-walking oracles
+in ``rule_oracle.py`` report. A rule that raises in ``visit`` or ``leave``
+at a node kind a generated unit or chart holds makes the run exit 2 and
+leaves every other rule's findings as they are without it. Examples are
+derandomized so that every run checks the same inputs.
 """
 
 import os
@@ -33,13 +36,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import fixture_path  # noqa: E402
 
+from rule_oracle import ORACLES  # noqa: E402
 from scan_oracle import oracle_lex, oracle_tokenize  # noqa: E402
 
 from cglint.cli import build_registry, main  # noqa: E402
-from cglint.core import Rule, default_configs, traverse  # noqa: E402
+from cglint.core import Rule, RuleRegistry, default_configs, register_rules, traverse  # noqa: E402
 from cglint.errors import LexError, ParseError, SourceError  # noqa: E402
 from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
-from cglint.model import Criticality, Priority, RuleDescriptor  # noqa: E402
+from cglint.model import Criticality, Priority, RuleConfig, RuleDescriptor  # noqa: E402
 from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
@@ -321,6 +325,79 @@ def test_finding_points_generated(lang, data):
     check_finding_points(lang, data.draw(generated(lang)))
 
 
+# Statements over three pointer names ($1, $2), and statements that nest a
+# statement list (@) in a block, a loop, a switch or a local class's method.
+ORACLE_POINTERS = ("p", "q", "r")
+ORACLE_STATEMENTS = (
+    "int* $1 = new int;", "int* $1 = new int[2];", "int* $1 = 0;", "$1 = new int;", "$1 = $2;", "m = $1;",
+    "{ int* $1 = 0; $1 = $2; }", "for (int* $1 = 0; ; ) { $1 = $2; }",
+    "delete $1;", "delete[] $1;", "return $1;", "break;", "while ($1) break;", "for (;;) break;",
+    "goto out;", "out: ;",
+)
+ORACLE_NESTINGS = (
+    "{ @ }", "if ($1) { @ } else { @ }", "while ($1) { @ }", "for (int* $1 = 0; ; ) { @ }", "do { @ } while ($1);",
+    "switch ($1) { case 1: { @ } default: break; }", "class L { public: int* m = new int; void g() { @ } };",
+)
+ORACLE_FUNCTIONS = (
+    "void f(int* r) { @ }",
+    "class C { public: int* m; C() { @ } ~C() { @ } void g() { @ } };",
+    "namespace app { int* p = 0; void h() { @ } }",
+)
+
+
+@st.composite
+def nested_unit(draw):
+    """Functions, constructors and destructors whose bodies nest statements
+    over three pointer names, one of which may also be a global."""
+
+    def fill(form, depth):
+        form = form.replace("$1", draw(st.sampled_from(ORACLE_POINTERS)))
+        form = form.replace("$2", draw(st.sampled_from(ORACLE_POINTERS)))
+        while "@" in form:
+            forms = ORACLE_STATEMENTS + (ORACLE_NESTINGS if depth else ())
+            inner = [fill(draw(st.sampled_from(forms)), depth - 1) for _ in range(draw(st.integers(0, 3)))]
+            form = form.replace("@", " ".join(inner), 1)
+        return form
+
+    functions = draw(st.lists(st.sampled_from(ORACLE_FUNCTIONS), min_size=1, max_size=3))
+    globals_ = ["int* q = 0;"] if draw(st.booleans()) else []
+    return "\n".join(globals_ + [fill(form, 3) for form in functions])
+
+
+def check_rules_match_oracle(text):
+    """If ``text`` parses, MemoryChecker and FlowControlChecker, run alone,
+    report exactly what their oracles report, and neither raises."""
+    root = analyze_file("input.cpp", "minicpp", text=text)
+    if root.ast is None:
+        return
+    registry = build_registry("minicpp")
+    for rule_id, oracle in ORACLES.items():
+        found = []
+        for cls in (registry.get(rule_id), oracle):
+            (report,) = traverse(root, register_rules(RuleRegistry(), [cls]), [RuleConfig(rule_id)])
+            found.append(report.findings)
+        assert found[0] == found[1], rule_id
+    assert not root.has_fatal_error(), root.diagnostics
+
+
+@PROPERTY
+@given(data=st.data())
+def test_rules_match_oracle_generated(data):
+    check_rules_match_oracle(data.draw(generated("minicpp")))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_rules_match_oracle_mutated_fixture(data):
+    check_rules_match_oracle(data.draw(mutated_fixture("minicpp")))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(text=nested_unit())
+def test_rules_match_oracle_nested_unit(text):
+    check_rules_match_oracle(text)
+
+
 # The node kinds that open a scope; a ClassDef opens one unless it is forward.
 SCOPE_OWNERS = ("NamespaceDef", "ClassDef", "FunctionDef", "Constructor", "Destructor", "CompoundStmt", "ForStmt")
 
@@ -408,8 +485,9 @@ def test_planted_defects_reported(workdir, lang, data):
         assert found == planted[rule_id], (rule_id, found, planted[rule_id])
 
 
-def raising_rule(lang, kind):
-    """A rule that raises at every node of ``kind``."""
+def raising_rule(lang, kind, method):
+    """A rule whose ``method``, ``visit`` or ``leave``, raises at every node
+    of ``kind``."""
 
     class RaisingChecker(Rule):
         descriptor = RuleDescriptor(
@@ -422,9 +500,10 @@ def raising_rule(lang, kind):
             subscriptions=((lang, kind),),
         )
 
-        def visit(self, node, ctx):
-            raise RuntimeError(kind)
+    def fail(self, node, ctx):
+        raise RuntimeError(kind)
 
+    setattr(RaisingChecker, method, fail)
     return RaisingChecker
 
 
@@ -432,14 +511,16 @@ def raising_rule(lang, kind):
 @PROPERTY
 @given(data=st.data())
 def test_a_raising_rule_costs_only_its_own_findings(workdir, lang, data):
-    """A rule that raises at a node kind the unit holds makes the run exit
-    2, and every other rule reports what it reports without it."""
+    """A rule that raises in ``visit`` or ``leave`` at a node kind the unit
+    holds makes the run exit 2, and every other rule reports what it reports
+    without it."""
     text, _planted = data.draw(generated_corpus(lang))
     src = workdir / ("raising" + EXTENSIONS[lang])
     src.write_text(text, encoding="utf-8")
     kind = data.draw(st.sampled_from(sorted({node.kind for node in FRONTENDS[lang]["parse"](text, "x").walk()})))
+    method = data.draw(st.sampled_from(["visit", "leave"]))
     runs = []
-    for extra in ((), (raising_rule(lang, kind),)):
+    for extra in ((), (raising_rule(lang, kind, method),)):
         rules = FRONTENDS[lang]["rules"]
         entry = dict(FRONTENDS[lang], rules=lambda rules=rules, extra=extra: [*rules(), *extra])
         xml_out = workdir / "raising.xml"

@@ -380,6 +380,21 @@ class TestMemoryChecker:
             "Variable 'p' is allocated with new but never freed."
         ]
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "int* q = 0;\nvoid f() { int* p = new int; { int* q = 0; q = p; } }",
+            "int* q = 0;\nvoid f() { int* p = new int; for (int* q = 0; ; ) { q = p; } }",
+        ],
+        ids=["block", "for"],
+    )
+    def test_assigned_to_shadowing_local_does_not_escape(self, source):
+        """The assigned name is looked up from the innermost scope, where a
+        local hides the global of the same name."""
+        assert messages(run_rule("MemoryChecker", source)) == [
+            "Variable 'p' is allocated with new but never freed."
+        ]
+
     def test_assigned_to_local_target_reported(self):
         findings = run_rule(
             "MemoryChecker", "void f() { int* p = new int; int* q = 0; q = p; }"
