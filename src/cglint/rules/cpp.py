@@ -259,31 +259,26 @@ class IdentifierChecker(Rule):
     )
 
     def finish(self, ctx):
-        variables = [v for v in ctx.table.variables if v.name and v.scope is not None]
-        keys = [_normalize(v.name) for v in variables]
-        buckets = {}  # normalised name -> indices into variables, ascending
-        for j, key in enumerate(keys):
-            buckets.setdefault(key, []).append(j)
-        for i, inner in enumerate(variables):
-            for j in buckets[keys[i]]:
-                if i == j:
-                    continue
-                other = variables[j]
-                if not (
-                    inner.scope.is_ancestor_or_self(other.scope)
-                    or other.scope.is_ancestor_or_self(inner.scope)
-                ):
-                    continue
-                if not _reports_here(inner, other, i, j):
-                    continue
-                similar = '"%s : %s"' % (other.name, other.declared_type)
-                if other.is_member:
-                    similar = "instance variable " + similar
-                ctx.report(
-                    inner.decl_span,
-                    '%s "%s" is named similar to %s.'
-                    % (_var_label(inner), inner.name, similar),
-                )
+        """Each variable is reported once per variable of the same normalised
+        name declared earlier in its own scope or anywhere in an enclosing one."""
+        by_key = {}  # (scope, normalised name) -> the variables declared there, in order
+        for var in ctx.table.variables:
+            by_key.setdefault((var.scope, _normalize(var.name)), []).append(var)
+        for (scope, key), here in by_key.items():
+            outer, up = [], scope.parent
+            while up is not None:
+                outer += by_key.get((up, key), ())
+                up = up.parent
+            for n, inner in enumerate(here):
+                for other in here[:n] + outer:
+                    similar = '"%s : %s"' % (other.name, other.declared_type)
+                    if other.is_member:
+                        similar = "instance variable " + similar
+                    ctx.report(
+                        inner.decl_span,
+                        '%s "%s" is named similar to %s.'
+                        % (_var_label(inner), inner.name, similar),
+                    )
 
 
 def _normalize(name):
@@ -296,18 +291,6 @@ def _var_label(binding):
     if binding.is_parameter:
         return "Parameter"
     return "Local Variable"
-
-
-def _depth(scope):
-    return sum(1 for _ in scope.chain())
-
-
-def _reports_here(inner, other, i, j):
-    """The finding goes to the inner binding; to the later one on ties."""
-    d_inner, d_other = _depth(inner.scope), _depth(other.scope)
-    if d_inner != d_other:
-        return d_inner > d_other
-    return i > j
 
 
 class IfChecker(Rule):

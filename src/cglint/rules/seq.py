@@ -1,7 +1,9 @@
 """The two sequence-chart checkers.
 
-The test-driver object defaults to the first declared object of the chart
-and can be pinned with the ``testDriver`` property.
+The test-driver object is the ``testDriver`` property, or else the chart's
+first declared object: the first variable of the unit's symbol table, which
+declares the objects in chart order. The grammar puts every object before
+any message, and a message names only declared objects.
 """
 
 from __future__ import annotations
@@ -9,32 +11,12 @@ from __future__ import annotations
 from ..core import Rule
 from ..model import Criticality, Priority, RuleDescriptor
 
-_SUBSCRIPTIONS = (("seqdiag", "ObjectDecl"), ("seqdiag", "Message"))
+
+def _driver(ctx):
+    return ctx.prop("testDriver").strip() or ctx.table.variables[0].name
 
 
-class _DriverRule(Rule):
-    """Shared bookkeeping: remember the first declared object per unit."""
-
-    def __init__(self):
-        self.first_object = None
-
-    def visit(self, node, ctx):
-        if node.kind == "ObjectDecl":
-            if self.first_object is None:
-                self.first_object = node.attr("name")
-            return
-        if node.kind == "Message":
-            self.check_message(node, ctx)
-
-    def driver(self, ctx):
-        configured = ctx.prop("testDriver", "").strip()
-        return configured or self.first_object
-
-    def check_message(self, node, ctx):
-        raise NotImplementedError
-
-
-class TriggerChecker(_DriverRule):
+class TriggerChecker(Rule):
     descriptor = RuleDescriptor(
         id="TriggerChecker",
         title="Trigger stereotype checker",
@@ -42,14 +24,14 @@ class TriggerChecker(_DriverRule):
         reference="",
         priority=Priority.SHALL,
         criticality=Criticality.MEDIUM,
-        subscriptions=_SUBSCRIPTIONS,
+        subscriptions=(("seqdiag", "Message"),),
         default_properties=(("testDriver", "", "str"),),
     )
 
-    def check_message(self, node, ctx):
-        driver = self.driver(ctx)
-        if driver is None or node.attr("direction") != "CALL":
+    def visit(self, node, ctx):
+        if node.attr("direction") != "CALL":
             return
+        driver = _driver(ctx)
         if node.attr("source") == driver and node.attr("stereotype") != "trigger":
             ctx.report(
                 node.span,
@@ -58,7 +40,7 @@ class TriggerChecker(_DriverRule):
             )
 
 
-class NoCallToTestDriverChecker(_DriverRule):
+class NoCallToTestDriverChecker(Rule):
     descriptor = RuleDescriptor(
         id="NoCallToTestDriverChecker",
         title="Test driver call checker",
@@ -66,14 +48,14 @@ class NoCallToTestDriverChecker(_DriverRule):
         reference="",
         priority=Priority.SHALL,
         criticality=Criticality.HIGH,
-        subscriptions=_SUBSCRIPTIONS,
+        subscriptions=(("seqdiag", "Message"),),
         default_properties=(("testDriver", "", "str"),),
     )
 
-    def check_message(self, node, ctx):
-        driver = self.driver(ctx)
-        if driver is None or node.attr("direction") != "CALL":
+    def visit(self, node, ctx):
+        if node.attr("direction") != "CALL":
             return
+        driver = _driver(ctx)
         if node.attr("target") == driver:
             ctx.report(
                 node.span,

@@ -5,6 +5,9 @@ unit gets one table, built from the finished AST by the builder named in
 its language's ``pipeline.FRONTENDS`` entry, and read-only once built. The
 table indexes nodes by id only where a builder opens a scope or declares a
 binding, so ``scope_of`` and ``binding_of`` answer for those nodes alone.
+``variables`` lists every declared variable, each named and in its scope,
+in declaration order. Scopes compare and hash by identity, so rules can
+key facts by scope.
 """
 
 from __future__ import annotations
@@ -32,15 +35,14 @@ class Specifier(enum.Enum):
     STATIC = "STATIC"
 
 
-@dataclass
 class Scope:
-    kind: ScopeKind
-    name: str | None = None
-    parent: "Scope | None" = None
-    declarations: list = field(default_factory=list)
-    children: list = field(default_factory=list)
-    # name -> the first binding declared under it
-    _by_name: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, kind, name=None, parent=None):
+        self.kind = kind
+        self.name = name
+        self.parent = parent
+        self.declarations = []
+        self.children = []
+        self._by_name = {}  # name -> the first binding declared under it
 
     def declare(self, binding):
         self.declarations.append(binding)
@@ -58,15 +60,6 @@ class Scope:
                 return binding
             scope = scope.parent
         return None
-
-    def chain(self):
-        scope = self
-        while scope is not None:
-            yield scope
-            scope = scope.parent
-
-    def is_ancestor_or_self(self, other):
-        return any(s is self for s in other.chain())
 
 
 @dataclass

@@ -1,13 +1,17 @@
 """MemoryChecker and FlowControlChecker as they ran before the rules kept
-state across ``visit`` and ``leave`` calls, kept as the reference the
-one-walk rules are compared against.
+state across ``visit`` and ``leave`` calls, and IdentifierChecker as it ran
+before it keyed the table's variables by scope, kept as the references the
+rules are compared against.
 
 Each checker here walks a subtree again inside ``visit``: MemoryChecker
 the body of each function, without descending into local classes, and
 FlowControlChecker the body of each loop, without descending into nested
 loops and switches. MemoryChecker looks the name an assignment stores to up
 from the innermost block or ``for`` scope around the assignment, as the
-rule does. Both keep the rules' ids, so their findings compare equal.
+rule does. IdentifierChecker tests every pair of variables with the same normalised name
+for ancestry in both directions and gives the finding to the deeper one, or
+to the later one of a pair in one scope. All three keep the rules' ids, so
+their findings compare equal.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import replace
 
 from cglint.core import Rule
 from cglint.rules import cpp
-from cglint.rules.cpp import _BREAKABLE, _is_nonlocal_target, _sub
+from cglint.rules.cpp import _BREAKABLE, _is_nonlocal_target, _normalize, _sub, _var_label
 
 
 class FlowControlChecker(Rule):
@@ -115,4 +119,57 @@ def _function_body_nodes(body, table):
                 stack.append((child, scope))
 
 
-ORACLES = {cls.descriptor.id: cls for cls in (FlowControlChecker, MemoryChecker)}
+class IdentifierChecker(Rule):
+    descriptor = cpp.IdentifierChecker.descriptor
+
+    def finish(self, ctx):
+        variables = ctx.table.variables
+        keys = [_normalize(v.name) for v in variables]
+        buckets = {}  # normalised name -> indices into variables, ascending
+        for j, key in enumerate(keys):
+            buckets.setdefault(key, []).append(j)
+        for i, inner in enumerate(variables):
+            for j in buckets[keys[i]]:
+                if i == j:
+                    continue
+                other = variables[j]
+                if not (_encloses(inner.scope, other.scope) or _encloses(other.scope, inner.scope)):
+                    continue
+                if not _reports_here(inner, other, i, j):
+                    continue
+                similar = '"%s : %s"' % (other.name, other.declared_type)
+                if other.is_member:
+                    similar = "instance variable " + similar
+                ctx.report(
+                    inner.decl_span,
+                    '%s "%s" is named similar to %s.'
+                    % (_var_label(inner), inner.name, similar),
+                )
+
+
+def _encloses(outer, scope):
+    """True iff ``outer`` is ``scope`` or one of its ancestors."""
+    while scope is not None:
+        if scope is outer:
+            return True
+        scope = scope.parent
+    return False
+
+
+def _depth(scope):
+    depth = 0
+    while scope is not None:
+        depth += 1
+        scope = scope.parent
+    return depth
+
+
+def _reports_here(inner, other, i, j):
+    """The finding goes to the inner binding; to the later one on ties."""
+    d_inner, d_other = _depth(inner.scope), _depth(other.scope)
+    if d_inner != d_other:
+        return d_inner > d_other
+    return i > j
+
+
+ORACLES = {cls.descriptor.id: cls for cls in (FlowControlChecker, IdentifierChecker, MemoryChecker)}

@@ -16,8 +16,8 @@ under the node's name. Over random text and token soup, both scanners give
 the tokens, or the error, of the match-per-token oracle in
 ``scan_oracle.py``. Over generated units, mutated fixtures and units that
 nest loops, switches, blocks and local classes around pointers,
-MemoryChecker and FlowControlChecker report what their re-walking oracles
-in ``rule_oracle.py`` report. A rule that raises in ``visit`` or ``leave``
+MemoryChecker, FlowControlChecker and IdentifierChecker report what their
+oracles in ``rule_oracle.py`` report. A rule that raises in ``visit`` or ``leave``
 at a node kind a generated unit or chart holds makes the run exit 2 and
 leaves every other rule's findings as they are without it. Examples are
 derandomized so that every run checks the same inputs.
@@ -365,8 +365,8 @@ def nested_unit(draw):
 
 
 def check_rules_match_oracle(text):
-    """If ``text`` parses, MemoryChecker and FlowControlChecker, run alone,
-    report exactly what their oracles report, and neither raises."""
+    """If ``text`` parses, each rule of ``ORACLES``, run alone, reports
+    exactly what its oracle reports, and neither raises."""
     root = analyze_file("input.cpp", "minicpp", text=text)
     if root.ast is None:
         return
