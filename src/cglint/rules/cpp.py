@@ -215,7 +215,7 @@ class FunctionChecker(Rule):
     descriptor = RuleDescriptor(
         id="FunctionChecker",
         title="Function usage checker",
-        description="Checks function length, parameter count, and naming.",
+        description="Checks function length and parameter count.",
         reference="",
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
@@ -243,8 +243,6 @@ class FunctionChecker(Rule):
                 "Function %r has %d parameters (maximum is %d)."
                 % (name, params, max_params),
             )
-        if name and not _LOWER_CAMEL.fullmatch(name):
-            ctx.report(node.span, "Function %r is not named in lowerCamelCase." % name)
 
 
 class IdentifierChecker(Rule):

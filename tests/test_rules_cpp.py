@@ -1,7 +1,7 @@
 """One positive and one negative fixture for each of the 18 C++ checkers."""
 
 import pytest
-from conftest import run_rule
+from conftest import analyze_cpp, run_rule, run_rules
 
 
 def messages(findings):
@@ -161,9 +161,11 @@ class TestFunctionChecker:
         )
         assert "3 parameters" in findings[0].message
 
-    def test_bad_name(self):
-        findings = run_rule("FunctionChecker", "void Do_Work() { }")
-        assert "lowerCamelCase" in findings[0].message
+    def test_bad_name_reported_once_by_the_full_rule_set(self, cpp_registry):
+        findings = run_rules(analyze_cpp("void Do_Work() { }"), set(cpp_registry.rule_ids()))
+        assert [(f.rule_id, f.message) for f in findings if "lowerCamelCase" in f.message] == [
+            ("NamingConventionChecker", "Function 'Do_Work' is not named in lowerCamelCase.")
+        ]
 
     def test_within_limits(self):
         assert run_rule("FunctionChecker", "void doWork(int a) { }") == []
