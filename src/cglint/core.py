@@ -13,7 +13,8 @@ from .symtab import SymbolTable
 class RuleContext:
     """Read-only view handed to a rule, plus its finding sink.
 
-    ``properties`` holds every declared property converted to its type."""
+    ``properties`` holds every declared property converted to its type, so
+    ``prop`` raises KeyError for a name the rule did not declare."""
 
     table: SymbolTable
     properties: dict
@@ -23,8 +24,8 @@ class RuleContext:
     def report(self, span, message):
         self.findings.append(Finding(self.rule_id, span.start_point(), message))
 
-    def prop(self, name, default=""):
-        return self.properties.get(name, default)
+    def prop(self, name):
+        return self.properties[name]
 
 
 class Rule:

@@ -250,6 +250,34 @@ def test_an_unexpected_exception_in_a_stage_is_an_internal_error(tmp_path, monke
     assert err.startswith("%s: internal error in %s: RuntimeError: crash (test_pipeline.py:" % (bad, stage))
 
 
+class _MisspeltPropertyChecker(Rule):
+    """Reads a property it does not declare."""
+
+    descriptor = RuleDescriptor(
+        id="MisspeltPropertyChecker",
+        title="Misspelt property checker",
+        description="Reads an undeclared property.",
+        reference="",
+        priority=Priority.SHOULD,
+        criticality=Criticality.LOW,
+        subscriptions=(("toy", "Word"),),
+        default_properties=(("word", "hello", "str"),),
+    )
+
+    def visit(self, node, ctx):
+        if node.attr("text") == ctx.prop("wrod"):
+            ctx.report(node.span, "Word %r seen." % node.attr("text"))
+
+
+def test_an_undeclared_property_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    entry = {"rules": lambda: [_ShoutChecker, _MisspeltPropertyChecker]}
+    code, results, (a,), err = _toy_run(tmp_path, monkeypatch, capsys, [("a", "hello WORLD")], **entry)
+    assert code == 2
+    found = _findings(results)
+    assert found == {"MisspeltPropertyChecker": [], "ShoutChecker": [(a, "Word 'WORLD' is shouted.")]}
+    assert err.startswith("%s:1:1: internal error in rule MisspeltPropertyChecker: KeyError: 'wrod' (" % a)
+
+
 class _LongWordChecker(Rule):
     """Reports every word longer than its ``maxLength`` property."""
 

@@ -3,6 +3,7 @@ from conftest import analyze_cpp, analyze_seq
 from cglint.symtab import (
     ClassBinding,
     FunctionBinding,
+    Scope,
     ScopeKind,
     Specifier,
     VariableBinding,
@@ -225,3 +226,12 @@ def test_declarators_of_a_branch_share_a_block():
     assert block.kind is ScopeKind.BLOCK
     assert block.parent is table.scope_of(find(root.ast, "CompoundStmt"))
     assert [table.binding_of(n).scope for n in branch.children] == [block, block]
+
+
+def test_scopes_have_identity_semantics():
+    """Scopes with equal fields are distinct dict keys, each equal only to itself."""
+    parent = Scope(ScopeKind.GLOBAL)
+    a, b = Scope(ScopeKind.BLOCK, parent=parent), Scope(ScopeKind.BLOCK, parent=parent)
+    keys = {a: "a", b: "b"}
+    assert keys[a] == "a" and keys[b] == "b"
+    assert a == a and b == b and a != b
