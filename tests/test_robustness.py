@@ -17,9 +17,9 @@ the tokens, or the error, of the match-per-token oracle in
 ``scan_oracle.py``. Over generated units, mutated fixtures and units that
 nest loops, switches, blocks and local classes around pointers,
 MemoryChecker, FlowControlChecker and IdentifierChecker report what their
-oracles in ``rule_oracle.py`` report. A rule that raises in ``visit`` or ``leave``
-at a node kind a generated unit or chart holds makes the run exit 2 and
-leaves every other rule's findings as they are without it. Examples are
+oracles in ``rule_oracle.py`` report. A rule that raises in ``visit`` or
+``leave`` at a node kind a generated unit or chart holds makes the run exit
+2 and leaves every other rule's findings as they are without it. Examples are
 derandomized so that every run checks the same inputs.
 """
 
