@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import DuplicateRuleIdError, UnknownRuleIdError
 from .model import Diagnostic, Finding, RuleConfig, RuleReport
 from .symtab import SymbolTable
 
 
-@dataclass
 class RuleContext:
     """Read-only view handed to a rule, plus its finding sink.
 
     ``properties`` holds every declared property converted to its type, so
     ``prop`` raises KeyError for a name the rule did not declare."""
 
-    table: SymbolTable
-    properties: dict
-    rule_id: str
-    findings: list = field(default_factory=list)
+    __slots__ = ("table", "properties", "rule_id", "findings")
+
+    def __init__(self, table, properties, rule_id, findings=None):
+        self.table = table
+        self.properties = properties
+        self.rule_id = rule_id
+        self.findings = [] if findings is None else findings
 
     def report(self, span, message):
         self.findings.append(Finding(self.rule_id, span.start_point(), message))
@@ -110,7 +110,8 @@ def traverse(root, registry, configs, stats=None):
     no findings for the unit. Every other rule keeps its findings.
 
     Returns one RuleReport per enabled rule (rules with zero findings
-    included), with its priority override applied and its property texts,
+    included), with its priority override applied (a descriptor made by
+    ``RuleDescriptor._replace``) and its property texts,
     ordered by rule id with findings sorted by position.
     """
     table = root.symbols if root.symbols is not None else SymbolTable()
@@ -126,7 +127,7 @@ def traverse(root, registry, configs, stats=None):
         ctx = RuleContext(table=table, properties=properties, rule_id=config.rule_id)
         live[config.rule_id] = (rule_cls(), ctx)
         if config.priority_override is not None:
-            descriptor = replace(descriptor, priority=config.priority_override)
+            descriptor = descriptor._replace(priority=config.priority_override)
         reports[config.rule_id] = RuleReport(descriptor=descriptor, effective_properties=texts, findings=ctx.findings)
 
     if root.ast is not None:

@@ -1,11 +1,17 @@
-"""Language-independent data model: syntax nodes, rule metadata, results."""
+"""Language-independent data model: syntax nodes, rule metadata, results.
+
+Values that never change after they are made are ``NamedTuple``s:
+``SourceSpan``, ``Diagnostic``, ``RuleDescriptor``, ``Finding`` (which also
+checks its message) and ``report.SeveritySummary``. The records that later
+stages fill in, ``AnalysisRoot``, ``RuleConfig``, ``RuleReport`` and
+``ValidationResults``, are slotted ``Record`` classes with value equality.
+"""
 
 from __future__ import annotations
 
 import enum
 import os
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import UnknownPropertyError
@@ -83,8 +89,7 @@ class AstNode:
         return [n for n in self.walk() if n.kind == kind]
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     span: SourceSpan | None
     message: str
     fatal: bool = True
@@ -101,8 +106,20 @@ class Diagnostic:
         return cls(span, "internal error in %s: %s: %s (%s)" % (where, type(exc).__name__, exc, origin))
 
 
-@dataclass
-class AnalysisRoot:
+class Record:
+    """Value equality and a repr over the fields a subclass names in
+    ``__slots__``; a record is mutable, so it is not hashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % (n, getattr(self, n)) for n in self.__slots__))
+
+
+class AnalysisRoot(Record):
     """One parsed source unit plus everything later workflow stages attach.
 
     ``ast`` is present iff the unit was read and parsed and its symbols
@@ -110,11 +127,14 @@ class AnalysisRoot:
     fatal entry; ``core.traverse`` adds one for each rule that raises.
     """
 
-    file: str
-    content: str
-    ast: AstNode | None = None
-    symbols: object = None
-    diagnostics: list = field(default_factory=list)
+    __slots__ = ("file", "content", "ast", "symbols", "diagnostics")
+
+    def __init__(self, file, content, ast=None, symbols=None, diagnostics=None):
+        self.file = file
+        self.content = content
+        self.ast = ast
+        self.symbols = symbols
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def has_fatal_error(self):
         return any(d.fatal for d in self.diagnostics)
@@ -156,15 +176,15 @@ def parse_list(text):
 PROPERTY_TYPES = {"int": parse_int, "bool": parse_bool, "regex": re.compile, "str": str, "list": parse_list}
 
 
-@dataclass(frozen=True)
-class RuleDescriptor:
+class RuleDescriptor(NamedTuple):
     """Identity and metadata of one validation rule.
 
     ``subscriptions`` and ``default_properties`` are registry wiring and do
-    not take part in equality; the reporting layer round-trips descriptors
-    through XML which carries only the identity fields. Each default
-    property is a ``(name, default text, type)`` triple, the type being a
-    key of ``PROPERTY_TYPES``.
+    not take part in equality or hashing; the reporting layer round-trips
+    descriptors through XML which carries only the six identity fields. Each
+    default property is a ``(name, default text, type)`` triple, the type
+    being a key of ``PROPERTY_TYPES``. A descriptor is immutable;
+    ``_replace`` builds one with some fields changed.
     """
 
     id: str
@@ -173,8 +193,17 @@ class RuleDescriptor:
     reference: str
     priority: Priority
     criticality: Criticality
-    subscriptions: tuple = field(default=(), compare=False)
-    default_properties: tuple = field(default=(), compare=False)
+    subscriptions: tuple = ()
+    default_properties: tuple = ()
+
+    def __eq__(self, other):
+        return isinstance(other, RuleDescriptor) and self[:6] == other[:6]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:6])
 
     def defaults(self):
         """Property name -> default text."""
@@ -193,44 +222,50 @@ class RuleDescriptor:
             raise ValueError("expected %s, found %r" % (type_name, text)) from None
 
 
-@dataclass
-class RuleConfig:
-    rule_id: str
-    enabled: bool = True
-    priority_override: Priority | None = None
-    properties: dict = field(default_factory=dict)
+class RuleConfig(Record):
+    __slots__ = ("rule_id", "enabled", "priority_override", "properties")
+
+    def __init__(self, rule_id, enabled=True, priority_override=None, properties=None):
+        self.rule_id = rule_id
+        self.enabled = enabled
+        self.priority_override = priority_override
+        self.properties = {} if properties is None else properties
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule_id: str
-    span: SourceSpan
-    message: str
+class Finding(NamedTuple("Finding", [("rule_id", str), ("span", SourceSpan), ("message", str)])):
+    """One rule's finding at a span; immutable, and its message is not empty."""
 
-    def __post_init__(self):
-        if not self.message:
+    __slots__ = ()
+
+    def __new__(cls, rule_id, span, message):
+        if not message:
             raise ValueError("finding message must be non-empty")
+        return tuple.__new__(cls, (rule_id, span, message))
 
     def sort_key(self):
         return (self.span.file, self.span.row, self.span.col, self.message)
 
 
-@dataclass
-class RuleReport:
+class RuleReport(Record):
     """All findings of one enabled rule, with its effective configuration."""
 
-    descriptor: RuleDescriptor
-    effective_properties: dict = field(default_factory=dict)
-    findings: list = field(default_factory=list)
+    __slots__ = ("descriptor", "effective_properties", "findings")
+
+    def __init__(self, descriptor, effective_properties=None, findings=None):
+        self.descriptor = descriptor
+        self.effective_properties = {} if effective_properties is None else effective_properties
+        self.findings = [] if findings is None else findings
 
 
-@dataclass
-class ValidationResults:
+class ValidationResults(Record):
     """Root results object: one report per enabled rule, ordered by rule id."""
 
-    created: str
-    reports: list = field(default_factory=list)
-    files: list = field(default_factory=list)
+    __slots__ = ("created", "reports", "files")
+
+    def __init__(self, created, reports=None, files=None):
+        self.created = created
+        self.reports = [] if reports is None else reports
+        self.files = [] if files is None else files
 
     def total_findings(self):
         return sum(len(r.findings) for r in self.reports)

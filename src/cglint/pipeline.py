@@ -17,8 +17,8 @@ findings but stays listed in the results, and never aborts the run.
 from __future__ import annotations
 
 import codecs
-import datetime
 import importlib
+import time
 
 from .core import traverse
 from .errors import SourceError, UnknownLanguageError
@@ -118,7 +118,7 @@ def build_symbols(root):
 
 
 def default_timestamp():
-    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def run_pipeline(files, language, registry, configs, timestamp=None, diagnostics=None):

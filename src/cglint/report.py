@@ -7,11 +7,8 @@ produced findings.
 
 from __future__ import annotations
 
-import datetime
-import html
 import re
-from dataclasses import dataclass
-from xml.etree import ElementTree as ET
+from typing import NamedTuple
 
 from .errors import XmlSchemaError
 from .model import (
@@ -43,8 +40,7 @@ def display_path(path):
     )
 
 
-@dataclass
-class SeveritySummary:
+class SeveritySummary(NamedTuple):
     total: int
     counts: dict  # Criticality -> int
     percentages: dict  # Criticality -> float, one decimal, round-half-up
@@ -63,54 +59,52 @@ def summarize(results):
 
 
 def to_xml(results):
-    """Serialize ``results`` to canonical UTF-8 XML bytes."""
-    root = ET.Element(
-        "vfresults",
-        {"created": results.created, "findings": str(results.total_findings())},
-    )
+    """Serialize ``results`` to canonical UTF-8 XML bytes as ElementTree's
+    ``indent`` and ``tostring`` write them: a declaration, one element per
+    line indented two spaces per level, no final newline, and a character
+    UTF-8 cannot encode (a lone surrogate) as a character reference."""
     by_file = results.findings_by_file()
-    for path in sorted(by_file):
-        ET.SubElement(root, "file", {"path": path, "findings": str(by_file[path])})
+    children = ['  <file path="%s" findings="%d" />' % (_attribute(path), by_file[path]) for path in sorted(by_file)]
     for report in sorted(results.reports, key=lambda r: r.descriptor.id):
-        desc = report.descriptor
-        rule_el = ET.SubElement(
-            root,
-            "rule",
-            {
-                "id": desc.id,
-                "title": desc.title,
-                "description": desc.description,
-                "reference": desc.reference,
-                "priority": desc.priority.value,
-                "criticality": desc.criticality.value,
-                "findings": str(len(report.findings)),
-            },
-        )
-        for key in sorted(report.effective_properties):
-            ET.SubElement(
-                rule_el,
-                "property",
-                {"name": key, "value": report.effective_properties[key]},
-            )
-        for finding in sorted(report.findings, key=Finding.sort_key):
-            ET.SubElement(
-                rule_el,
-                "message",
-                {
-                    "file": finding.span.file,
-                    "row": str(finding.span.row),
-                    "col": str(finding.span.col),
-                    "text": finding.message,
-                },
-            )
-    ET.indent(root)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+        desc, properties = report.descriptor, report.effective_properties
+        lines = [
+            '    <property name="%s" value="%s" />' % (_attribute(key), _attribute(properties[key]))
+            for key in sorted(properties)
+        ] + [
+            '    <message file="%s" row="%d" col="%d" text="%s" />'
+            % (_attribute(f.span.file), f.span.row, f.span.col, _attribute(f.message))
+            for f in sorted(report.findings, key=Finding.sort_key)
+        ]
+        texts = map(_attribute, (desc.id, desc.title, desc.description, desc.reference))
+        start = '  <rule id="%s" title="%s" description="%s" reference="%s" priority="%s" criticality="%s" findings="%d"'
+        start %= (*texts, desc.priority.value, desc.criticality.value, len(report.findings))
+        children += _element(start, lines, "  </rule>")
+    start = '<vfresults created="%s" findings="%d"' % (_attribute(results.created), results.total_findings())
+    lines = ["<?xml version='1.0' encoding='utf-8'?>"] + _element(start, children, "</vfresults>")
+    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
+
+
+def _element(start, children, end):
+    """The lines of one element: its ``start`` tag closed by `` />`` when it
+    has no ``children``, else by ``>``, and followed by them and ``end``."""
+    return [start + ">", *children, end] if children else [start + " />"]
+
+
+def _attribute(text):
+    """``text`` escaped for a double-quoted attribute value, as ElementTree
+    escapes it: ``& < > "`` and tab, newline and carriage return."""
+    return (
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    )
 
 
 def from_xml(data):
     """Parse bytes produced by :func:`to_xml` back into ValidationResults.
     The ``findings`` count of the document, of each file and of each rule
     must equal the number of messages read for it."""
+    from xml.etree import ElementTree as ET
+
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -140,9 +134,7 @@ def from_xml(data):
 def _require(element, attribute):
     value = element.get(attribute)
     if value is None:
-        raise XmlSchemaError(
-            "element %r lacks attribute %r" % (element.tag, attribute)
-        )
+        raise XmlSchemaError("element %r lacks attribute %r" % (element.tag, attribute))
     return value
 
 
@@ -160,14 +152,8 @@ def _parse_rule(element):
         criticality = Criticality[_require(element, "criticality")]
     except KeyError as exc:
         raise XmlSchemaError("bad enum value %s in rule element" % exc) from None
-    descriptor = RuleDescriptor(
-        id=_require(element, "id"),
-        title=_require(element, "title"),
-        description=_require(element, "description"),
-        reference=_require(element, "reference"),
-        priority=priority,
-        criticality=criticality,
-    )
+    texts = [_require(element, name) for name in ("id", "title", "description", "reference")]
+    descriptor = RuleDescriptor(*texts, priority, criticality)
     properties = {}
     findings = []
     for child in element:
@@ -184,12 +170,12 @@ def _parse_rule(element):
         else:
             raise XmlSchemaError("unexpected element %r" % child.tag)
     _check_count(element, len(findings))
-    return RuleReport(
-        descriptor=descriptor, effective_properties=properties, findings=findings
-    )
+    return RuleReport(descriptor, properties, findings)
 
 
 def _human_timestamp(created):
+    import datetime
+
     try:
         stamp = datetime.datetime.fromisoformat(created.replace("Z", "+00:00"))
         return stamp.strftime("%Y-%m-%d %H:%M")
@@ -197,87 +183,59 @@ def _human_timestamp(created):
         return created
 
 
+def _escape_html(text):
+    """``html.escape(text)``: ``& < > " '`` as character references."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;").replace("'", "&#x27;")
+
+
 def render_html(results, summary=None):
     """Self-contained HTML report: summary, category and file lists, and a
     message table per rule with findings."""
     if summary is None:
         summary = summarize(results)
-    total = results.total_findings()
+    esc = _escape_html
     active = [r for r in results.reports if r.findings]
-    out = []
-    esc = html.escape
-    out.append("<!DOCTYPE html>")
-    out.append('<html><head><meta charset="utf-8">')
-    out.append("<title>CGL Report Summary</title>")
-    out.append(
-        "<style>body{font-family:sans-serif;margin:2em;}"
-        "table{border-collapse:collapse;}"
-        "td,th{border:1px solid #999;padding:2px 8px;}</style>"
-    )
-    out.append("</head><body>")
-    out.append('<h1 id="top">CGL Report Summary</h1>')
-    out.append("<h2>Overview:</h2>")
-    out.append(
-        "<p>The CGLs (Found %d errors; created %s):</p>"
-        % (total, esc(_human_timestamp(results.created)))
-    )
-    out.append("<h2>CGL Categories</h2>")
-    out.append("<ul>")
-    for report in active:
-        out.append(
-            '<li><a href="#rule-%s">%s (%d errors)</a></li>'
-            % (esc(report.descriptor.id), esc(report.descriptor.title), len(report.findings))
-        )
-    out.append("</ul>")
-    out.append("<h2>Files:</h2>")
-    out.append("<ul>")
     by_file = results.findings_by_file()
-    for path in sorted(by_file):
-        out.append("<li>%s (%d errors)</li>" % (esc(path), by_file[path]))
-    out.append("</ul>")
-    out.append("<h2>Severity</h2>")
-    out.append("<ul>")
-    for crit in Criticality:
-        out.append(
-            "<li>%s: %d (%.1f%%)</li>"
-            % (esc(crit.value), summary.counts[crit], summary.percentages[crit])
-        )
-    out.append("</ul>")
+    out = [
+        "<!DOCTYPE html>",
+        '<html><head><meta charset="utf-8">',
+        "<title>CGL Report Summary</title>",
+        "<style>body{font-family:sans-serif;margin:2em;}table{border-collapse:collapse;}"
+        "td,th{border:1px solid #999;padding:2px 8px;}</style>",
+        "</head><body>",
+        '<h1 id="top">CGL Report Summary</h1>',
+        "<h2>Overview:</h2>",
+        "<p>The CGLs (Found %d errors; created %s):</p>" % (results.total_findings(), esc(_human_timestamp(results.created))),
+        "<h2>CGL Categories</h2>",
+        "<ul>",
+        *('<li><a href="#rule-%s">%s (%d errors)</a></li>' % (esc(r.descriptor.id), esc(r.descriptor.title), len(r.findings))
+          for r in active),
+        "</ul>",
+        "<h2>Files:</h2>",
+        "<ul>",
+        *("<li>%s (%d errors)</li>" % (esc(path), by_file[path]) for path in sorted(by_file)),
+        "</ul>",
+        "<h2>Severity</h2>",
+        "<ul>",
+        *("<li>%s: %d (%.1f%%)</li>" % (esc(c.value), summary.counts[c], summary.percentages[c]) for c in Criticality),
+        "</ul>",
+    ]
     for report in active:
         desc = report.descriptor
-        out.append(
-            '<h2 id="rule-%s">%s (%d errors):</h2>'
-            % (esc(desc.id), esc(desc.title), len(report.findings))
-        )
+        out.append('<h2 id="rule-%s">%s (%d errors):</h2>' % (esc(desc.id), esc(desc.title), len(report.findings)))
         out.append("<p>%s</p>" % esc(desc.description))
         if desc.reference:
             out.append("<p>Reference: %s</p>" % esc(desc.reference))
         out.append("<p>Priority: %s</p>" % esc(desc.priority.value))
         if report.effective_properties:
-            out.append("<p>Configured properties:<br>")
-            out.append(
-                "<br>".join(
-                    "%s : %s" % (esc(k), esc(v))
-                    for k, v in sorted(report.effective_properties.items())
-                )
-            )
-            out.append("</p>")
-        out.append("<h3>Messages:</h3>")
-        out.append("<table>")
-        out.append(
-            "<tr><th>Filename</th><th>Message</th><th>Row</th><th>Column</th></tr>"
-        )
-        for finding in report.findings:
-            out.append(
-                "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td></tr>"
-                % (
-                    esc(finding.span.file),
-                    esc(finding.message),
-                    finding.span.row,
-                    finding.span.col,
-                )
-            )
-        out.append("</table>")
-        out.append('<p><a href="#top">Back to top</a></p>')
+            properties = sorted(report.effective_properties.items())
+            out += ["<p>Configured properties:<br>", "<br>".join("%s : %s" % (esc(k), esc(v)) for k, v in properties), "</p>"]
+        out += ["<h3>Messages:</h3>", "<table>", "<tr><th>Filename</th><th>Message</th><th>Row</th><th>Column</th></tr>"]
+        out += [
+            "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td></tr>"
+            % (esc(f.span.file), esc(f.message), f.span.row, f.span.col)
+            for f in report.findings
+        ]
+        out += ["</table>", '<p><a href="#top">Back to top</a></p>']
     out.append("</body></html>")
     return "\n".join(out)

@@ -6,14 +6,13 @@ its language's ``pipeline.FRONTENDS`` entry, and read-only once built. The
 table indexes nodes by id only where a builder opens a scope or declares a
 binding, so ``scope_of`` and ``binding_of`` answer for those nodes alone.
 ``variables`` lists every declared variable, each named and in its scope,
-in declaration order. Scopes compare and hash by identity, so rules can
-key facts by scope.
+in declaration order. Scopes and bindings are plain classes, bindings
+slotted; both compare and hash by identity, so rules can key facts by them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .model import Diagnostic
 
@@ -62,35 +61,44 @@ class Scope:
         return None
 
 
-@dataclass
 class TypeBinding:
     """A plain type name: an enum or a typedef."""
 
-    name: str
-    scope: Scope = None
+    __slots__ = ("name", "scope")
+
+    def __init__(self, name, scope=None):
+        self.name = name
+        self.scope = scope
 
 
-@dataclass
 class VariableBinding:
-    name: str
-    declared_type: str = ""
-    scope: Scope = None
-    has_initializer: bool = False
-    is_member: bool = False
-    is_parameter: bool = False
-    is_loop_index: bool = False
-    decl_span: object = None
+    __slots__ = ("name", "declared_type", "scope", "has_initializer",
+                 "is_member", "is_parameter", "is_loop_index", "decl_span")
+
+    def __init__(self, name, declared_type="", scope=None, has_initializer=False, is_member=False,
+                 is_parameter=False, is_loop_index=False, decl_span=None):
+        self.name = name
+        self.declared_type = declared_type
+        self.scope = scope
+        self.has_initializer = has_initializer
+        self.is_member = is_member
+        self.is_parameter = is_parameter
+        self.is_loop_index = is_loop_index
+        self.decl_span = decl_span
 
 
-@dataclass
 class FunctionBinding:
-    name: str
-    specifiers: set = field(default_factory=set)
-    parameter_types: list = field(default_factory=list)
-    return_type: str = ""
-    is_constructor: bool = False
-    is_destructor: bool = False
-    scope: Scope = None
+    __slots__ = ("name", "specifiers", "parameter_types", "return_type", "is_constructor", "is_destructor", "scope")
+
+    def __init__(self, name, specifiers=None, parameter_types=None, return_type="", is_constructor=False,
+                 is_destructor=False, scope=None):
+        self.name = name
+        self.specifiers = set() if specifiers is None else specifiers
+        self.parameter_types = [] if parameter_types is None else parameter_types
+        self.return_type = return_type
+        self.is_constructor = is_constructor
+        self.is_destructor = is_destructor
+        self.scope = scope
 
     def has_specifier(self, spec):
         return spec in self.specifiers
@@ -116,13 +124,15 @@ def _norm_types(types):
     return [_norm(t) for t in types]
 
 
-@dataclass
 class ClassBinding:
-    name: str
-    scope: Scope = None  # the CLASS scope this binding owns
-    bases: list = field(default_factory=list)  # (ClassBinding | None, Specifier, name)
-    functions: list = field(default_factory=list)
-    data_members: list = field(default_factory=list)
+    __slots__ = ("name", "scope", "bases", "functions", "data_members")
+
+    def __init__(self, name, scope=None, bases=None, functions=None, data_members=None):
+        self.name = name
+        self.scope = scope  # the CLASS scope this binding owns
+        self.bases = [] if bases is None else bases  # (ClassBinding | None, Specifier, name)
+        self.functions = [] if functions is None else functions
+        self.data_members = [] if data_members is None else data_members
 
     def inherited_classes(self):
         return [base for base, _access, _name in self.bases if base is not None]

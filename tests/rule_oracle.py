@@ -16,16 +16,13 @@ their findings compare equal.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from cglint.core import Rule
 from cglint.rules import cpp
 from cglint.rules.cpp import _BREAKABLE, _is_nonlocal_target, _normalize, _sub, _var_label
 
 
 class FlowControlChecker(Rule):
-    descriptor = replace(
-        cpp.FlowControlChecker.descriptor,
+    descriptor = cpp.FlowControlChecker.descriptor._replace(
         subscriptions=_sub("GotoStmt", "LabelStmt", "WhileStmt", "DoStmt", "ForStmt"),
     )
 
@@ -57,8 +54,7 @@ def _direct_breaks(node):
 
 
 class MemoryChecker(Rule):
-    descriptor = replace(
-        cpp.MemoryChecker.descriptor,
+    descriptor = cpp.MemoryChecker.descriptor._replace(
         subscriptions=_sub("FunctionDef", "Constructor", "Destructor"),
     )
 

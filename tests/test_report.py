@@ -3,7 +3,8 @@ import string
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
-from hypothesis import given, settings
+import xml_oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from xml.etree import ElementTree as ET
 
@@ -234,6 +235,76 @@ def test_round_trip_property(results):
     """``from_xml(to_xml(r))`` gives back ``r``: its files, and its reports
     with their findings."""
     assert from_xml(to_xml(results)) == results
+
+
+# Attribute text as the writer meets it: the characters it escapes, the
+# apostrophe it does not, and any other character XML can carry.
+ATTRIBUTE_TEXT = st.text(
+    st.one_of(st.sampled_from("&<>\"'\t\n\r "), st.characters(blacklist_categories=("Cs",))), max_size=12
+).filter(lambda text: not NOT_XML_CHAR.search(text))
+
+
+@st.composite
+def writer_results(draw):
+    """Results with every text attribute drawn, unsorted, with findings in
+    listed files and others: each list empty or not."""
+    files = draw(st.lists(ATTRIBUTE_TEXT, max_size=3, unique=True))
+    span_files = st.one_of(st.sampled_from(files), ATTRIBUTE_TEXT) if files else ATTRIBUTE_TEXT
+    reports = []
+    for rule_id in draw(st.lists(ATTRIBUTE_TEXT, max_size=4, unique=True)):
+        texts = draw(st.tuples(ATTRIBUTE_TEXT, ATTRIBUTE_TEXT, ATTRIBUTE_TEXT))
+        desc = RuleDescriptor(rule_id, *texts, draw(st.sampled_from(Priority)), draw(st.sampled_from(Criticality)))
+        spans = st.builds(SourceSpan.point, span_files, st.integers(1, 10**6), st.integers(1, 10**6))
+        findings = draw(st.lists(st.builds(Finding, st.just(rule_id), spans, ATTRIBUTE_TEXT.filter(bool)), max_size=4))
+        properties = draw(st.dictionaries(ATTRIBUTE_TEXT, ATTRIBUTE_TEXT, max_size=3))
+        reports.append(RuleReport(desc, properties, findings))
+    return ValidationResults(draw(ATTRIBUTE_TEXT), reports, files)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(results=writer_results())
+@example(results=ValidationResults(created=""))
+@example(results=ValidationResults(created="t", reports=[RuleReport(descriptor("CleanChecker"))]))
+@example(results=simple_results())
+def test_to_xml_matches_element_tree(results):
+    """The writer gives exactly the bytes ElementTree gave."""
+    assert to_xml(results) == xml_oracle.to_xml(results)
+
+
+class TestModelEquality:
+    def test_descriptor_equality_ignores_wiring(self):
+        plain = descriptor("DemoChecker")
+        wired = plain._replace(subscriptions=(("minicpp", "ClassDef"),), default_properties=(("limit", "3", "int"),))
+        assert wired == plain and not wired != plain
+        assert hash(wired) == hash(plain)
+        assert len({plain, wired}) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"id": "X"}, {"title": "X"}, {"description": "X"}, {"reference": "X"},
+         {"priority": Priority.WILL}, {"criticality": Criticality.HIGH}],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_descriptor_identity_fields_take_part(self, change):
+        plain = descriptor("DemoChecker")
+        assert plain._replace(**change) != plain and not plain._replace(**change) == plain
+
+    def test_descriptor_and_finding_are_immutable(self):
+        with pytest.raises(AttributeError):
+            descriptor("DemoChecker").priority = Priority.WILL
+        with pytest.raises(AttributeError):
+            finding("DemoChecker", "a.cpp", 1, 1, "m").message = "other"
+
+    def test_finding_rejects_an_empty_message(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Finding("DemoChecker", SourceSpan.point("a.cpp", 1, 1), "")
+
+    def test_results_built_alike_compare_equal(self):
+        assert simple_results() == simple_results() and not simple_results() != simple_results()
+        changed = simple_results()
+        changed.reports[1].findings.pop()
+        assert changed != simple_results()
+        assert RuleReport(descriptor("CleanChecker")) == RuleReport(descriptor("CleanChecker"), {}, [])
 
 
 class TestFromXmlErrors:
