@@ -19,7 +19,7 @@ from .core import RuleRegistry, default_configs, register_rules
 from .errors import CglintError
 from .model import Priority
 from .pipeline import FRONTENDS, get_frontend, read_text, run_pipeline
-from .report import render_html, summarize, to_xml
+from .report import NOT_XML_CHAR, render_html, summarize, to_xml
 
 
 def build_registry(language):
@@ -31,12 +31,7 @@ def list_rules(language):
     lines = []
     for desc in registry.descriptors():
         props = ", ".join("%s=%s" % (k, v) for k, v in desc.defaults().items())
-        line = "%s  %s  [%s/%s]" % (
-            desc.id,
-            desc.title,
-            desc.priority.value,
-            desc.criticality.value,
-        )
+        line = "%s  %s  [%s/%s]" % (desc.id, desc.title, desc.priority.value, desc.criticality.value)
         if props:
             line += "  (%s)" % props
         lines.append(line)
@@ -88,6 +83,9 @@ def main(argv=None):
         if args.list_rules:
             print(list_rules(args.lang))
             return 0
+        bad = NOT_XML_CHAR.search(args.timestamp or "")
+        if bad:
+            raise CglintError("--timestamp: character %r cannot be written to XML" % bad.group())
         registry = build_registry(args.lang)
         if args.config:
             configs = load_config(read_text(args.config), registry)
@@ -125,9 +123,7 @@ def main(argv=None):
 
     for report in results.reports:
         if report.findings:
-            print(
-                "%s: %d finding(s)" % (report.descriptor.id, len(report.findings))
-            )
+            print("%s: %d finding(s)" % (report.descriptor.id, len(report.findings)))
     for path, diag in diagnostics:
         where = path
         if diag.span is not None:

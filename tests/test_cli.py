@@ -119,6 +119,17 @@ def test_config_value_xml_cannot_carry_exits_two(tmp_path, capsys):
     assert not os.path.exists(xml_out)
 
 
+@pytest.mark.parametrize("char", ["\x01", "\ufffe", os.fsdecode(b"\xff")], ids=["control", "noncharacter", "not_utf8"])
+def test_timestamp_xml_cannot_carry_exits_two(tmp_path, capsys, char):
+    """Nothing is written: before, the XML was written and did not read back."""
+    xml_out, html_out = tmp_path / "vfresults.xml", tmp_path / "report.html"
+    argv = ["--lang", "minicpp", fixture_path("ExampleImpl.cpp"), "--timestamp", "a%sb" % char]
+    code = main(argv + ["--xml-out", str(xml_out), "--html-out", str(html_out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: --timestamp: character %r cannot be written to XML\n" % char)
+    assert not xml_out.exists() and not html_out.exists()
+
+
 def test_file_name_not_utf8_is_escaped(tmp_path, capsys):
     (tmp_path / os.fsdecode(b"bad\xff.cpp")).write_bytes(b"void f() { int* p = new int; }\n")
     shown = str(tmp_path / "bad\\xff.cpp")
