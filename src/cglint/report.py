@@ -26,7 +26,7 @@ from .model import (
 # A character outside XML 1.0's Char production, which no XML document can
 # carry: a control character other than tab, newline and carriage return, a
 # surrogate, U+FFFE or U+FFFF. (The class of the characters XML allows takes
-# ~7 ms to compile on a 2-vCPU x86_64 host, ~5% of a run's start-up.)
+# ~7.6 ms to compile on a 2-vCPU x86_64 host, ~9% of a run with no inputs.)
 NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 

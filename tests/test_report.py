@@ -1,3 +1,4 @@
+import html
 import random
 import string
 from decimal import ROUND_HALF_UP, Decimal
@@ -18,7 +19,7 @@ from cglint.model import (
     SourceSpan,
     ValidationResults,
 )
-from cglint.report import NOT_XML_CHAR, from_xml, render_html, summarize, to_xml
+from cglint.report import NOT_XML_CHAR, _escape_html, from_xml, render_html, summarize, to_xml
 
 
 def descriptor(rule_id, priority=Priority.SHALL, criticality=Criticality.LOW):
@@ -269,6 +270,12 @@ def writer_results(draw):
 def test_to_xml_matches_element_tree(results):
     """The writer gives exactly the bytes ElementTree gave."""
     assert to_xml(results) == xml_oracle.to_xml(results)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(text=ATTRIBUTE_TEXT)
+def test_html_escape_matches_html_escape(text):
+    assert _escape_html(text) == html.escape(text)
 
 
 class TestModelEquality:
