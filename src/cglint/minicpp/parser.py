@@ -3,8 +3,18 @@
 Statements beginning with an identifier are ambiguous (``T * x;`` is a
 declaration when ``T`` names a type, an expression otherwise). The parser
 resolves this with a private stack of type-name frames, one per namespace,
-class and function body, filled with every class, enum and typedef it
-passes. The unit's symbol table is built afterwards from the finished AST.
+class and function, constructor or destructor body, filled with every
+class, enum and typedef it passes. The unit's symbol table is built
+afterwards from the finished AST.
+
+Each grammar job that several constructs share has one method:
+``parse_declaration`` (``[static] type stars name``, then a function or
+declarators), ``parse_items`` (the items of a namespace, class or block up
+to its ``}``), ``parse_body`` (the ``{…}`` or ``;`` of a function,
+constructor or destructor), ``parse_args`` (``( a, b )``),
+``parse_condition`` (``keyword ( expression )``) and
+``parse_qualified_name`` (``A::B``). Every parse method for a
+construct that may expand to several nodes returns a list.
 
 Node ids and spans come from ``scan.Cursor``: every node goes through its
 ``node`` or ``make``.
@@ -99,14 +109,13 @@ class _Parser(Cursor):
 
     def error(self, message):
         """Raise a ParseError at the current token; at the end of input, at
-        the last character of the last token (1:1 if there is none)."""
-        if not self.at_end():
-            span = self.span(self.pos)
-        elif self.count:
+        the last character of the last token (``parse_unit`` parses nothing
+        when there is none)."""
+        if self.at_end():
             last = self.count - 1
             span = SourceSpan.point(self.file, *self.point(self.starts[last] + len(self.texts[last]) - 1))
         else:
-            span = SourceSpan.point(self.file, 1, 1)
+            span = self.span(self.pos)
         raise ParseError(span, message)
 
     # --- type names ---------------------------------------------------
@@ -149,27 +158,39 @@ class _Parser(Cursor):
     def parse_unit(self):
         children = []
         while not self.at_end():
-            children.append(self.parse_top_decl())
+            children.extend(self.parse_top_decl())
         if self.count:
             return self.node("TranslationUnit", 0, children=children)
         return self.make("TranslationUnit", SourceSpan.point(self.file, 1, 1))
 
     def parse_top_decl(self):
+        """Parse one namespace-level declaration; declarators may expand to
+        several nodes."""
         self.enter()
-        if self.at("namespace"):
-            decl = self.parse_namespace()
-        elif self.at("using"):
-            decl = self.parse_using()
-        elif self.at("class"):
-            decl = self.parse_class()
-        elif self.at("enum"):
-            decl = self.parse_enum()
-        elif self.at("typedef"):
-            decl = self.parse_typedef()
+        text = self.texts[self.pos]
+        if text == "namespace":
+            decls = [self.parse_namespace()]
+        elif text == "using":
+            decls = [self.parse_using()]
+        elif text in self._TYPE_DECLS:
+            decls = [self._TYPE_DECLS[text](self)]
         else:
-            decl = self.parse_function_or_variable()
+            start = self.pos
+            decls = self.parse_declaration(start, self.accept("static"))
         self.depth -= 1
-        return decl
+        return decls
+
+    def parse_items(self, what, parse_item, *args):
+        """Parse the items of a namespace, class or block up to its closing
+        ``}``, which it consumes; each ``parse_item(*args)`` returns a list.
+        ``what`` names the construct when the input ends first."""
+        items = []
+        while self.texts[self.pos] != "}":
+            if self.pos >= self.count:
+                self.error("unterminated " + what)
+            items += parse_item(*args)
+        self.pos += 1
+        return items
 
     def parse_namespace(self):
         start = self.pos
@@ -178,13 +199,8 @@ class _Parser(Cursor):
         self.expect("{")
         # a reopened namespace continues the frame of its first block
         self.frames.append(self.frames[-1].children.setdefault(name, _Frame()))
-        children = []
-        while not self.at("}"):
-            if self.at_end():
-                self.error("unterminated namespace %r" % name)
-            children.append(self.parse_top_decl())
+        children = self.parse_items("namespace %r" % name, self.parse_top_decl)
         self.frames.pop()
-        self.expect("}")
         return self.node("NamespaceDef", start, {"name": name}, children)
 
     def parse_using(self):
@@ -211,17 +227,21 @@ class _Parser(Cursor):
             while self.texts[self.pos] in _TYPE_KEYWORDS:
                 parts.append(self.advance())
         elif self.kinds[self.pos] == IDENT:
-            name = [self.advance()]
-            while self.at("::") and self.at_kind(IDENT, 1):
-                self.advance()
-                name.append(self.advance())
-            parts.append("::".join(name))
+            parts.append(self.parse_qualified_name())
         else:
             self.error("expected type, found %r" % self.texts[self.pos])
         while self.at("const"):
             self.advance()
             parts.append("const")
         return " ".join(parts)
+
+    def parse_qualified_name(self):
+        """Parse an identifier, or ``A::B::C``, and return its text."""
+        name = self.expect_ident()
+        while self.texts[self.pos] == "::" and self.kinds[self.pos + 1] == IDENT:
+            name += "::" + self.texts[self.pos + 1]
+            self.pos += 2
+        return name
 
     def parse_pointer_suffix(self):
         suffix = ""
@@ -240,20 +260,9 @@ class _Parser(Cursor):
         if self.accept(":"):
             while True:
                 base_start = self.pos
-                access = "private"
-                if self.texts[self.pos] in _ACCESS:
-                    access = self.advance()
-                parts = [self.expect_ident()]
-                while self.at("::") and self.at_kind(IDENT, 1):
-                    self.advance()
-                    parts.append(self.advance())
-                children.append(
-                    self.node(
-                        "BaseSpec",
-                        base_start,
-                        {"access": access, "name": "::".join(parts)},
-                    )
-                )
+                access = self.advance() if self.texts[self.pos] in _ACCESS else "private"
+                base_name = self.parse_qualified_name()
+                children.append(self.node("BaseSpec", base_start, {"access": access, "name": base_name}))
                 if not self.accept(","):
                     break
         if self.accept(";"):
@@ -263,12 +272,8 @@ class _Parser(Cursor):
         frame = _Frame()
         self.frames[-1].children.setdefault(name, frame)
         self.frames.append(frame)
-        while not self.at("}"):
-            if self.at_end():
-                self.error("unterminated class %r" % name)
-            children.extend(self.parse_member(name))
+        children += self.parse_items("class %r" % name, self.parse_member, name)
         self.frames.pop()
-        self.expect("}")
         self.expect(";")
         return self.node("ClassDef", start, {"name": name}, children)
 
@@ -280,12 +285,8 @@ class _Parser(Cursor):
             self.advance()
             self.expect(":")
             members = [self.node("AccessSection", start, {"access": text})]
-        elif text == "enum":
-            members = [self.parse_enum()]
-        elif text == "typedef":
-            members = [self.parse_typedef()]
-        elif text == "class":
-            members = [self.parse_class()]
+        elif text in self._TYPE_DECLS:
+            members = [self._TYPE_DECLS[text](self)]
         else:
             virtual = self.accept("virtual")
             static = self.accept("static")
@@ -300,17 +301,7 @@ class _Parser(Cursor):
             ):
                 members = [self.parse_constructor(start)]
             else:
-                base_type = self.parse_base_type()
-                stars = self.parse_pointer_suffix()
-                name = self.expect_ident()
-                if self.at("("):
-                    members = [
-                        self.parse_function_rest(
-                            start, base_type + stars, name, virtual=virtual, static=static
-                        )
-                    ]
-                else:
-                    members = self.parse_declarators(start, base_type, stars, name)
+                members = self.parse_declaration(start, static, virtual)
         self.depth -= 1
         return members
 
@@ -320,12 +311,7 @@ class _Parser(Cursor):
         self.expect("(")
         self.expect(")")
         attrs = {"name": name, "virtual": virtual, "pure": self._accept_pure()}
-        children = []
-        if self.at("{"):
-            children.append(self.parse_compound())
-        else:
-            self.expect(";")
-        return self.node("Destructor", start, attrs, children)
+        return self.parse_body("Destructor", start, attrs, [])
 
     def parse_constructor(self, start):
         name = self.advance()
@@ -334,21 +320,11 @@ class _Parser(Cursor):
             next_id = self._next_id  # the dropped nodes' ids are reused
             while True:
                 self.expect_ident()
-                self.expect("(")
-                if not self.at(")"):
-                    self.parse_assign()
-                    while self.accept(","):
-                        self.parse_assign()
-                self.expect(")")
+                self.parse_args()
                 if not self.accept(","):
                     break
             self._next_id = next_id
-        children = list(params)
-        if self.at("{"):
-            children.append(self.parse_compound())
-        else:
-            self.expect(";")
-        return self.node("Constructor", start, {"name": name}, children)
+        return self.parse_body("Constructor", start, {"name": name}, params)
 
     def _accept_pure(self):
         if self.at("=") and self.at("0", 1):
@@ -381,24 +357,17 @@ class _Parser(Cursor):
         self.expect(")")
         return params
 
-    def parse_function_rest(self, start, return_type, name, virtual=False, static=False):
-        params = self.parse_params()
-        attrs = {
-            "name": name,
-            "return_type": return_type,
-            "virtual": virtual,
-            "static": static,
-            "const": self.accept("const"),
-            "pure": self._accept_pure(),
-        }
-        children = list(params)
+    def parse_body(self, kind, start, attrs, children):
+        """Parse the ``{…}`` body, which gets its own type-name frame, or the
+        ``;`` of a function, constructor or destructor, and return its node
+        with the body after ``children``."""
         if self.at("{"):
             self.frames.append(_Frame())
             children.append(self.parse_compound())
             self.frames.pop()
         else:
             self.expect(";")
-        return self.node("FunctionDef", start, attrs, children)
+        return self.node(kind, start, attrs, children)
 
     # --- enums / typedefs ----------------------------------------------
 
@@ -437,24 +406,29 @@ class _Parser(Cursor):
 
     # --- functions and variables ---------------------------------------
 
-    def parse_function_or_variable(self):
-        start = self.pos
-        self.accept("static")
+    def parse_declaration(self, start, static, virtual=False, function=True):
+        """Parse ``type stars name``, after any ``static`` or ``virtual``
+        from ``start``, then the rest of a function if ``function`` allows
+        one and ``(`` follows, else the declarators. Returns a list."""
         base = self.parse_base_type()
         stars = self.parse_pointer_suffix()
         name = self.expect_ident()
-        if self.at("("):
-            return self.parse_function_rest(start, base + stars, name)
-        decls = self.parse_declarators(start, base, stars, name)
-        if len(decls) == 1:
-            return decls[0]
-        # multiple declarators at top level: wrap to keep one child per decl
-        return self.node("ExprStmt", start, {}, decls)
+        if not (function and self.at("(")):
+            return self.parse_declarators(start, base, stars, name)
+        params = self.parse_params()
+        attrs = {
+            "name": name,
+            "return_type": base + stars,
+            "virtual": virtual,
+            "static": static,
+            "const": self.accept("const"),
+            "pure": self._accept_pure(),
+        }
+        return [self.parse_body("FunctionDef", start, attrs, params)]
 
-    def parse_declarators(self, start, base_type, stars, first_name):
+    def parse_declarators(self, start, base_type, stars, name):
         """Parse the remainder of ``type name [...], name2, ...;``."""
         decls = []
-        name = first_name
         decl_start = start
         while True:
             attrs = {"name": name, "type": base_type + stars}
@@ -482,12 +456,7 @@ class _Parser(Cursor):
     def parse_compound(self):
         start = self.pos
         self.expect("{")
-        children = []
-        while not self.at("}"):
-            if self.at_end():
-                self.error("unterminated block")
-            children.extend(self.parse_stmt())
-        self.expect("}")
+        children = self.parse_items("block", self.parse_stmt)
         return self.node("CompoundStmt", start, {}, children)
 
     def parse_stmt(self):
@@ -511,19 +480,12 @@ class _Parser(Cursor):
             self.advance()
             stmts = [self.node("LabelStmt", start, {"name": name})]
         elif self.at_declaration():
-            stmts = self.parse_decl_stmt()
+            start = self.pos
+            stmts = self.parse_declaration(start, self.accept("static"), function=False)
         else:
             stmts = [self.parse_expr_stmt()]
         self.depth -= 1
         return stmts
-
-    def parse_decl_stmt(self):
-        start = self.pos
-        self.accept("static")
-        base = self.parse_base_type()
-        stars = self.parse_pointer_suffix()
-        name = self.expect_ident()
-        return self.parse_declarators(start, base, stars, name)
 
     def parse_expr_stmt(self):
         start = self.pos
@@ -531,12 +493,17 @@ class _Parser(Cursor):
         self.expect(";")
         return self.node("ExprStmt", start, {}, [expr])
 
-    def parse_if(self):
-        start = self.pos
-        self.expect("if")
+    def parse_condition(self, keyword):
+        """Parse ``keyword ( expression )`` and return the expression."""
+        self.expect(keyword)
         self.expect("(")
         cond = self.parse_assign()
         self.expect(")")
+        return cond
+
+    def parse_if(self):
+        start = self.pos
+        cond = self.parse_condition("if")
         then = self._single_stmt()
         children = [cond, then]
         has_else = self.accept("else")
@@ -556,10 +523,7 @@ class _Parser(Cursor):
 
     def parse_switch(self):
         start = self.pos
-        self.expect("switch")
-        self.expect("(")
-        cond = self.parse_assign()
-        self.expect(")")
+        cond = self.parse_condition("switch")
         self.expect("{")
         children = [cond]
         while not self.at("}"):
@@ -596,7 +560,8 @@ class _Parser(Cursor):
         attrs = {"has_init": not self.accept(";")}
         if attrs["has_init"]:
             if self.at_declaration():
-                children.extend(self.parse_decl_stmt())
+                decl_start = self.pos
+                children.extend(self.parse_declaration(decl_start, self.accept("static"), function=False))
             else:
                 children.append(self.parse_assign())
                 self.expect(";")
@@ -613,10 +578,7 @@ class _Parser(Cursor):
 
     def parse_while(self):
         start = self.pos
-        self.expect("while")
-        self.expect("(")
-        cond = self.parse_assign()
-        self.expect(")")
+        cond = self.parse_condition("while")
         body = self._single_stmt()
         return self.node("WhileStmt", start, {}, [cond, body])
 
@@ -624,10 +586,7 @@ class _Parser(Cursor):
         start = self.pos
         self.expect("do")
         body = self._single_stmt()
-        self.expect("while")
-        self.expect("(")
-        cond = self.parse_assign()
-        self.expect(")")
+        cond = self.parse_condition("while")
         self.expect(";")
         return self.node("DoStmt", start, {}, [body, cond])
 
@@ -721,12 +680,8 @@ class _Parser(Cursor):
         if attrs["array"]:
             children.append(self.parse_assign())
             self.expect("]")
-        elif self.accept("("):
-            if not self.at(")"):
-                children.append(self.parse_assign())
-                while self.accept(","):
-                    children.append(self.parse_assign())
-            self.expect(")")
+        elif self.at("("):
+            children = self.parse_args()
         return self.node("NewExpr", start, attrs, children)
 
     def parse_delete(self):
@@ -743,14 +698,7 @@ class _Parser(Cursor):
         expr = self.parse_primary()
         while True:
             if self.at("("):
-                self.advance()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_assign())
-                    while self.accept(","):
-                        args.append(self.parse_assign())
-                self.expect(")")
-                expr = self.node("CallExpr", start, {}, [expr] + args)
+                expr = self.node("CallExpr", start, {}, [expr] + self.parse_args())
             elif self.at(".") or self.at("->"):
                 op = self.advance()
                 name = self.expect_ident()
@@ -761,12 +709,21 @@ class _Parser(Cursor):
             else:
                 return expr
 
+    def parse_args(self):
+        """Parse ``( a, b, … )`` and return the argument expressions."""
+        self.expect("(")
+        args = []
+        if not self.at(")"):
+            args.append(self.parse_assign())
+            while self.accept(","):
+                args.append(self.parse_assign())
+        self.expect(")")
+        return args
+
     def parse_primary(self):
         start = self.pos
         kind = self.kinds[start]
         text = self.texts[start]
-        if text is None:
-            self.error("expected expression")
         if text == "(":
             self.advance()
             inner = self.parse_assign()
@@ -802,3 +759,5 @@ class _Parser(Cursor):
         "class": parse_class,
         "using": parse_using,
     }
+    # keyword -> the method that parses the type declaration it starts
+    _TYPE_DECLS = {"class": parse_class, "enum": parse_enum, "typedef": parse_typedef}

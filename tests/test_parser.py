@@ -223,10 +223,105 @@ def test_all_kinds_in_catalog():
     assert missing == set(), missing
 
 
-def test_parse_error_is_fatal_with_position():
+PARSE_ERRORS = [
+    ("class_without_name", "class { int x; };", "expected identifier, found '{'", 1, 7),
+    ("unterminated_namespace", "namespace n { int a;", "unterminated namespace 'n'", 1, 20),
+    ("unterminated_class", "class A { int a;", "unterminated class 'A'", 1, 16),
+    ("unterminated_block", "void f() { int a;", "unterminated block", 1, 17),
+    ("unterminated_switch_body", "void f() { switch (x) { case 1: a;", "unterminated switch body", 1, 34),
+    ("switch_item", "void f() { switch (x) { a; } }", "expected 'case' or 'default'", 1, 25),
+    ("statement_at_end", "void f() { if (x)", "expected statement", 1, 17),
+    ("type_at_end", "static const", "expected type", 1, 12),
+    ("expression_at_end", "void f() { x = ", "expected expression", 1, 14),
+    ("trailing_argument_comma", "void f() { f(1,); }", "expected expression, found ')'", 1, 16),
+    ("top_level_virtual", "virtual void f();", "expected type, found 'virtual'", 1, 1),
+    ("member_using", "class A { using namespace n; };", "expected type, found 'using'", 1, 11),
+    ("static_constructor", "class A { static A(); };", "expected identifier, found '('", 1, 19),
+    ("local_function", "void f() { int g(); }", "expected ';', found '('", 1, 17),
+    ("using_trailing_scope", "using namespace a::;", "expected identifier, found ';'", 1, 20),
+    # a qualified name that names no type starts an expression, which stops at ``::``
+    ("unknown_scope", "namespace n { class C { }; }\nvoid f() { m::C * x; }", "expected ';', found '::'", 2, 13),
+    ("unknown_inner_scope", "namespace n { namespace m { } }\nvoid f() { n::k::C * x; }", "expected ';', found '::'", 2, 13),
+    ("unknown_type_in_scope", "namespace n { class C { }; }\nvoid f() { n::D * x; }", "expected ';', found '::'", 2, 13),
+]
+
+
+@pytest.mark.parametrize(
+    "source,message,row,col", [case[1:] for case in PARSE_ERRORS], ids=[case[0] for case in PARSE_ERRORS]
+)
+def test_parse_error_is_fatal_with_position(source, message, row, col):
     with pytest.raises(ParseError) as exc:
-        parse_src("class { int x; };")
-    assert exc.value.span.row == 1
+        parse_src(source)
+    assert (exc.value.span.row, exc.value.span.col) == (row, col)
+    assert str(exc.value) == "test.cpp:%d:%d: %s" % (row, col, message)
+
+
+def outline(node):
+    """``Kind`` or ``Kind:name``, then the outlines of the children in
+    parentheses."""
+    label = node.kind + (":" + node.attr("name") if node.attr("name") else "")
+    if not node.children:
+        return label
+    return "%s(%s)" % (label, " ".join(outline(child) for child in node.children))
+
+
+GRAMMAR = [
+    ("using_qualified", "using namespace a::b;", "UsingDirective:a::b"),
+    (
+        "qualified_bases",
+        "namespace ns { class A { }; } class B : public ns::A, C { };",
+        "NamespaceDef:ns(ClassDef:A) ClassDef:B(BaseSpec:ns::A BaseSpec:C)",
+    ),
+    (
+        "enum_and_typedef_members",
+        "class A { enum E { X }; typedef int T; T t; E e; };",
+        "ClassDef:A(EnumDef:E(Enumerator:X) TypedefDecl:T VarDecl:t VarDecl:e)",
+    ),
+    ("void_parameters", "int f(void); int g(void) { }", "FunctionDef:f FunctionDef:g(CompoundStmt)"),
+    (
+        "initializer_arguments",
+        "class A { A(int x) : a(x, 1), b(x, 2, 3) { } int a, b; };",
+        "ClassDef:A(Constructor:A(ParamDecl:x CompoundStmt) VarDecl:a VarDecl:b)",
+    ),
+    (
+        "new_arguments",
+        "class T { }; void f() { new T(1, 2); }",
+        "ClassDef:T FunctionDef:f(CompoundStmt(ExprStmt(NewExpr(Literal Literal))))",
+    ),
+    (
+        "call_arguments",
+        "void f() { g(1, 2, h()); }",
+        "FunctionDef:f(CompoundStmt(ExprStmt(CallExpr(IdentExpr:g Literal Literal CallExpr(IdentExpr:h)))))",
+    ),
+    # each declarator of a namespace-level declaration is a child of the
+    # namespace, as in a class or a block
+    (
+        "top_level_declarators",
+        "int a, *b; namespace n { int c, d[2]; }",
+        "VarDecl:a VarDecl:b NamespaceDef:n(VarDecl:c VarDecl:d(Literal))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source,expected", [case[1:] for case in GRAMMAR], ids=[case[0] for case in GRAMMAR]
+)
+def test_grammar_outline(source, expected):
+    assert " ".join(outline(child) for child in parse_src(source).children) == expected
+
+
+def test_top_level_static_function():
+    unit = parse_src("static void f() {} void g(); namespace n { static int h(); }")
+    assert [fn.attr("static") for fn in unit.find_all("FunctionDef")] == [True, False, True]
+
+
+@pytest.mark.parametrize("body", ["A() { typedef int T; }", "~A() { typedef int T; }", "void g() { typedef int T; }"])
+def test_body_types_stay_in_body(body):
+    """A type declared in a function, constructor or destructor body is not
+    a type in the rest of its class."""
+    unit = parse_src("class A { %s void f() { T * x; } };" % body)
+    stmt = unit.find_all("FunctionDef")[-1].children[0].children[0]
+    assert stmt.kind == "ExprStmt"
 
 
 def test_preprocessed_line_markers_skipped():
@@ -255,6 +350,11 @@ class TestDisambiguation:
         ("namespace n { typedef int T; }", "n::T t = 0;", "VarDecl"),
         ("class A { public: class B { }; };", "A::B * p;", "VarDecl"),
         ("namespace n { namespace m { enum E { X }; } }", "n::m::E e;", "VarDecl"),
+        ("", "const int c = 0;", "VarDecl"),
+        ("", "int const c = 0;", "VarDecl"),
+        ("int i;", "++i;", "ExprStmt"),
+        ("int* p;", "*p = 0;", "ExprStmt"),
+        ("int i;", "(i);", "ExprStmt"),
     ]
 
     @pytest.mark.parametrize("prelude,stmt,expected", CASES)
