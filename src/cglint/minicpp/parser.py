@@ -743,6 +743,8 @@ class _Parser(Cursor):
             return self.node("IdentExpr", start, {"name": text})
         self.error("expected expression, found %r" % text)
 
+    # keyword -> the method that parses the type declaration it starts
+    _TYPE_DECLS = {"class": parse_class, "enum": parse_enum, "typedef": parse_typedef}
     # keyword -> the method that parses the statement it starts
     _STATEMENTS = {
         "if": parse_if,
@@ -754,10 +756,6 @@ class _Parser(Cursor):
         "break": lambda self: self.parse_simple("BreakStmt", "break"),
         "continue": lambda self: self.parse_simple("ContinueStmt", "continue"),
         "goto": parse_goto,
-        "enum": parse_enum,
-        "typedef": parse_typedef,
-        "class": parse_class,
         "using": parse_using,
+        **_TYPE_DECLS,
     }
-    # keyword -> the method that parses the type declaration it starts
-    _TYPE_DECLS = {"class": parse_class, "enum": parse_enum, "typedef": parse_typedef}
