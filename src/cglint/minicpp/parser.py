@@ -3,15 +3,21 @@
 Statements beginning with an identifier are ambiguous (``T * x;`` is a
 declaration when ``T`` names a type, an expression otherwise). The parser
 resolves this with a private stack of type-name frames, one per namespace,
-class and function, constructor or destructor body, filled with every
-class, enum and typedef it passes. The unit's symbol table is built
-afterwards from the finished AST.
+class and braced block, filled with every class, enum and typedef it
+passes. A frame opens at the braces where ``symbols`` opens a scope, so a
+type declared in a block is not a type after it. Two scoping limits
+remain. An unbraced ``if``, ``while``, ``do`` or ``for`` body declares its
+types in the enclosing frame, though ``symbols`` gives a ``for`` a scope.
+A ``switch`` body opens no frame, and no scope either. The unit's symbol
+table is built afterwards from the finished AST.
 
 Each grammar job that several constructs share has one method:
 ``parse_declaration`` (``[static] type stars name``, then a function or
 declarators), ``parse_items`` (the items of a namespace, class or block up
-to its ``}``), ``parse_body`` (the ``{…}`` or ``;`` of a function,
-constructor or destructor), ``parse_args`` (``( a, b )``),
+to its ``}``, in the frame it is given), ``parse_body`` (the ``{…}`` or
+``;`` of a function, constructor or destructor), ``Cursor.parse_list``
+(``( a, b )``: arguments and parameters), ``parse_dropped`` (a parse whose
+nodes are dropped: default arguments and constructor initializers),
 ``parse_condition`` (``keyword ( expression )``) and
 ``parse_qualified_name`` (``A::B``). Every parse method for a
 construct that may expand to several nodes returns a list.
@@ -68,7 +74,7 @@ def parse(tokens, file="<input>"):
 
 class _Frame:
     """Type names (class, enum, typedef) declared directly in one namespace,
-    class or function body, plus its named namespace and class frames."""
+    class or braced block, plus its named namespace and class frames."""
 
     __slots__ = ("types", "children")
 
@@ -180,16 +186,19 @@ class _Parser(Cursor):
         self.depth -= 1
         return decls
 
-    def parse_items(self, what, parse_item, *args):
+    def parse_items(self, what, frame, parse_item, *args):
         """Parse the items of a namespace, class or block up to its closing
         ``}``, which it consumes; each ``parse_item(*args)`` returns a list.
+        The items' type names go to ``frame``, the only frame pushed.
         ``what`` names the construct when the input ends first."""
+        self.frames.append(frame)
         items = []
         while self.texts[self.pos] != "}":
             if self.pos >= self.count:
                 self.error("unterminated " + what)
             items += parse_item(*args)
         self.pos += 1
+        self.frames.pop()
         return items
 
     def parse_namespace(self):
@@ -198,9 +207,8 @@ class _Parser(Cursor):
         name = self.expect_ident()
         self.expect("{")
         # a reopened namespace continues the frame of its first block
-        self.frames.append(self.frames[-1].children.setdefault(name, _Frame()))
-        children = self.parse_items("namespace %r" % name, self.parse_top_decl)
-        self.frames.pop()
+        frame = self.frames[-1].children.setdefault(name, _Frame())
+        children = self.parse_items("namespace %r" % name, frame, self.parse_top_decl)
         return self.node("NamespaceDef", start, {"name": name}, children)
 
     def parse_using(self):
@@ -271,9 +279,7 @@ class _Parser(Cursor):
         # unlike a namespace, a class body never continues an earlier one
         frame = _Frame()
         self.frames[-1].children.setdefault(name, frame)
-        self.frames.append(frame)
-        children += self.parse_items("class %r" % name, self.parse_member, name)
-        self.frames.pop()
+        children += self.parse_items("class %r" % name, frame, self.parse_member, name)
         self.expect(";")
         return self.node("ClassDef", start, {"name": name}, children)
 
@@ -316,14 +322,12 @@ class _Parser(Cursor):
     def parse_constructor(self, start):
         name = self.advance()
         params = self.parse_params()
-        if self.accept(":"):  # ctor-initializer list, parsed and dropped
-            next_id = self._next_id  # the dropped nodes' ids are reused
+        if self.accept(":"):  # initializers ``a(x), b(y)``
             while True:
                 self.expect_ident()
-                self.parse_args()
+                self.parse_dropped(self.parse_list, self.parse_assign)
                 if not self.accept(","):
                     break
-            self._next_id = next_id
         return self.parse_body("Constructor", start, {"name": name}, params)
 
     def _accept_pure(self):
@@ -333,38 +337,34 @@ class _Parser(Cursor):
             return True
         return False
 
+    def parse_dropped(self, parse, *args):
+        """Call ``parse(*args)`` for its checks only: the ids of the nodes
+        it makes are given again to the nodes made next."""
+        next_id = self._next_id
+        parse(*args)
+        self._next_id = next_id
+
     def parse_params(self):
-        self.expect("(")
-        params = []
-        if self.at("void") and self.at(")", 1):
-            self.advance()  # f(void)
-        while not self.at(")"):
-            start = self.pos
-            base = self.parse_base_type()
-            stars = self.parse_pointer_suffix()
-            name = ""
-            if self.at_kind(IDENT):
-                name = self.advance()
-            if self.accept("="):  # default argument, dropped with its ids
-                next_id = self._next_id
-                self.parse_assign()
-                self._next_id = next_id
-            params.append(
-                self.node("ParamDecl", start, {"name": name, "type": base + stars})
-            )
-            if not self.accept(","):
-                break
-        self.expect(")")
-        return params
+        if self.at("void", 1) and self.at(")", 2):  # f(void)
+            self.pos += 3
+            return []
+        return self.parse_list(self.parse_param)
+
+    def parse_param(self):
+        start = self.pos
+        base = self.parse_base_type()
+        stars = self.parse_pointer_suffix()
+        name = self.advance() if self.at_kind(IDENT) else ""
+        if self.accept("="):  # default argument
+            self.parse_dropped(self.parse_assign)
+        return self.node("ParamDecl", start, {"name": name, "type": base + stars})
 
     def parse_body(self, kind, start, attrs, children):
-        """Parse the ``{…}`` body, which gets its own type-name frame, or the
-        ``;`` of a function, constructor or destructor, and return its node
-        with the body after ``children``."""
+        """Parse the ``{…}`` body, a block like any other, or the ``;`` of a
+        function, constructor or destructor, and return its node with the
+        body after ``children``."""
         if self.at("{"):
-            self.frames.append(_Frame())
             children.append(self.parse_compound())
-            self.frames.pop()
         else:
             self.expect(";")
         return self.node(kind, start, attrs, children)
@@ -456,7 +456,7 @@ class _Parser(Cursor):
     def parse_compound(self):
         start = self.pos
         self.expect("{")
-        children = self.parse_items("block", self.parse_stmt)
+        children = self.parse_items("block", _Frame(), self.parse_stmt)
         return self.node("CompoundStmt", start, {}, children)
 
     def parse_stmt(self):
@@ -681,7 +681,7 @@ class _Parser(Cursor):
             children.append(self.parse_assign())
             self.expect("]")
         elif self.at("("):
-            children = self.parse_args()
+            children = self.parse_list(self.parse_assign)
         return self.node("NewExpr", start, attrs, children)
 
     def parse_delete(self):
@@ -698,7 +698,7 @@ class _Parser(Cursor):
         expr = self.parse_primary()
         while True:
             if self.at("("):
-                expr = self.node("CallExpr", start, {}, [expr] + self.parse_args())
+                expr = self.node("CallExpr", start, {}, [expr] + self.parse_list(self.parse_assign))
             elif self.at(".") or self.at("->"):
                 op = self.advance()
                 name = self.expect_ident()
@@ -708,17 +708,6 @@ class _Parser(Cursor):
                 expr = self.node("UnaryExpr", start, {"operator": op, "postfix": True}, [expr])
             else:
                 return expr
-
-    def parse_args(self):
-        """Parse ``( a, b, … )`` and return the argument expressions."""
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_assign())
-            while self.accept(","):
-                args.append(self.parse_assign())
-        self.expect(")")
-        return args
 
     def parse_primary(self):
         start = self.pos

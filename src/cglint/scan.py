@@ -12,7 +12,8 @@ an error's span. Only a line feed starts a new row, and a valid token never
 spans lines.
 
 ``Cursor`` is the token lookahead both parsers extend. It is the one place
-that assigns node ids and builds node spans.
+that assigns node ids and builds node spans, and its ``parse_list`` parses
+every parenthesised, comma-separated list of both languages.
 """
 
 from __future__ import annotations
@@ -189,6 +190,19 @@ class Cursor:
             self.error("expected identifier, found %r" % ("end of input" if found is None else found))
         self.pos += 1
         return self.texts[self.pos - 1]
+
+    def parse_list(self, parse_item):
+        """Parse ``( a, b, … )``, each item by ``parse_item()``, and return
+        the items. A comma is always followed by an item."""
+        self.expect("(")
+        items = []
+        if self.texts[self.pos] != ")":
+            items.append(parse_item())
+            while self.texts[self.pos] == ",":
+                self.pos += 1
+                items.append(parse_item())
+        self.expect(")")
+        return items
 
     def enter(self):
         """Count one level of grammar nesting; the caller decrements

@@ -133,15 +133,7 @@ class _Parser(Cursor):
                 payload += " " + self.expect_ident()
         else:
             call = self.expect_ident()
-            self.expect("(")
-            args = []
-            if texts[self.pos] != ")":
-                args.append(self.expect_ident())
-                while texts[self.pos] == ",":
-                    self.pos += 1
-                    args.append(self.expect_ident())
-            self.expect(")")
-            payload = "%s(%s)" % (call, ", ".join(args))
+            payload = "%s(%s)" % (call, ", ".join(self.parse_list(self.expect_ident)))
         self.expect(";")
 
         for index, name in ((start, source), (target_at, target)):

@@ -234,6 +234,7 @@ PARSE_ERRORS = [
     ("type_at_end", "static const", "expected type", 1, 12),
     ("expression_at_end", "void f() { x = ", "expected expression", 1, 14),
     ("trailing_argument_comma", "void f() { f(1,); }", "expected expression, found ')'", 1, 16),
+    ("trailing_parameter_comma", "void f(int a,) {}", "expected type, found ')'", 1, 14),
     ("top_level_virtual", "virtual void f();", "expected type, found 'virtual'", 1, 1),
     ("member_using", "class A { using namespace n; };", "expected type, found 'using'", 1, 11),
     ("static_constructor", "class A { static A(); };", "expected identifier, found '('", 1, 19),
@@ -324,6 +325,11 @@ def test_body_types_stay_in_body(body):
     assert stmt.kind == "ExprStmt"
 
 
+def test_outer_types_seen_in_nested_blocks():
+    unit = parse_src("typedef int T; void f() { typedef int U; { if (c) { T * x; U * y; } } }")
+    assert [decl.attr("name") for decl in unit.find_all("VarDecl")] == ["x", "y"]
+
+
 def test_preprocessed_line_markers_skipped():
     unit = parse_src('# 1 "orig.cpp"\nint x = 0;\n')
     assert unit.children[0].kind == "VarDecl"
@@ -355,6 +361,15 @@ class TestDisambiguation:
         ("int i;", "++i;", "ExprStmt"),
         ("int* p;", "*p = 0;", "ExprStmt"),
         ("int i;", "(i);", "ExprStmt"),
+        # a type declared in a braced block is not a type after the block
+        ("", "{ typedef int T; } T * x;", "ExprStmt"),
+        ("", "{ { } class T { }; } T * x;", "ExprStmt"),
+        ("", "{ enum T { X }; } T * x;", "ExprStmt"),
+        ("", "if (c) { typedef int T; } T * x;", "ExprStmt"),
+        ("", "if (c) { } else { class T { }; } T * x;", "ExprStmt"),
+        ("", "while (c) { typedef int T; } T * x;", "ExprStmt"),
+        ("", "do { enum T { X }; } while (c); T * x;", "ExprStmt"),
+        ("", "for (;;) { typedef int T; } T * x;", "ExprStmt"),
     ]
 
     @pytest.mark.parametrize("prelude,stmt,expected", CASES)

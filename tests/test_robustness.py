@@ -19,8 +19,11 @@ nest loops, switches, blocks and local classes around pointers,
 MemoryChecker, FlowControlChecker and IdentifierChecker report what their
 oracles in ``rule_oracle.py`` report. A rule that raises in ``visit`` or
 ``leave`` at a node kind a generated unit or chart holds makes the run exit
-2 and leaves every other rule's findings as they are without it. Examples are
-derandomized so that every run checks the same inputs.
+2 and leaves every other rule's findings as they are without it. Over config
+texts drawn from sections, keys, typed and malformed values, ``load_config``
+raises nothing but a CglintError, and every config it accepts runs the rules
+on a fixture without a diagnostic. Examples are derandomized so that every
+run checks the same inputs.
 """
 
 import os
@@ -40,8 +43,9 @@ from rule_oracle import ORACLES  # noqa: E402
 from scan_oracle import oracle_lex, oracle_tokenize  # noqa: E402
 
 from cglint.cli import build_registry, main  # noqa: E402
+from cglint.config import load_config  # noqa: E402
 from cglint.core import Rule, RuleRegistry, default_configs, register_rules, traverse  # noqa: E402
-from cglint.errors import LexError, ParseError, SourceError  # noqa: E402
+from cglint.errors import CglintError, LexError, ParseError, SourceError  # noqa: E402
 from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
 from cglint.model import Criticality, Priority, RuleConfig, RuleDescriptor  # noqa: E402
 from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
@@ -536,3 +540,63 @@ def test_a_raising_rule_costs_only_its_own_findings(workdir, lang, data):
     (code, found), (raised_code, raised_found) = runs
     assert code != 2 and raised_code == 2
     assert raised_found == found
+
+
+# The values of each type a config key can have: (valid, malformed).
+CONFIG_VALUES = {
+    "bool": (("true", "FALSE"), ("maybe", "1")),
+    "priority": (("SHALL", "WILL", "SHOULD"), ("URGENT", "shall")),
+    "int": (("0", "60"), ("-1", "1.5", "\u0663")),
+    "regex": ((".*_t", "[A-Z]+", ""), ("(", "[a-")),
+    "list": (("a, b", ",", ""), ()),
+    "str": (("x", "\xe9"), ()),
+}
+
+
+@st.composite
+def config_text(draw):
+    """Sections of minicpp rules, each with entries over their own keys and
+    the common ones. In half the texts, a value is malformed for its type,
+    or holds a character XML cannot carry, once in two, and a section, a
+    key, an entry or a line is malformed once in twenty."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    wild = rng.random() < 0.5
+    # a rule with properties, and a property among a rule's keys, is drawn more often
+    descriptors = [d for d in build_registry("minicpp").descriptors() for _ in range(8 if d.default_properties else 1)]
+
+    def pick(good, bad, odds=20):
+        """One of ``good``; in a wild text, one of ``bad`` once in ``odds`` draws."""
+        return rng.choice(bad if wild and rng.randrange(odds) == 0 else good)
+
+    lines = []
+    for _ in range(rng.randrange(4)):
+        descriptor = rng.choice(descriptors)
+        lines.append(pick(["[rule %s]"], ["[rule %s", "[section %s]", "[rule Phantom]", "#"]).replace("%s", descriptor.id))
+        types = {"enabled": "bool", "priority": "priority"}
+        keys = ["enabled", "priority"]
+        for name, _text, type_name in descriptor.default_properties:
+            types[name] = type_name
+            keys += [name] * 3
+        for _ in range(rng.randint(1, 4)):
+            key = pick(keys, ["wibble"])
+            good, bad = CONFIG_VALUES[types.get(key, "str")]
+            value = pick(good, bad + ("a\x01",), odds=2)
+            lines.append(pick(["%s = %s", "%s=%s"], ["%s %s", "\x01%s = %s"]) % (key, value))
+        lines.append(pick(["", "# note"], ["= 1", "[rule]", "\x01", "\xe9"]))
+    return "\n".join(lines)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(text=config_text())
+def test_config_text_loads_or_raises_cglint_error(text):
+    """``load_config`` rejects a config text only with a CglintError, and
+    every config it accepts runs the rules on the fixture without a
+    diagnostic, an internal error above all."""
+    registry = build_registry("minicpp")
+    try:
+        configs = load_config(text, registry)
+    except CglintError:
+        return
+    root = analyze_file(fixture_path(FIXTURES["minicpp"]), "minicpp")
+    traverse(root, registry, configs)
+    assert not root.diagnostics, root.diagnostics
