@@ -2,19 +2,18 @@
 
 Statements beginning with an identifier are ambiguous (``T * x;`` is a
 declaration when ``T`` names a type, an expression otherwise). The parser
-resolves this with a private stack of type-name frames, one per namespace,
-class and braced block, filled with every class, enum and typedef it
-passes. A frame opens at the braces where ``symbols`` opens a scope, so a
-type declared in a block is not a type after it. Two scoping limits
-remain. An unbraced ``if``, ``while``, ``do`` or ``for`` body declares its
-types in the enclosing frame, though ``symbols`` gives a ``for`` a scope.
-A ``switch`` body opens no frame, and no scope either. The unit's symbol
-table is built afterwards from the finished AST.
+declares each class, enum and typedef it passes as a ``TypeBinding`` in a
+private tree of ``symtab.Scope`` objects and asks ``Scope.lookup``. It opens
+a scope at each namespace, class and braced block, where ``symbols`` opens
+one. Two scoping limits remain: an unbraced ``if``, ``while``, ``do`` or
+``for`` body declares its types in the enclosing scope, though ``symbols``
+gives a ``for`` one, and a ``switch`` body opens no scope in either. The
+unit's symbol table is built afterwards from the finished AST.
 
 Each grammar job that several constructs share has one method:
 ``parse_declaration`` (``[static] type stars name``, then a function or
 declarators), ``parse_items`` (the items of a namespace, class or block up
-to its ``}``, in the frame it is given), ``parse_body`` (the ``{…}`` or
+to its ``}``, in the scope it is given), ``parse_body`` (the ``{…}`` or
 ``;`` of a function, constructor or destructor), ``Cursor.parse_list``
 (``( a, b )``: arguments and parameters), ``parse_dropped`` (a parse whose
 nodes are dropped: default arguments and constructor initializers),
@@ -36,6 +35,7 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..model import SourceSpan
 from ..scan import Cursor
+from ..symtab import Scope, ScopeKind, TypeBinding
 from . import lexer
 from .lexer import IDENT, KEYWORD
 
@@ -72,17 +72,6 @@ def parse(tokens, file="<input>"):
     return _Parser(tokens, file).parse_unit()
 
 
-class _Frame:
-    """Type names (class, enum, typedef) declared directly in one namespace,
-    class or braced block, plus its named namespace and class frames."""
-
-    __slots__ = ("types", "children")
-
-    def __init__(self):
-        self.types = set()
-        self.children = {}
-
-
 class _Parser(Cursor):
     """Recursive descent over the ``Tokens`` of one unit. A punctuator's or
     keyword's text is never the text of a token of another kind, so ``at``
@@ -91,7 +80,7 @@ class _Parser(Cursor):
 
     def __init__(self, tokens, file):
         super().__init__(tokens, file, LANGUAGE, IDENT)
-        self.frames = [_Frame()]
+        self.scope = Scope(ScopeKind.GLOBAL)  # the innermost scope of the current item
 
     # --- token helpers -------------------------------------------------
 
@@ -126,9 +115,6 @@ class _Parser(Cursor):
 
     # --- type names ---------------------------------------------------
 
-    def declare_type(self, name):
-        self.frames[-1].types.add(name)
-
     def at_declaration(self):
         """True iff a declaration starts at the current token: a built-in
         type keyword, ``const``/``static``, or a possibly qualified
@@ -139,25 +125,10 @@ class _Parser(Cursor):
             return text in _TYPE_KEYWORDS or text in ("const", "static")
         if kind != IDENT:
             return False
-        path = [text]
-        i = self.pos + 1
-        while self.texts[i] == "::" and self.kinds[i + 1] == IDENT:
-            path.append(self.texts[i + 1])
-            i += 2
-        name = path.pop()
-        if not path:
-            return any(name in frame.types for frame in self.frames)
-        # ``A::B::T``: from the innermost frame with an ``A`` child, descend
-        for frame in reversed(self.frames):
-            if path[0] in frame.children:
-                break
-        else:
-            return False
-        for part in path:
-            frame = frame.children.get(part)
-            if frame is None:
-                return False
-        return name in frame.types
+        start = self.pos
+        name = self.parse_qualified_name()
+        self.pos = start
+        return self.scope.lookup(name) is not None
 
     # --- top level ------------------------------------------------------
 
@@ -186,19 +157,19 @@ class _Parser(Cursor):
         self.depth -= 1
         return decls
 
-    def parse_items(self, what, frame, parse_item, *args):
+    def parse_items(self, what, scope, parse_item, *args):
         """Parse the items of a namespace, class or block up to its closing
         ``}``, which it consumes; each ``parse_item(*args)`` returns a list.
-        The items' type names go to ``frame``, the only frame pushed.
+        The items' type names go to ``scope``, the only scope entered.
         ``what`` names the construct when the input ends first."""
-        self.frames.append(frame)
+        self.scope = scope
         items = []
         while self.texts[self.pos] != "}":
             if self.pos >= self.count:
                 self.error("unterminated " + what)
             items += parse_item(*args)
         self.pos += 1
-        self.frames.pop()
+        self.scope = scope.parent
         return items
 
     def parse_namespace(self):
@@ -206,9 +177,8 @@ class _Parser(Cursor):
         self.expect("namespace")
         name = self.expect_ident()
         self.expect("{")
-        # a reopened namespace continues the frame of its first block
-        frame = self.frames[-1].children.setdefault(name, _Frame())
-        children = self.parse_items("namespace %r" % name, frame, self.parse_top_decl)
+        scope = self.scope.open(ScopeKind.NAMESPACE, name)
+        children = self.parse_items("namespace %r" % name, scope, self.parse_top_decl)
         return self.node("NamespaceDef", start, {"name": name}, children)
 
     def parse_using(self):
@@ -263,7 +233,7 @@ class _Parser(Cursor):
         start = self.pos
         self.expect("class")
         name = self.expect_ident()
-        self.declare_type(name)
+        self.scope.declare(TypeBinding(name))
         children = []
         if self.accept(":"):
             while True:
@@ -276,10 +246,8 @@ class _Parser(Cursor):
         if self.accept(";"):
             return self.node("ClassDef", start, {"name": name, "forward": True})
         self.expect("{")
-        # unlike a namespace, a class body never continues an earlier one
-        frame = _Frame()
-        self.frames[-1].children.setdefault(name, frame)
-        children += self.parse_items("class %r" % name, frame, self.parse_member, name)
+        scope = self.scope.open(ScopeKind.CLASS, name)
+        children += self.parse_items("class %r" % name, scope, self.parse_member, name)
         self.expect(";")
         return self.node("ClassDef", start, {"name": name}, children)
 
@@ -377,7 +345,7 @@ class _Parser(Cursor):
         name = ""
         if self.at_kind(IDENT):
             name = self.advance()
-            self.declare_type(name)
+            self.scope.declare(TypeBinding(name))
         self.expect("{")
         enumerators = []
         while not self.at("}"):
@@ -401,7 +369,7 @@ class _Parser(Cursor):
         stars = self.parse_pointer_suffix()
         name = self.expect_ident()
         self.expect(";")
-        self.declare_type(name)
+        self.scope.declare(TypeBinding(name))
         return self.node("TypedefDecl", start, {"name": name, "type": base + stars})
 
     # --- functions and variables ---------------------------------------
@@ -456,7 +424,7 @@ class _Parser(Cursor):
     def parse_compound(self):
         start = self.pos
         self.expect("{")
-        children = self.parse_items("block", _Frame(), self.parse_stmt)
+        children = self.parse_items("block", self.scope.open(ScopeKind.BLOCK), self.parse_stmt)
         return self.node("CompoundStmt", start, {}, children)
 
     def parse_stmt(self):

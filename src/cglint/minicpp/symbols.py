@@ -3,9 +3,10 @@ class/function/variable bindings that rules query.
 
 A namespace, a class that is not a forward declaration, a function,
 constructor or destructor, a compound statement and a ``for`` statement
-each open a scope, recorded in the table against the node; a class, a
-function, a named variable or parameter, a typedef and a named enum each
-declare a binding, recorded against its node. Expressions are not walked.
+each open a scope, recorded in the table against the node (the blocks of a
+namespace share one); a class, a function, a named variable or parameter, a
+typedef and a named enum each declare a binding, recorded against its node
+(a class's declarations share one). Expressions are not walked.
 """
 
 from __future__ import annotations
@@ -94,16 +95,18 @@ def _declare_variable(node, table, scope, **flags):
 
 
 def _walk_class(node, table, scope):
-    binding = table.declare(scope, ClassBinding(name=node.attr("name")), node)
+    binding = scope.lookup_local(node.attr("name"))
+    if not isinstance(binding, ClassBinding):
+        binding = ClassBinding(name=node.attr("name"))
+    table.declare(scope, binding, node)
     if node.attr("forward"):
         return
-    class_scope = table.open_scope(ScopeKind.CLASS, binding.name, scope, node)
-    binding.scope = class_scope
+    binding.scope = table.open_scope(ScopeKind.CLASS, binding.name, scope, node)
 
     access = Specifier.PRIVATE  # class members default to private
     for member in node.children:
         if member.kind == "BaseSpec":
-            base = scope.lookup(member.attr("name").split("::")[-1])
+            base = scope.lookup(member.attr("name"))
             if not isinstance(base, ClassBinding):
                 base = None
             binding.bases.append(
@@ -112,11 +115,11 @@ def _walk_class(node, table, scope):
         elif member.kind == "AccessSection":
             access = _ACCESS[member.attr("access")]
         elif member.kind in ("FunctionDef", "Constructor", "Destructor"):
-            binding.functions.append(_walk_function(member, table, class_scope, access))
+            binding.functions.append(_walk_function(member, table, binding.scope, access))
         elif member.kind == "VarDecl":
-            binding.data_members.append(_declare_variable(member, table, class_scope))
+            binding.data_members.append(_declare_variable(member, table, binding.scope))
         else:
-            _walk(member, table, class_scope)
+            _walk(member, table, binding.scope)
 
 
 def _walk_function(node, table, scope, access):

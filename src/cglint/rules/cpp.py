@@ -303,15 +303,13 @@ class IfChecker(Rule):
     )
 
     def visit(self, node, ctx):
-        if len(node.children) < 2:
-            return
-        then = node.children[1]
-        if then.kind != "CompoundStmt":
-            ctx.report(then.span, "If branch without braces.")
-        if node.attr("has_else") and len(node.children) > 2:
-            other = node.children[2]
-            if other.kind not in ("CompoundStmt", "IfStmt"):  # else-if is exempt
-                ctx.report(other.span, "Else branch without braces.")
+        for label, branch in zip(("If", "Else"), node.children[1:]):
+            # several unbraced declarators share a CompoundStmt that starts where they do
+            braced = branch.kind == "CompoundStmt" and not (
+                branch.children and branch.children[0].span[1:3] == branch.span[1:3]
+            )
+            if not braced and not (label == "Else" and branch.kind == "IfStmt"):  # else-if is exempt
+                ctx.report(branch.span, "%s branch without braces." % label)
 
 
 class InitializedVariableChecker(Rule):
@@ -354,7 +352,7 @@ class InterfaceChecker(Rule):
 
     def visit(self, node, ctx):
         binding = ctx.table.binding_of(node)
-        if not isinstance(binding, ClassBinding):
+        if node.attr("forward") or not isinstance(binding, ClassBinding):
             return
         if binding.has_only_interface_methods():
             return

@@ -8,6 +8,13 @@ binding, so ``scope_of`` and ``binding_of`` answer for those nodes alone.
 ``variables`` lists every declared variable, each named and in its scope,
 in declaration order. Scopes and bindings are plain classes, bindings
 slotted; both compare and hash by identity, so rules can key facts by them.
+
+``Scope.open`` makes every child scope, the minicpp parser's too; a namespace
+opened again continues its first scope. ``Scope.lookup`` also takes a
+qualified ``A::B::T``, which reaches no function scope. A name declared
+twice in one scope adds a non-fatal diagnostic unless both are functions
+(overloads, a constructor and a destructor, a prototype and its
+definition); a class's declarations, forward or not, share one binding.
 """
 
 from __future__ import annotations
@@ -42,6 +49,18 @@ class Scope:
         self.declarations = []
         self.children = []
         self._by_name = {}  # name -> the first binding declared under it
+        self._scopes = {}  # name -> the first namespace or class scope opened under it
+
+    def open(self, kind, name=None):
+        """The child scope a ``kind`` construct named ``name`` opens here."""
+        scope = self._scopes.get(name)
+        if kind is ScopeKind.NAMESPACE and scope is not None and scope.kind is kind:
+            return scope  # a reopened namespace
+        scope = Scope(kind, name, self)
+        self.children.append(scope)
+        if kind is ScopeKind.NAMESPACE or kind is ScopeKind.CLASS:  # not a function
+            self._scopes.setdefault(name, scope)
+        return scope
 
     def declare(self, binding):
         self.declarations.append(binding)
@@ -52,7 +71,20 @@ class Scope:
         return self._by_name.get(name)
 
     def lookup(self, name):
+        """The binding ``name`` names here or outward, or None. ``A::B::T``
+        is ``T`` in the ``B`` of the innermost ``A`` opened around here."""
+        *path, name = name.split("::")
         scope = self
+        if path:
+            while path[0] not in scope._scopes:
+                scope = scope.parent
+                if scope is None:
+                    return None
+            for part in path:
+                scope = scope._scopes.get(part)
+                if scope is None:
+                    return None
+            return scope.lookup_local(name)
         while scope is not None:
             binding = scope.lookup_local(name)
             if binding is not None:
@@ -62,7 +94,7 @@ class Scope:
 
 
 class TypeBinding:
-    """A plain type name: an enum or a typedef."""
+    """A plain type name: an enum or a typedef, and a class in the parser."""
 
     __slots__ = ("name", "scope")
 
@@ -168,24 +200,23 @@ class SymbolTable:
         self.variables = []
 
     def open_scope(self, kind, name, parent, node):
-        """A new child scope of ``parent``, opened by ``node``."""
-        scope = Scope(kind, name=name, parent=parent)
-        parent.children.append(scope)
-        self._scope_by_node[node.node_id] = scope
+        """The child scope of ``parent`` that ``node`` opens (``Scope.open``)."""
+        scope = self._scope_by_node[node.node_id] = parent.open(kind, name)
         return scope
 
     def declare(self, scope, binding, node):
-        """Declare ``binding`` in ``scope`` as the binding of ``node``; a
-        name already declared there adds a non-fatal diagnostic."""
-        if binding.name and scope.lookup_local(binding.name) is not None:
-            self.diagnostics.append(
-                Diagnostic(node.span, "duplicate declaration of %r" % binding.name, fatal=False)
-            )
-        scope.declare(binding)
-        if isinstance(binding, VariableBinding):
-            self.variables.append(binding)
+        """Make ``binding`` the binding of ``node``, declared in ``scope``."""
+        first = scope.lookup_local(binding.name)
+        if first is not binding:
+            overload = isinstance(first, FunctionBinding) and isinstance(binding, FunctionBinding)
+            if first is not None and not overload:
+                self.diagnostics.append(
+                    Diagnostic(node.span, "duplicate declaration of %r" % binding.name, fatal=False)
+                )
+            scope.declare(binding)
+            if isinstance(binding, VariableBinding):
+                self.variables.append(binding)
         self._binding_by_node[node.node_id] = binding
-        return binding
 
     def scope_of(self, node):
         """The scope ``node`` opens; GLOBAL for a node that opens none."""

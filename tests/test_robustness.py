@@ -51,6 +51,7 @@ from cglint.model import Criticality, Priority, RuleConfig, RuleDescriptor  # no
 from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
+from cglint.symtab import ScopeKind  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 import gen  # noqa: E402
@@ -411,30 +412,44 @@ SCOPE_OWNERS = ("NamespaceDef", "ClassDef", "FunctionDef", "Constructor", "Destr
 
 def check_symbol_index(text):
     """If the unit parses, ``scope_of`` returns a non-global scope exactly
-    for the nodes that open one, each scope of the tree for exactly one
-    node, and every binding ``binding_of`` returns has its node's name."""
+    for the nodes that open one, and each scope of the tree for at least
+    one node. The NamespaceDefs of one name in one scope share one scope,
+    and every other owner has its own. Every binding ``binding_of`` returns
+    has its node's name."""
     root = analyze_file("input.cpp", "minicpp", text=text)
     if root.ast is None:
         return
     table = root.symbols
-    owned = []
+    owners = {}  # scope -> the nodes that open it
     for node in root.ast.walk():
         scope = table.scope_of(node)
         opens = node.kind in SCOPE_OWNERS and not node.attr("forward", False)
         assert (scope is not table.global_scope) == opens, node.kind
         if opens:
-            owned.append(scope)
+            owners.setdefault(scope, []).append(node)
         binding = table.binding_of(node)
         if binding is not None:
             assert binding.name == node.attr("name"), (node.kind, binding)
+    for scope, nodes in owners.items():
+        if len(nodes) > 1:
+            assert all(n.kind == "NamespaceDef" and n.attr("name") == scope.name for n in nodes)
+    namespaces = [(scope.parent, scope.name) for scope in owners if scope.kind is ScopeKind.NAMESPACE]
+    assert len(namespaces) == len(set(namespaces))
     scopes = []
     stack = list(table.global_scope.children)
     while stack:
         scope = stack.pop()
         scopes.append(scope)
         stack.extend(scope.children)
-    assert len(owned) == len(scopes)
-    assert {id(scope) for scope in owned} == {id(scope) for scope in scopes}
+    assert len(owners) == len(scopes)
+    assert {id(scope) for scope in owners} == {id(scope) for scope in scopes}
+
+
+@pytest.mark.parametrize("fixture", ["ExampleImpl.cpp", "grammar.cpp"])
+def test_symbol_index_fixture(fixture):
+    """``grammar.cpp`` reopens a namespace, which no drawn unit is likely to do."""
+    with open(fixture_path(fixture), encoding="utf-8") as handle:
+        check_symbol_index(handle.read())
 
 
 @PROPERTY

@@ -222,6 +222,14 @@ class TestIdentifierChecker:
             (4, 23, 'Local Variable "s_ize" is named similar to instance variable "size : int".'),
         ]
 
+    def test_blocks_of_one_namespace_share_a_scope(self):
+        src = "namespace ns { int value = 0; }\nnamespace ns { int _value = 1; }"
+        findings = run_rule("IdentifierChecker", src)
+        assert messages(findings) == [
+            'Local Variable "_value" is named similar to "value : int".'
+        ]
+        assert findings[0].span.row == 2
+
 
 class TestIfChecker:
     def test_braceless_then(self):
@@ -235,6 +243,20 @@ class TestIfChecker:
             "IfChecker", "void f() { int x = 0; if (x > 0) { x = 1; } else x = 2; }"
         )
         assert messages(findings) == ["Else branch without braces."]
+
+    @pytest.mark.parametrize("branches,message", [
+        ("if (c) int d = 1;", "If branch without braces."),
+        ("if (c) int a = 1, b = 2;", "If branch without braces."),
+        ("if (c) { } else int d = 1;", "Else branch without braces."),
+        ("if (c) { } else int a = 1, b = 2;", "Else branch without braces."),
+    ])
+    def test_braceless_declaration(self, branches, message):
+        findings = run_rule("IfChecker", "void f() { int c = 1; %s }" % branches)
+        assert messages(findings) == [message]
+
+    def test_braced_declarators(self):
+        src = "void f() { int c = 1; if (c) {int a = 1, b = 2;} else {int d, e;} }"
+        assert run_rule("IfChecker", src) == []
 
     def test_else_if_exempt(self):
         findings = run_rule(
@@ -310,6 +332,39 @@ class TestInterfaceChecker:
         assert messages(findings) == [
             "Class Base has public functions not declared in interfaces: eval : DOUBLE",
             "Class Impl has public functions not declared in interfaces: eval : DOUBLE",
+        ]
+
+
+    def test_qualified_interface_base(self):
+        src = (
+            "namespace ns { class I { public: virtual void f() = 0; virtual ~I(); }; }\n"
+            "class C : public ns::I { public: void f(); void g(); };"
+        )
+        assert messages(run_rule("InterfaceChecker", src)) == [
+            "Class C has public functions not declared in interfaces: g : VOID"
+        ]
+
+    def test_base_in_an_earlier_block_of_its_namespace(self):
+        src = (
+            "namespace ns { class I { public: virtual void f() = 0; }; }\n"
+            "namespace ns { class C : public I { public: void f(); }; }"
+        )
+        assert run_rule("InterfaceChecker", src) == []
+
+    @pytest.mark.parametrize("forward", ["", "class I;\n"])
+    def test_forward_declared_base(self, forward):
+        src = forward + (
+            "class I { public: virtual void f() = 0; };\n"
+            "class C : public I { public: void f(); };"
+        )
+        assert run_rule("InterfaceChecker", src, {"CloseAPI": "false"}) == []
+        assert run_rule("InterfaceChecker", src) == []
+
+    def test_forward_declaration_after_the_class_reports_nothing(self):
+        src = "class C { public: void f(); };\nclass C;"
+        findings = run_rule("InterfaceChecker", src)
+        assert [(f.span.row, f.message) for f in findings] == [
+            (1, "Class C has public functions not declared in interfaces: f : VOID")
         ]
 
 

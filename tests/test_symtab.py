@@ -1,3 +1,4 @@
+import pytest
 from conftest import analyze_cpp, analyze_seq
 
 from cglint.symtab import (
@@ -6,6 +7,7 @@ from cglint.symtab import (
     Scope,
     ScopeKind,
     Specifier,
+    TypeBinding,
     VariableBinding,
     equal_signature,
 )
@@ -137,6 +139,69 @@ def test_duplicate_declaration_diagnostic():
     messages = [d.message for d in root.diagnostics]
     assert any("duplicate" in m for m in messages)
     assert not root.has_fatal_error()
+
+
+@pytest.mark.parametrize("source", [
+    "class A { public: A(); ~A(); };",
+    "void f(int a);\nvoid f(char c);",
+    "void f();\nvoid f() { }",
+    "class A;\nclass A { };",
+    "class A { };\nclass A;",
+    "namespace n { class A; }\nnamespace n { class A { }; }",
+])
+def test_legal_redeclarations_are_not_duplicates(source):
+    assert analyze_cpp(source).diagnostics == []
+
+
+def test_forward_declarations_share_the_class_binding():
+    root = analyze_cpp("class A;\nclass A { int m; };\nclass A;")
+    table = root.symbols
+    nodes = [n for n in root.ast.walk() if n.kind == "ClassDef"]
+    binding = table.binding_of(nodes[0])
+    assert [table.binding_of(n) for n in nodes] == [binding] * 3
+    assert classes(root) == [binding]
+    assert binding.scope is table.scope_of(nodes[1])
+    assert binding.scope.lookup_local("m").is_member
+
+
+def test_reopened_namespace_continues_its_scope():
+    root = analyze_cpp("namespace n { int a = 0; }\nnamespace m { }\nnamespace n { int b = 0; }")
+    table = root.symbols
+    first, other, again = [table.scope_of(n) for n in root.ast.children]
+    assert first is again and first is not other
+    assert table.global_scope.children == [first, other]
+    assert [v.scope for v in table.variables] == [first, first]
+
+
+def test_class_scopes_are_never_continued():
+    top = Scope(ScopeKind.GLOBAL)
+    first = top.open(ScopeKind.CLASS, "C")
+    second = top.open(ScopeKind.CLASS, "C")
+    assert first is not second and top.children == [first, second]
+    first.declare(TypeBinding("T"))
+    assert top.lookup("C::T") is not None  # the first class scope of a name is found
+
+
+def test_qualified_lookup():
+    top = Scope(ScopeKind.GLOBAL)
+    a = top.open(ScopeKind.NAMESPACE, "A")
+    b = a.open(ScopeKind.CLASS, "B")
+    t = TypeBinding("T")
+    b.declare(t)
+    a.declare(TypeBinding("U"))
+    inner_a = top.open(ScopeKind.NAMESPACE, "N").open(ScopeKind.NAMESPACE, "A")
+    fn = top.open(ScopeKind.FUNCTION, "f")
+    fn.declare(TypeBinding("V"))
+    block = fn.open(ScopeKind.BLOCK)
+    assert top.lookup("A::B::T") is t
+    assert block.lookup("A::B::T") is t  # ``A`` is found outward
+    assert b.lookup("B::T") is t  # from inside ``B``, its name is found in ``A``
+    assert top.lookup("A::U") is a.lookup_local("U")
+    assert block.lookup("T") is None  # a plain name does not descend
+    assert inner_a.lookup("A::B::T") is None  # the innermost ``A`` has no ``B``
+    assert inner_a.lookup("A::U") is None
+    for missing in ("A::T", "A::B::U", "A::C::T", "B::T", "X::T", "f::V"):
+        assert top.lookup(missing) is None, missing
 
 
 def test_member_and_parameter_flags():
