@@ -1,24 +1,34 @@
-"""Recursive-descent parser for the C++ subset.
+"""Recursive-descent parser for the C++ subset, which builds the unit's
+symbol table as it parses.
+
+Each namespace, class (unless forward), function, constructor, destructor,
+``CompoundStmt``, ``for`` and ``switch`` opens a scope through
+``Scope.open``, recorded in the table against its node (the blocks of a
+namespace share one). Each class, function, named variable or parameter,
+typedef and named enum declares its binding in the current scope, recorded
+against its node (a class's declarations share one); a class and a
+function are declared before their bodies are parsed. A ``using
+namespace`` whose namespace resolves adds it to the current scope's
+``used``. The table's diagnostics are sorted into document order at the end.
 
 Statements beginning with an identifier are ambiguous (``T * x;`` is a
-declaration when ``T`` names a type, an expression otherwise). The parser
-declares each class, enum and typedef it passes as a ``TypeBinding`` in a
-private tree of ``symtab.Scope`` objects and asks ``Scope.lookup``. It opens
-a scope at each namespace, class and braced block, where ``symbols`` opens
-one. Two scoping limits remain: an unbraced ``if``, ``while``, ``do`` or
-``for`` body declares its types in the enclosing scope, though ``symbols``
-gives a ``for`` one, and a ``switch`` body opens no scope in either. The
-unit's symbol table is built afterwards from the finished AST.
+declaration when ``T`` names a type, an expression otherwise).
+``at_declaration`` asks ``Scope.lookup`` on the same tree: the name is a
+type iff its innermost binding is a class, an enum, a typedef, or a
+constructor or destructor (whose name is its class's), so a variable,
+parameter or function hides a type. An unbraced ``if``, ``else``,
+``while``, ``do`` or ``for`` body that is a declaration is wrapped in a
+``CompoundStmt`` whose scope holds its names.
 
 Each grammar job that several constructs share has one method:
 ``parse_declaration`` (``[static] type stars name``, then a function or
 declarators), ``parse_items`` (the items of a namespace, class or block up
-to its ``}``, in the scope it is given), ``parse_body`` (the ``{…}`` or
-``;`` of a function, constructor or destructor), ``Cursor.parse_list``
-(``( a, b )``: arguments and parameters), ``parse_dropped`` (a parse whose
-nodes are dropped: default arguments and constructor initializers),
-``parse_condition`` (``keyword ( expression )``) and
-``parse_qualified_name`` (``A::B``). Every parse method for a
+to its ``}``, in the scope it is given), ``parse_body`` (the binding of a
+function, constructor or destructor, then its ``{…}`` or ``;``),
+``Cursor.parse_list`` (``( a, b )``: arguments and parameters),
+``parse_dropped`` (a parse whose nodes are dropped: default arguments and
+constructor initializers), ``parse_condition`` (``keyword ( expression
+)``) and ``parse_qualified_name`` (``A::B``). Every parse method for a
 construct that may expand to several nodes returns a list.
 
 Node ids and spans come from ``scan.Cursor``: every node goes through its
@@ -35,7 +45,15 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..model import SourceSpan
 from ..scan import Cursor
-from ..symtab import Scope, ScopeKind, TypeBinding
+from ..symtab import (
+    ClassBinding,
+    FunctionBinding,
+    ScopeKind,
+    Specifier,
+    SymbolTable,
+    TypeBinding,
+    VariableBinding,
+)
 from . import lexer
 from .lexer import IDENT, KEYWORD
 
@@ -55,10 +73,19 @@ NODE_KINDS = (
 _TYPE_KEYWORDS = frozenset(
     "void bool char int short long float double unsigned signed".split()
 )
-_ACCESS = ("public", "protected", "private")
+_ACCESS = {"public": Specifier.PUBLIC, "protected": Specifier.PROTECTED, "private": Specifier.PRIVATE}
+# the keywords that start a declaration statement, besides a type's
+_DECLARATIONS = ("class", "enum", "typedef", "using")
 _LITERALS = (lexer.INT_LIT, lexer.FLOAT_LIT, lexer.STRING_LIT, lexer.CHAR_LIT)
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 _UNARY_OPS = ("!", "-", "+", "*", "&", "~", "++", "--")
+# (attribute, specifier): a function whose attribute is set has the specifier
+_SPECIFIERS = (
+    ("virtual", Specifier.VIRTUAL),
+    ("pure", Specifier.VIRTUAL),
+    ("pure", Specifier.PURE_VIRTUAL),
+    ("static", Specifier.STATIC),
+)
 # Binary operator -> precedence (higher binds tighter); all left-associative.
 _BINARY_PRECEDENCE = {
     "||": 0, "&&": 1, "|": 2, "^": 3, "&": 4,
@@ -67,9 +94,13 @@ _BINARY_PRECEDENCE = {
 }
 
 
-def parse(tokens, file="<input>"):
-    """Parse a token stream into a TranslationUnit node."""
-    return _Parser(tokens, file).parse_unit()
+def parse(tokens, file="<input>", table=None):
+    """Parse a token stream into a TranslationUnit node, filling ``table``
+    (a new ``SymbolTable`` if None) with the unit's scopes and bindings."""
+    parser = _Parser(tokens, file, SymbolTable() if table is None else table)
+    unit = parser.parse_unit()
+    parser.table.diagnostics.sort(key=lambda diagnostic: diagnostic.span[1:3])
+    return unit
 
 
 class _Parser(Cursor):
@@ -78,9 +109,12 @@ class _Parser(Cursor):
     compares texts only.
     """
 
-    def __init__(self, tokens, file):
+    def __init__(self, tokens, file, table):
         super().__init__(tokens, file, LANGUAGE, IDENT)
-        self.scope = Scope(ScopeKind.GLOBAL)  # the innermost scope of the current item
+        self.table = table
+        self.scope = table.global_scope  # the innermost scope of the current item
+        self.cls = None  # the ClassBinding of the class body being parsed
+        self.access = None  # its current access specifier; None outside class bodies
 
     # --- token helpers -------------------------------------------------
 
@@ -118,7 +152,7 @@ class _Parser(Cursor):
     def at_declaration(self):
         """True iff a declaration starts at the current token: a built-in
         type keyword, ``const``/``static``, or a possibly qualified
-        identifier naming a class, enum or typedef visible here."""
+        identifier whose innermost binding here is a type."""
         kind = self.kinds[self.pos]
         text = self.texts[self.pos]
         if kind == KEYWORD:
@@ -126,9 +160,36 @@ class _Parser(Cursor):
         if kind != IDENT:
             return False
         start = self.pos
-        name = self.parse_qualified_name()
+        binding = self.scope.lookup(self.parse_qualified_name())
         self.pos = start
-        return self.scope.lookup(name) is not None
+        if isinstance(binding, FunctionBinding):
+            return binding.is_constructor or binding.is_destructor
+        return isinstance(binding, (ClassBinding, TypeBinding))
+
+    # --- symbols --------------------------------------------------------
+
+    def declared(self, node, binding):
+        """``node``, recorded as the declaration of ``binding`` in the
+        current scope."""
+        return self.table.record(node, binding=binding, duplicate=self.table.declare(self.scope, binding))
+
+    def declare_variable(self, node, **flags):
+        """Declare the variable or parameter ``node`` names, if it names
+        one; a class's variable is one of its data members."""
+        attrs = node.attributes
+        if not attrs["name"]:
+            return
+        binding = VariableBinding(
+            attrs["name"],
+            attrs["type"],
+            has_initializer=attrs.get("has_init", False),
+            is_member=self.scope.kind is ScopeKind.CLASS,
+            decl_span=node.span,
+            **flags,
+        )
+        self.declared(node, binding)
+        if binding.is_member:
+            self.cls.data_members.append(binding)
 
     # --- top level ------------------------------------------------------
 
@@ -157,17 +218,17 @@ class _Parser(Cursor):
         self.depth -= 1
         return decls
 
-    def parse_items(self, what, scope, parse_item, *args):
+    def parse_items(self, what, scope, parse_item):
         """Parse the items of a namespace, class or block up to its closing
-        ``}``, which it consumes; each ``parse_item(*args)`` returns a list.
-        The items' type names go to ``scope``, the only scope entered.
-        ``what`` names the construct when the input ends first."""
+        ``}``, which it consumes, in ``scope``, which it enters and leaves;
+        each ``parse_item()`` returns a list. ``what`` names the
+        construct when the input ends first."""
         self.scope = scope
         items = []
         while self.texts[self.pos] != "}":
             if self.pos >= self.count:
                 self.error("unterminated " + what)
-            items += parse_item(*args)
+            items += parse_item()
         self.pos += 1
         self.scope = scope.parent
         return items
@@ -179,7 +240,7 @@ class _Parser(Cursor):
         self.expect("{")
         scope = self.scope.open(ScopeKind.NAMESPACE, name)
         children = self.parse_items("namespace %r" % name, scope, self.parse_top_decl)
-        return self.node("NamespaceDef", start, {"name": name}, children)
+        return self.table.record(self.node("NamespaceDef", start, {"name": name}, children), scope)
 
     def parse_using(self):
         start = self.pos
@@ -189,6 +250,9 @@ class _Parser(Cursor):
         while self.accept("::"):
             parts.append(self.expect_ident())
         self.expect(";")
+        used = self.scope.lookup_scope(parts)
+        if used is not None and used.kind is ScopeKind.NAMESPACE:
+            self.scope.used += (used,)
         return self.node("UsingDirective", start, {"name": "::".join(parts)})
 
     # --- types ----------------------------------------------------------
@@ -233,31 +297,43 @@ class _Parser(Cursor):
         start = self.pos
         self.expect("class")
         name = self.expect_ident()
-        self.scope.declare(TypeBinding(name))
+        binding = self.scope.lookup_local(name)
+        if not isinstance(binding, ClassBinding):
+            binding = ClassBinding(name)
+        duplicate = self.table.declare(self.scope, binding)
         children = []
+        bases = []  # a forward declaration's bases are not kept
         if self.accept(":"):
             while True:
                 base_start = self.pos
                 access = self.advance() if self.texts[self.pos] in _ACCESS else "private"
                 base_name = self.parse_qualified_name()
+                base = self.scope.lookup(base_name)
+                bases.append((base if isinstance(base, ClassBinding) else None, _ACCESS[access], base_name))
                 children.append(self.node("BaseSpec", base_start, {"access": access, "name": base_name}))
                 if not self.accept(","):
                     break
         if self.accept(";"):
-            return self.node("ClassDef", start, {"name": name, "forward": True})
+            node = self.node("ClassDef", start, {"name": name, "forward": True})
+            return self.table.record(node, binding=binding, duplicate=duplicate)
         self.expect("{")
-        scope = self.scope.open(ScopeKind.CLASS, name)
-        children += self.parse_items("class %r" % name, scope, self.parse_member, name)
+        binding.bases += bases
+        scope = binding.scope = self.scope.open(ScopeKind.CLASS, name)
+        outer = self.cls, self.access
+        self.cls, self.access = binding, Specifier.PRIVATE  # class members default to private
+        children += self.parse_items("class %r" % name, scope, self.parse_member)
+        self.cls, self.access = outer
         self.expect(";")
-        return self.node("ClassDef", start, {"name": name}, children)
+        return self.table.record(self.node("ClassDef", start, {"name": name}, children), scope, binding, duplicate)
 
-    def parse_member(self, class_name):
+    def parse_member(self):
         self.enter()
         start = self.pos
         text = self.texts[start]
         if text in _ACCESS:
             self.advance()
             self.expect(":")
+            self.access = _ACCESS[text]
             members = [self.node("AccessSection", start, {"access": text})]
         elif text in self._TYPE_DECLS:
             members = [self._TYPE_DECLS[text](self)]
@@ -270,7 +346,7 @@ class _Parser(Cursor):
                 not virtual
                 and not static
                 and self.at_kind(IDENT)
-                and self.at(class_name)
+                and self.at(self.cls.name)
                 and self.at("(", 1)
             ):
                 members = [self.parse_constructor(start)]
@@ -282,6 +358,7 @@ class _Parser(Cursor):
     def parse_destructor(self, start, virtual):
         self.expect("~")
         name = self.expect_ident()
+        self.scope = self.scope.open(ScopeKind.FUNCTION, name)
         self.expect("(")
         self.expect(")")
         attrs = {"name": name, "virtual": virtual, "pure": self._accept_pure()}
@@ -289,6 +366,7 @@ class _Parser(Cursor):
 
     def parse_constructor(self, start):
         name = self.advance()
+        self.scope = self.scope.open(ScopeKind.FUNCTION, name)
         params = self.parse_params()
         if self.accept(":"):  # initializers ``a(x), b(y)``
             while True:
@@ -325,17 +403,35 @@ class _Parser(Cursor):
         name = self.advance() if self.at_kind(IDENT) else ""
         if self.accept("="):  # default argument
             self.parse_dropped(self.parse_assign)
-        return self.node("ParamDecl", start, {"name": name, "type": base + stars})
+        node = self.node("ParamDecl", start, {"name": name, "type": base + stars})
+        self.declare_variable(node, is_parameter=True)
+        return node
 
-    def parse_body(self, kind, start, attrs, children):
-        """Parse the ``{…}`` body, a block like any other, or the ``;`` of a
-        function, constructor or destructor, and return its node with the
-        body after ``children``."""
+    def parse_body(self, kind, start, attrs, params):
+        """Declare the function, constructor or destructor whose FUNCTION
+        scope is the current one and whose ``params`` are parsed, in the
+        scope around; then parse its ``{…}`` body, a block like any other,
+        or its ``;``, leave the scope and return its node, with the body
+        after ``params``."""
+        scope = self.scope
+        binding = FunctionBinding(
+            attrs["name"],
+            {spec for flag, spec in _SPECIFIERS if attrs.get(flag)},
+            [param.attributes["type"] for param in params],
+            attrs.get("return_type", ""),
+            is_constructor=kind == "Constructor",
+            is_destructor=kind == "Destructor",
+        )
+        if scope.parent.kind is ScopeKind.CLASS:
+            binding.specifiers.add(self.access)
+            self.cls.functions.append(binding)
+        duplicate = self.table.declare(scope.parent, binding)
         if self.at("{"):
-            children.append(self.parse_compound())
+            params.append(self.parse_compound())
         else:
             self.expect(";")
-        return self.node(kind, start, attrs, children)
+        self.scope = scope.parent
+        return self.table.record(self.node(kind, start, attrs, params), scope, binding, duplicate)
 
     # --- enums / typedefs ----------------------------------------------
 
@@ -345,7 +441,6 @@ class _Parser(Cursor):
         name = ""
         if self.at_kind(IDENT):
             name = self.advance()
-            self.scope.declare(TypeBinding(name))
         self.expect("{")
         enumerators = []
         while not self.at("}"):
@@ -360,7 +455,8 @@ class _Parser(Cursor):
                 break
         self.expect("}")
         self.accept(";")
-        return self.node("EnumDef", start, {"name": name}, enumerators)
+        node = self.node("EnumDef", start, {"name": name}, enumerators)
+        return self.declared(node, TypeBinding(name)) if name else node
 
     def parse_typedef(self):
         start = self.pos
@@ -369,8 +465,7 @@ class _Parser(Cursor):
         stars = self.parse_pointer_suffix()
         name = self.expect_ident()
         self.expect(";")
-        self.scope.declare(TypeBinding(name))
-        return self.node("TypedefDecl", start, {"name": name, "type": base + stars})
+        return self.declared(self.node("TypedefDecl", start, {"name": name, "type": base + stars}), TypeBinding(name))
 
     # --- functions and variables ---------------------------------------
 
@@ -383,6 +478,7 @@ class _Parser(Cursor):
         name = self.expect_ident()
         if not (function and self.at("(")):
             return self.parse_declarators(start, base, stars, name)
+        self.scope = self.scope.open(ScopeKind.FUNCTION, name)
         params = self.parse_params()
         attrs = {
             "name": name,
@@ -411,6 +507,7 @@ class _Parser(Cursor):
             if attrs["has_init"]:
                 children.append(self.parse_assign())
             decls.append(self.node("VarDecl", decl_start, attrs, children))
+            self.declare_variable(decls[-1])
             if not self.accept(","):
                 break
             decl_start = self.pos
@@ -424,8 +521,9 @@ class _Parser(Cursor):
     def parse_compound(self):
         start = self.pos
         self.expect("{")
-        children = self.parse_items("block", self.scope.open(ScopeKind.BLOCK), self.parse_stmt)
-        return self.node("CompoundStmt", start, {}, children)
+        scope = self.scope.open(ScopeKind.BLOCK)
+        children = self.parse_items("block", scope, self.parse_stmt)
+        return self.table.record(self.node("CompoundStmt", start, {}, children), scope)
 
     def parse_stmt(self):
         """Parse one statement; declarations may expand to several nodes."""
@@ -480,19 +578,23 @@ class _Parser(Cursor):
         return self.node("IfStmt", start, {"has_else": has_else}, children)
 
     def _single_stmt(self):
+        """Parse an unbraced body. A declaration there is parsed in a BLOCK
+        scope of its own, and its nodes, in order, are grouped under a
+        CompoundStmt spanning from the first to the last."""
+        if not (self.texts[self.pos] in _DECLARATIONS or self.at_declaration() and not self.at(":", 1)):
+            return self.parse_stmt()[0]
+        scope = self.scope = self.scope.open(ScopeKind.BLOCK)
         stmts = self.parse_stmt()
-        if len(stmts) == 1:
-            return stmts[0]
-        # several declarators from one declaration, in order; keep them
-        # grouped under a span from the first to the last
+        self.scope = scope.parent
         first, last = stmts[0].span, stmts[-1].span
         span = SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col)
-        return self.make("CompoundStmt", span, {}, stmts)
+        return self.table.record(self.make("CompoundStmt", span, {}, stmts), scope)
 
     def parse_switch(self):
         start = self.pos
         cond = self.parse_condition("switch")
         self.expect("{")
+        scope = self.scope = self.scope.open(ScopeKind.BLOCK)
         children = [cond]
         while not self.at("}"):
             c_start = self.pos
@@ -508,7 +610,8 @@ class _Parser(Cursor):
             else:
                 self.error("expected 'case' or 'default'")
         self.expect("}")
-        return self.node("SwitchStmt", start, {}, children)
+        self.scope = scope.parent
+        return self.table.record(self.node("SwitchStmt", start, {}, children), scope)
 
     def _clause_body(self):
         body = []
@@ -524,12 +627,15 @@ class _Parser(Cursor):
         start = self.pos
         self.expect("for")
         self.expect("(")
+        scope = self.scope = self.scope.open(ScopeKind.BLOCK)  # the loop index's
         children = []
         attrs = {"has_init": not self.accept(";")}
         if attrs["has_init"]:
             if self.at_declaration():
                 decl_start = self.pos
                 children.extend(self.parse_declaration(decl_start, self.accept("static"), function=False))
+                for decl in children:
+                    self.table.binding_of(decl).is_loop_index = True
             else:
                 children.append(self.parse_assign())
                 self.expect(";")
@@ -542,7 +648,8 @@ class _Parser(Cursor):
             children.append(self.parse_assign())
         self.expect(")")
         children.append(self._single_stmt())
-        return self.node("ForStmt", start, attrs, children)
+        self.scope = scope.parent
+        return self.table.record(self.node("ForStmt", start, attrs, children), scope)
 
     def parse_while(self):
         start = self.pos

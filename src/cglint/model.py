@@ -122,9 +122,10 @@ class Record:
 class AnalysisRoot(Record):
     """One parsed source unit plus everything later workflow stages attach.
 
-    ``ast`` is present iff the unit was read and parsed and its symbols
-    were built. Until the rules run, that is iff ``diagnostics`` holds no
-    fatal entry; ``core.traverse`` adds one for each rule that raises.
+    ``ast`` is present iff the unit was read and parsed; its parse built
+    ``symbols``, which is an empty table when there is no ``ast``. Until the
+    rules run, ``ast`` is present iff ``diagnostics`` holds no fatal entry;
+    ``core.traverse`` adds one for each rule that raises.
     """
 
     __slots__ = ("file", "content", "ast", "symbols", "diagnostics")

@@ -1,17 +1,18 @@
 """Per-language front ends and the analysis pipeline.
 
-Every input file goes through four stages in order: read, parse, symbols,
-traverse. ``FRONTENDS`` is the only per-language table; it names each
-language's parser, symbol builder, rules and file extensions, so adding a
-language is one entry plus its own modules. A language's modules are
-imported on the first call that needs them, so a run loads only the front
-end and the rules of its own language. ``get_frontend`` is the one place
-that rejects an unknown language. ``analyze_file`` is the unit's error
-boundary: a file that cannot be read or decoded, a lex or parse error, or an
-unexpected exception while parsing or building symbols (an internal error
-naming its stage) becomes one fatal diagnostic. Such a file contributes no
-findings but stays listed in the results, and never aborts the run.
-``core.traverse`` is the boundary of each rule in the same way.
+Every input file goes through three stages in order: read, parse,
+traverse; the parse fills the unit's symbol table as it goes. ``FRONTENDS``
+is the only per-language table; it names each language's parser, rules and
+file extensions, so adding a language is one entry plus its own modules. A
+language's modules are imported on the first call that needs them, so a run
+loads only the front end and the rules of its own language.
+``get_frontend`` is the one place that rejects an unknown language.
+``analyze_file`` is the unit's error boundary: a file that cannot be read
+or decoded, a lex or parse error, or an unexpected exception while parsing
+(an internal error in ``parse``) becomes one fatal diagnostic. Such a file
+has no AST and an empty table, contributes no findings but stays listed in
+the results, and never aborts the run. ``core.traverse`` is the boundary of
+each rule in the same way.
 """
 
 from __future__ import annotations
@@ -32,19 +33,18 @@ def _load(module, name):
     return getattr(importlib.import_module(module, __package__), name)
 
 
-# language -> parse(text, path) -> AST, symbols(AST) -> SymbolTable, rules()
-# -> its rule classes, and the extensions a directory scan picks up. Each
-# function looks its target up at every call, so a caller may wrap it.
+# language -> parse(text, path, table) -> AST, which declares the unit's
+# names in the empty SymbolTable ``table`` as it parses, rules() -> its rule
+# classes, and the extensions a directory scan picks up. Each function looks
+# its target up at every call, so a caller may wrap it.
 FRONTENDS = {
     "minicpp": {
-        "parse": lambda text, path: _load(".minicpp", "parse_source")(text, path),
-        "symbols": lambda ast: _load(".minicpp.symbols", "build_minicpp_symbols")(ast),
+        "parse": lambda text, path, table: _load(".minicpp", "parse_source")(text, path, table),
         "rules": lambda: _load(".rules.cpp", "CPP_RULES"),
         "extensions": (".cpp", ".ii"),
     },
     "seqdiag": {
-        "parse": lambda text, path: _load(".seqdiag", "parse_seq")(text, file=path),
-        "symbols": lambda ast: _load(".seqdiag", "build_seqdiag_symbols")(ast),
+        "parse": lambda text, path, table: _load(".seqdiag", "parse_seq")(text, path, table),
         "rules": lambda: _load(".rules.seq", "SEQ_RULES"),
         "extensions": (".sd",),
     },
@@ -71,7 +71,7 @@ def read_text(path):
 
 
 def analyze_file(path, language, text=None):
-    """Read (unless ``text`` is given), parse and build symbols for one file.
+    """Read (unless ``text`` is given) and parse one file, with its symbols.
 
     The unit, its spans and its diagnostics name the file by
     ``report.display_path(path)``; a decode error points at the first byte
@@ -80,12 +80,12 @@ def analyze_file(path, language, text=None):
     frontend = get_frontend(language)
     path = str(path)
     name = display_path(path)
-    root = AnalysisRoot(file=name, content="")
+    root = AnalysisRoot(file=name, content="", symbols=SymbolTable())
     try:
         if text is None:
             text = read_text(path)
         root.content = text
-        root.ast = frontend["parse"](text, name)
+        root.ast = frontend["parse"](text, name, root.symbols)
     except SourceError as exc:
         root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
     except UnicodeDecodeError as exc:
@@ -97,22 +97,17 @@ def analyze_file(path, language, text=None):
         root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
     except Exception as exc:
         root.diagnostics.append(Diagnostic.internal("parse", exc))
-    try:
-        build_symbols(root)
-    except Exception as exc:
-        root.ast = None
-        root.symbols = SymbolTable()
-        root.diagnostics.append(Diagnostic.internal("symbols", exc))
+    build_symbols(root)
     return root
 
 
 def build_symbols(root):
-    """Build ``root``'s symbol table with its language's builder, attach it
-    to ``root`` and return it. A unit without an AST gets an empty table."""
+    """Return ``root``'s symbol table, which its parse filled, after adding
+    the table's diagnostics to ``root``'s. A unit without an AST gets an
+    empty table instead, for a failed parse may have filled part of it."""
     if root.ast is None:
         root.symbols = SymbolTable()
     else:
-        root.symbols = FRONTENDS[root.ast.language]["symbols"](root.ast)
         root.diagnostics.extend(root.symbols.diagnostics)
     return root.symbols
 

@@ -19,7 +19,7 @@ _UPPER_CAMEL = re.compile(r"[A-Z][a-zA-Z0-9]*")
 _LOOPS = ("WhileStmt", "DoStmt", "ForStmt")
 _BREAKABLE = _LOOPS + ("SwitchStmt",)
 _FUNCTIONS = ("FunctionDef", "Constructor", "Destructor")
-_SCOPES = ("CompoundStmt", "ForStmt")  # the statements that open a scope
+_SCOPES = ("CompoundStmt", "ForStmt", "SwitchStmt")  # the statements that open a scope
 
 
 def _sub(*kinds):

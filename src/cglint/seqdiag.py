@@ -12,8 +12,11 @@ Grammar::
 The shared scanner splits a chart into ``Tokens`` of kind ``ident`` or
 ``punct``. Unicode blanks and ``//`` comments form the gap between tokens
 and yield none, and only a line feed starts a new row. A character no token
-starts is a ParseError "unexpected character 'c'" at its position. Messages referencing undeclared objects are fatal. Node ids
-and spans come from ``scan.Cursor``, which the parser extends.
+starts is a ParseError "unexpected character 'c'" at its position. The
+parser declares each object in the global scope of the chart's symbol
+table, the only scope, and a message naming an object not declared there is
+fatal. Node ids and spans come from ``scan.Cursor``, which the parser
+extends.
 """
 
 from __future__ import annotations
@@ -54,12 +57,13 @@ def _tokenize(text, file):
 
 
 class _Parser(Cursor):
-    """Recursive descent over the tokens of one chart; ``objects``
-    holds the names declared so far."""
+    """Recursive descent over the tokens of one chart, which declares its
+    objects in ``table``."""
 
-    def __init__(self, tokens, file):
+    def __init__(self, tokens, file, table):
         super().__init__(tokens, file, LANGUAGE, "ident")
-        self.objects = set()
+        self.table = table
+        self.scope = table.global_scope  # the only scope
 
     def error(self, message, index=None):
         """Raise a ParseError with ``message`` at the token at ``index``
@@ -91,8 +95,9 @@ class _Parser(Cursor):
         self.expect(":")
         type_name = self.expect_ident()
         self.expect(";")
-        self.objects.add(name)
-        return self.node("ObjectDecl", start, {"name": name, "type": type_name})
+        node = self.node("ObjectDecl", start, {"name": name, "type": type_name})
+        binding = VariableBinding(name=name, declared_type=type_name, decl_span=node.span)
+        return self.table.record(node, binding=binding, duplicate=self.table.declare(self.scope, binding))
 
     def parse_block(self):
         start = self.pos
@@ -137,7 +142,7 @@ class _Parser(Cursor):
         self.expect(";")
 
         for index, name in ((start, source), (target_at, target)):
-            if name not in self.objects:
+            if self.scope.lookup_local(name) is None:
                 message = "message names undeclared object %r" % name
                 raise UndeclaredObjectError(self.span(index), message)
         # arrow head at the left name: '<-' means the right side calls back
@@ -154,23 +159,12 @@ class _Parser(Cursor):
         )
 
 
-def parse_seq(text, file="<input>"):
-    """Parse a sequence chart into its AST (language="seqdiag")."""
-    parser = _Parser(_tokenize(text, file), file)
+def parse_seq(text, file="<input>", table=None):
+    """Parse a sequence chart into its AST (language="seqdiag"), declaring
+    its objects in ``table`` (a new ``SymbolTable`` if None)."""
+    parser = _Parser(_tokenize(text, file), file, SymbolTable() if table is None else table)
     ast = parser.parse()
     if not parser.at(None):
         parser.error("trailing input after chart")
     return ast
 
-
-def build_seqdiag_symbols(chart):
-    """Declare each object of ``chart`` in the global scope; the grammar
-    puts ObjectDecl nodes nowhere else, and opens no other scope."""
-    table = SymbolTable()
-    for node in chart.children:
-        if node.kind == "ObjectDecl":
-            binding = VariableBinding(
-                name=node.attr("name"), declared_type=node.attr("type"), decl_span=node.span
-            )
-            table.declare(table.global_scope, binding, node)
-    return table

@@ -1,20 +1,22 @@
 """Scoped symbol table over the syntax graph.
 
 Holds the bindings queried by rules (class/function/variable/type). Each
-unit gets one table, built from the finished AST by the builder named in
-its language's ``pipeline.FRONTENDS`` entry, and read-only once built. The
-table indexes nodes by id only where a builder opens a scope or declares a
+unit gets one table, which its language's parser fills as it parses and
+asks for type names, and which is read-only once the parse returns. The
+table indexes nodes by id only where the parser opens a scope or declares a
 binding, so ``scope_of`` and ``binding_of`` answer for those nodes alone.
 ``variables`` lists every declared variable, each named and in its scope,
 in declaration order. Scopes and bindings are plain classes, bindings
 slotted; both compare and hash by identity, so rules can key facts by them.
 
-``Scope.open`` makes every child scope, the minicpp parser's too; a namespace
-opened again continues its first scope. ``Scope.lookup`` also takes a
-qualified ``A::B::T``, which reaches no function scope. A name declared
-twice in one scope adds a non-fatal diagnostic unless both are functions
-(overloads, a constructor and a destructor, a prototype and its
-definition); a class's declarations, forward or not, share one binding.
+``Scope.open`` makes every child scope; a namespace opened again continues
+its first scope. ``Scope.lookup`` also takes a qualified ``A::B::T``, which
+reaches no function scope, and a plain name that misses in a scope is
+looked for in the namespaces its ``using namespace`` directives name before
+the scope around it. A name declared twice in one scope is a non-fatal
+diagnostic unless both are functions (overloads, a constructor and a
+destructor, a prototype and its definition); a class's declarations,
+forward or not, share one binding.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ class Scope:
         self.children = []
         self._by_name = {}  # name -> the first binding declared under it
         self._scopes = {}  # name -> the first namespace or class scope opened under it
+        self.used = ()  # the namespace scopes named by this scope's using directives
 
     def open(self, kind, name=None):
         """The child scope a ``kind`` construct named ``name`` opens here."""
@@ -71,30 +74,43 @@ class Scope:
         return self._by_name.get(name)
 
     def lookup(self, name):
-        """The binding ``name`` names here or outward, or None. ``A::B::T``
-        is ``T`` in the ``B`` of the innermost ``A`` opened around here."""
+        """The binding ``name`` names here or outward, or None. A plain name
+        that misses in a scope is looked for in its ``used`` namespaces, but
+        not in theirs, before the scope around it. ``A::B::T`` is ``T`` in
+        ``lookup_scope(["A", "B"])``."""
         *path, name = name.split("::")
-        scope = self
         if path:
-            while path[0] not in scope._scopes:
-                scope = scope.parent
-                if scope is None:
-                    return None
-            for part in path:
-                scope = scope._scopes.get(part)
-                if scope is None:
-                    return None
-            return scope.lookup_local(name)
+            scope = self.lookup_scope(path)
+            return None if scope is None else scope.lookup_local(name)
+        scope = self
         while scope is not None:
             binding = scope.lookup_local(name)
             if binding is not None:
                 return binding
+            for used in scope.used:
+                binding = used.lookup_local(name)
+                if binding is not None:
+                    return binding
             scope = scope.parent
         return None
 
+    def lookup_scope(self, path):
+        """The scope the names ``path`` lead to: the ``B`` of the innermost
+        ``A`` opened here or outward for ``["A", "B"]``, or None."""
+        scope = self
+        while path[0] not in scope._scopes:
+            scope = scope.parent
+            if scope is None:
+                return None
+        for part in path:
+            scope = scope._scopes.get(part)
+            if scope is None:
+                return None
+        return scope
+
 
 class TypeBinding:
-    """A plain type name: an enum or a typedef, and a class in the parser."""
+    """A plain type name: an enum or a typedef."""
 
     __slots__ = ("name", "scope")
 
@@ -199,24 +215,32 @@ class SymbolTable:
         self._binding_by_node = {}
         self.variables = []
 
-    def open_scope(self, kind, name, parent, node):
-        """The child scope of ``parent`` that ``node`` opens (``Scope.open``)."""
-        scope = self._scope_by_node[node.node_id] = parent.open(kind, name)
-        return scope
-
-    def declare(self, scope, binding, node):
-        """Make ``binding`` the binding of ``node``, declared in ``scope``."""
+    def declare(self, scope, binding):
+        """Declare ``binding`` in ``scope`` unless it is declared there
+        already. True iff another binding of its name was declared there
+        first and the two are not both functions: a duplicate, which
+        ``record`` reports."""
         first = scope.lookup_local(binding.name)
-        if first is not binding:
-            overload = isinstance(first, FunctionBinding) and isinstance(binding, FunctionBinding)
-            if first is not None and not overload:
+        if first is binding:
+            return False
+        scope.declare(binding)
+        if isinstance(binding, VariableBinding):
+            self.variables.append(binding)
+        return first is not None and not (isinstance(first, FunctionBinding) and isinstance(binding, FunctionBinding))
+
+    def record(self, node, scope=None, binding=None, duplicate=False):
+        """Record ``scope`` as the scope ``node`` opens and ``binding`` as
+        the binding it declares, reported at ``node`` if a ``duplicate``;
+        returns ``node``."""
+        if scope is not None:
+            self._scope_by_node[node.node_id] = scope
+        if binding is not None:
+            self._binding_by_node[node.node_id] = binding
+            if duplicate:
                 self.diagnostics.append(
                     Diagnostic(node.span, "duplicate declaration of %r" % binding.name, fatal=False)
                 )
-            scope.declare(binding)
-            if isinstance(binding, VariableBinding):
-                self.variables.append(binding)
-        self._binding_by_node[node.node_id] = binding
+        return node
 
     def scope_of(self, node):
         """The scope ``node`` opens; GLOBAL for a node that opens none."""
@@ -225,4 +249,3 @@ class SymbolTable:
     def binding_of(self, node):
         """The binding ``node`` declares; None for a node that declares none."""
         return self._binding_by_node.get(node.node_id)
-

@@ -325,6 +325,33 @@ def test_body_types_stay_in_body(body):
     assert stmt.kind == "ExprStmt"
 
 
+@pytest.mark.parametrize("source", [
+    "class T {}; void f(int T) { T * x; }",
+    "class T {}; namespace n { void T(); void f() { T * x; } }",
+    "class T {}; class A { int T; void f() { T * x; } };",
+])
+def test_non_types_hide_types(source):
+    [body] = [n for n in parse_src(source).find_all("FunctionDef") if n.attr("name") == "f"][0].children[-1:]
+    assert kinds(body) == ["ExprStmt"]
+
+
+def test_constructor_name_is_a_type_in_member_bodies():
+    unit = parse_src("class C { public: C(); void g() { C * p = 0; } };")
+    assert [decl.attr("name") for decl in unit.find_all("VarDecl")] == ["p"]
+
+
+@pytest.mark.parametrize("body", [
+    "if (c) int a = 1;", "if (c) ; else int a = 1;", "while (c) int a = 1;",
+    "do int a = 1; while (c);", "for (;;) int a = 1;", "if (c) typedef int a;",
+])
+def test_unbraced_declaration_body_is_wrapped(body):
+    """An unbraced body that declares gets a CompoundStmt spanning its
+    declaration, as several declarators do."""
+    unit = parse_src("void f() { %s }" % body)
+    [compound] = [n for n in unit.find_all("CompoundStmt") if n.children and n.children[0].attr("name") == "a"]
+    assert compound.span == compound.children[0].span
+
+
 def test_outer_types_seen_in_nested_blocks():
     unit = parse_src("typedef int T; void f() { typedef int U; { if (c) { T * x; U * y; } } }")
     assert [decl.attr("name") for decl in unit.find_all("VarDecl")] == ["x", "y"]
@@ -370,6 +397,23 @@ class TestDisambiguation:
         ("", "while (c) { typedef int T; } T * x;", "ExprStmt"),
         ("", "do { enum T { X }; } while (c); T * x;", "ExprStmt"),
         ("", "for (;;) { typedef int T; } T * x;", "ExprStmt"),
+        # nor after an unbraced body or a switch
+        ("", "if (c) typedef int T; T * x;", "ExprStmt"),
+        ("", "if (c) ; else class T { }; T * x;", "ExprStmt"),
+        ("", "while (c) typedef int T; T * x;", "ExprStmt"),
+        ("", "do class T { }; while (c); T * x;", "ExprStmt"),
+        ("", "for (;;) typedef int T; T * x;", "ExprStmt"),
+        ("", "switch (c) { case 1: typedef int T; } T * x;", "ExprStmt"),
+        ("", "switch (c) { default: class T { }; } T * x;", "ExprStmt"),
+        # a variable, a parameter or a function hides a type
+        ("class T {};", "int T; T * x;", "ExprStmt"),
+        ("class T {};", "{ int T; } T * x;", "VarDecl"),
+        # a using directive makes a namespace's names visible where it is
+        ("namespace n { class C { }; }\nusing namespace n;", "C * p;", "VarDecl"),
+        ("namespace n { class C { }; }", "using namespace n; C * p;", "VarDecl"),
+        ("namespace n { class C { }; }", "{ using namespace n; } C * p;", "ExprStmt"),
+        ("namespace n { class C { }; }", "if (c) using namespace n; C * p;", "ExprStmt"),
+        ("namespace n { namespace m { class C { }; } }\nusing namespace n::m;", "C * p;", "VarDecl"),
     ]
 
     @pytest.mark.parametrize("prelude,stmt,expected", CASES)

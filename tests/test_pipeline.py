@@ -13,7 +13,7 @@ import cglint
 from cglint.errors import UnknownLanguageError
 from cglint.model import AstNode, Criticality, Priority, RuleDescriptor, SourceSpan
 from cglint.report import from_xml
-from cglint.symtab import SymbolTable
+from cglint.symtab import VariableBinding
 
 
 @pytest.fixture
@@ -144,8 +144,8 @@ class _ShoutChecker(Rule):
             ctx.report(node.span, "Word %r is shouted." % node.attr("text"))
 
 
-def _parse_toy(text, path):
-    """One ``Word`` node per word of a one-line text."""
+def _parse_toy(text, path, table):
+    """One ``Word`` node per word of a one-line text; declares nothing."""
     words = [
         AstNode("toy", "Word", SourceSpan.point(path, 1, match.start() + 1), {"text": match.group()}, node_id=i)
         for i, match in enumerate(re.finditer(r"\S+", text), start=2)
@@ -156,7 +156,6 @@ def _parse_toy(text, path):
 def test_a_language_is_one_frontends_entry(tmp_path, monkeypatch):
     toy = {
         "parse": _parse_toy,
-        "symbols": lambda ast: SymbolTable(),
         "rules": lambda: [_ShoutChecker],
         "extensions": (".toy",),
     }
@@ -207,7 +206,6 @@ def _toy_run(tmp_path, monkeypatch, capsys, texts, **entry):
     the XML, the paths and standard error."""
     toy = {
         "parse": _parse_toy,
-        "symbols": lambda ast: SymbolTable(),
         "rules": lambda: [_ShoutChecker, _BrokenChecker],
         "extensions": (".toy",),
         **entry,
@@ -239,18 +237,35 @@ def test_a_rule_that_raises_is_an_internal_error(tmp_path, monkeypatch, capsys):
     assert lines[1].startswith("%s:1:1: internal error in rule BrokenChecker: KeyError: 'late' (" % c)
 
 
-@pytest.mark.parametrize("stage", ["parse", "symbols"])
-def test_an_unexpected_exception_in_a_stage_is_an_internal_error(tmp_path, monkeypatch, capsys, stage):
-    if stage == "parse":
-        entry = {"parse": lambda text, path: _crash() if "crash" in text else _parse_toy(text, path)}
-    else:
-        entry = {"symbols": lambda ast: _crash() if ast.children[0].attr("text") == "crash" else SymbolTable()}
-    texts = [("bad", "crash"), ("good", "LOUD")]
-    code, results, (bad, good), err = _toy_run(tmp_path, monkeypatch, capsys, texts, **entry)
+def _parse_toy_declaring(text, path, table):
+    """``_parse_toy``, after declaring each word in ``table``; raises at
+    the word ``crash``, after the words before it are declared."""
+    for word in text.split():
+        if word == "crash":
+            _crash()
+        table.declare(table.global_scope, VariableBinding(word))
+    return _parse_toy(text, path, table)
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [lambda text, path, table: _crash() if "crash" in text else _parse_toy(text, path, table), _parse_toy_declaring],
+    ids=["parse", "parse_after_declaring"],
+)
+def test_an_unexpected_exception_in_a_stage_is_an_internal_error(tmp_path, monkeypatch, capsys, parse):
+    """A parse that raises, also one that has filled part of its table,
+    leaves its unit without an AST and with an empty table."""
+    texts = [("bad", "hello crash"), ("good", "LOUD")]
+    code, results, (bad, good), err = _toy_run(tmp_path, monkeypatch, capsys, texts, parse=parse)
     assert code == 2
     assert results.files == [bad, good]
     assert _findings(results)["ShoutChecker"] == [(good, "Word 'LOUD' is shouted.")]
-    assert err.startswith("%s: internal error in %s: RuntimeError: crash (test_pipeline.py:" % (bad, stage))
+    assert err.startswith("%s: internal error in parse: RuntimeError: crash (test_pipeline.py:" % bad)
+    root = analyze_file(bad, "toy")
+    assert root.ast is None
+    assert not (root.symbols.global_scope.declarations or root.symbols.variables or root.symbols.diagnostics)
+    if parse is _parse_toy_declaring:  # it fills the table of a unit it parses
+        assert [v.name for v in analyze_file(good, "toy").symbols.variables] == ["LOUD"]
 
 
 class _MisspeltPropertyChecker(Rule):
@@ -301,7 +316,7 @@ class _LongWordChecker(Rule):
 
 
 def test_a_run_reports_each_enabled_rule_with_or_without_files(tmp_path, monkeypatch):
-    toy = {"parse": _parse_toy, "symbols": lambda ast: SymbolTable(), "rules": lambda: [], "extensions": (".toy",)}
+    toy = {"parse": _parse_toy, "rules": lambda: [], "extensions": (".toy",)}
     monkeypatch.setitem(FRONTENDS, "toy", toy)
     registry = register_rules(RuleRegistry(), [_LongWordChecker, _ShoutChecker, _BrokenChecker])
     configs = default_configs(registry)

@@ -51,7 +51,7 @@ from cglint.model import Criticality, Priority, RuleConfig, RuleDescriptor  # no
 from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
-from cglint.symtab import ScopeKind  # noqa: E402
+from cglint.symtab import ScopeKind, SymbolTable  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 import gen  # noqa: E402
@@ -256,7 +256,7 @@ def check_tree(lang, text):
     operator's text. A minicpp unit without declarations has no tokens and
     is the point 1:1."""
     try:
-        root = FRONTENDS[lang]["parse"](text, "input")
+        root = FRONTENDS[lang]["parse"](text, "input", SymbolTable())
     except SourceError:
         return
     lines = text.split("\n")
@@ -407,7 +407,9 @@ def test_rules_match_oracle_nested_unit(text):
 
 
 # The node kinds that open a scope; a ClassDef opens one unless it is forward.
-SCOPE_OWNERS = ("NamespaceDef", "ClassDef", "FunctionDef", "Constructor", "Destructor", "CompoundStmt", "ForStmt")
+SCOPE_OWNERS = (
+    "NamespaceDef", "ClassDef", "FunctionDef", "Constructor", "Destructor", "CompoundStmt", "ForStmt", "SwitchStmt",
+)
 
 
 def check_symbol_index(text):
@@ -539,7 +541,7 @@ def test_a_raising_rule_costs_only_its_own_findings(workdir, lang, data):
     text, _planted = data.draw(generated_corpus(lang))
     src = workdir / ("raising" + EXTENSIONS[lang])
     src.write_text(text, encoding="utf-8")
-    kind = data.draw(st.sampled_from(sorted({node.kind for node in FRONTENDS[lang]["parse"](text, "x").walk()})))
+    kind = data.draw(st.sampled_from(sorted({node.kind for node in FRONTENDS[lang]["parse"](text, "x", SymbolTable()).walk()})))
     method = data.draw(st.sampled_from(["visit", "leave"]))
     runs = []
     for extra in ((), (raising_rule(lang, kind, method),)):

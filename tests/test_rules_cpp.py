@@ -254,6 +254,16 @@ class TestIfChecker:
         findings = run_rule("IfChecker", "void f() { int c = 1; %s }" % branches)
         assert messages(findings) == [message]
 
+    def test_braceless_declaration_span(self):
+        """The CompoundStmt that scopes an unbraced declaration is not a
+        brace: the finding is where the declaration starts."""
+        root = analyze_cpp("void f() { int c = 1; if (c) int a = 1; }")
+        [finding] = run_rules(root, {"IfChecker"})
+        [branch] = root.ast.find_all("IfStmt")[0].children[1:]
+        assert branch.kind == "CompoundStmt"
+        assert branch.span == branch.children[0].span == ("test.cpp", 1, 30, 1, 38)
+        assert finding.span == ("test.cpp", 1, 30, 1, 30)
+
     def test_braced_declarators(self):
         src = "void f() { int c = 1; if (c) {int a = 1, b = 2;} else {int d, e;} }"
         assert run_rule("IfChecker", src) == []
@@ -442,8 +452,9 @@ class TestMemoryChecker:
         [
             "int* q = 0;\nvoid f() { int* p = new int; { int* q = 0; q = p; } }",
             "int* q = 0;\nvoid f() { int* p = new int; for (int* q = 0; ; ) { q = p; } }",
+            "int* q = 0;\nvoid f(int c) { int* p = new int; switch (c) { case 1: int* q = 0; q = p; } }",
         ],
-        ids=["block", "for"],
+        ids=["block", "for", "switch"],
     )
     def test_assigned_to_shadowing_local_does_not_escape(self, source):
         """The assigned name is looked up from the innermost scope, where a

@@ -1,9 +1,9 @@
 """Scaling gate: no stage may grow faster than ~2.3x per doubling of input.
 
 Two units from the benchmark's seeded generator (``bench/gen.py``), at 2 and
-8 classes, are lexed, parsed, symbol-built and traversed in process, one
-right after the other; two sequence charts, at 150 and 600 messages, are
-parsed. A stage's ratio is the median over repeats of the
+8 classes, are lexed, parsed (which builds the symbol table) and traversed
+in process, one right after the other; two sequence charts, at 150 and 600
+messages, are parsed. A stage's ratio is the median over repeats of the
 large unit's CPU time over the small one's: a pair shares the host's speed
 of the moment, and the median drops a pair that straddles a change of it
 (a minimum per size would keep one fast outlier of the small unit). The
@@ -30,14 +30,14 @@ from cglint.core import default_configs, traverse  # noqa: E402
 from cglint.minicpp.lexer import lex  # noqa: E402
 from cglint.minicpp.parser import parse  # noqa: E402
 from cglint.model import AnalysisRoot  # noqa: E402
-from cglint.pipeline import build_symbols  # noqa: E402
 from cglint.seqdiag import parse_seq  # noqa: E402
+from cglint.symtab import SymbolTable  # noqa: E402
 
 SMALL, LARGE = 2, 8  # classes
 SMALL_CHART, LARGE_CHART = 150, 600  # messages
 BOUND = 2.3 ** 2
 REPEATS = 5
-STAGES = ("lex", "parse", "symbols", "traverse", "seqdiag_parse")
+STAGES = ("lex", "parse", "traverse", "seqdiag_parse")
 
 
 def unit_text(classes):
@@ -56,15 +56,14 @@ def stage_seconds(text, chart, registry, configs):
     t0 = time.process_time()
     tokens = lex(text, "unit.ii")
     t1 = time.process_time()
-    root = AnalysisRoot(file="unit.ii", content=text, ast=parse(tokens, file="unit.ii"))
+    table = SymbolTable()
+    root = AnalysisRoot(file="unit.ii", content=text, ast=parse(tokens, file="unit.ii", table=table), symbols=table)
     t2 = time.process_time()
-    build_symbols(root)
-    t3 = time.process_time()
     traverse(root, registry, configs)
-    t4 = time.process_time()
+    t3 = time.process_time()
     parse_seq(chart, "chart.sd")
-    t5 = time.process_time()
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4]
+    t4 = time.process_time()
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3]
 
 
 @pytest.fixture(scope="module")

@@ -141,6 +141,34 @@ def test_duplicate_declaration_diagnostic():
     assert not root.has_fatal_error()
 
 
+def test_switch_body_has_its_own_scope():
+    root = analyze_cpp("int f(int c) { switch (c) { case 1: typedef int T; } T * x; }")
+    switch = find(root.ast, "SwitchStmt")
+    scope = root.symbols.scope_of(switch)
+    assert scope.kind is ScopeKind.BLOCK and scope.parent is root.symbols.scope_of(find(root.ast, "CompoundStmt"))
+    assert [b.name for b in scope.declarations] == ["T"]
+    assert find(root.ast, "CompoundStmt").children[-1].kind == "ExprStmt"
+
+
+def test_using_directive_applies_to_parser_and_table():
+    root = analyze_cpp(
+        "namespace n { class C { }; }\nusing namespace n;\nvoid f() { C * p; }\nclass D : public C { };"
+    )
+    assert find(root.ast, "VarDecl", name="p").attr("type") == "C*"
+    c, d = root.symbols.global_scope.children[0].lookup_local("C"), classes(root)[0]
+    assert d.bases == [(c, Specifier.PUBLIC, "C")]
+
+
+def test_duplicate_diagnostics_in_document_order():
+    """A function is declared before its body, though its node is made
+    after; its duplicate still comes first."""
+    root = analyze_cpp("int f; void f() { int x; int x; }")
+    assert [(d.span[1:3], d.message) for d in root.diagnostics] == [
+        ((1, 8), "duplicate declaration of 'f'"),
+        ((1, 26), "duplicate declaration of 'x'"),
+    ]
+
+
 @pytest.mark.parametrize("source", [
     "class A { public: A(); ~A(); };",
     "void f(int a);\nvoid f(char c);",
