@@ -105,9 +105,10 @@ def traverse(root, registry, configs, stats=None):
     ``visit``, and ``leave`` where overridden, of each enabled rule
     subscribed to it; an entry is filled the first time its kind is seen. A
     rule whose ``visit``, ``leave`` or ``finish`` raises is dropped from the
-    unit: it adds one fatal internal-error diagnostic to ``root.diagnostics``,
-    at the node of the call (the unit's start for ``finish``), and reports
-    no findings for the unit. Every other rule keeps its findings.
+    unit: it gets no further call, adds one fatal internal-error diagnostic
+    to ``root.diagnostics``, at the node of the call (the unit's start for
+    ``finish``), and reports no findings for the unit. Every other rule
+    keeps its findings.
 
     Returns one RuleReport per enabled rule (rules with zero findings
     included), with its priority override applied (a descriptor made by
@@ -139,7 +140,6 @@ def traverse(root, registry, configs, stats=None):
             node = pop()
             if node.__class__ is tuple:  # (node, its leave calls), pushed under its children
                 node, calls = node
-                calls = [(leave, ctx) for leave, ctx in calls if ctx.rule_id in live]  # none for rules dropped since
             else:
                 visits += 1
                 key = (node.language, node.kind)
@@ -154,12 +154,11 @@ def traverse(root, registry, configs, stats=None):
                 if node.children:
                     push(reversed(node.children))
             for call, ctx in calls:
-                try:
-                    call(node, ctx)
-                except Exception as exc:
-                    if ctx.rule_id in live:  # not dropped at an earlier call
+                if ctx.rule_id in live:  # not dropped at an earlier call
+                    try:
+                        call(node, ctx)
+                    except Exception as exc:
                         _drop(root, live, ctx, exc, node.span)
-                        plan.clear()  # refilled without the dropped rule
         if stats is not None:
             stats.visits += visits
         for rule, ctx in list(live.values()):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from ..errors import ParseError
 from ..model import SourceSpan
-from ..scan import Cursor
+from ..scan import Cursor, point
 from ..symtab import (
     ClassBinding,
     FunctionBinding,
@@ -142,7 +142,7 @@ class _Parser(Cursor):
         when there is none)."""
         if self.at_end():
             last = self.count - 1
-            span = SourceSpan.point(self.file, *self.point(self.starts[last] + len(self.texts[last]) - 1))
+            span = SourceSpan.point(self.file, *point(self.lines, self.starts[last] + len(self.texts[last]) - 1))
         else:
             span = self.span(self.pos)
         raise ParseError(span, message)
@@ -271,7 +271,7 @@ class _Parser(Cursor):
         elif self.kinds[self.pos] == IDENT:
             parts.append(self.parse_qualified_name())
         else:
-            self.error("expected type, found %r" % self.texts[self.pos])
+            self.expected("type")
         while self.at("const"):
             self.advance()
             parts.append("const")
@@ -692,11 +692,12 @@ class _Parser(Cursor):
     def parse_assign(self):
         """Parse an expression: assignments are right-associative."""
         self.enter()
+        start = self.pos
         expr = self.parse_binary()
         if self.texts[self.pos] in _ASSIGN_OPS:
             op = self.pos
             self.advance()
-            expr = self._op_node("AssignExpr", expr, self.parse_assign(), op)
+            expr = self._op_node("AssignExpr", start, expr, self.parse_assign(), op)
         self.depth -= 1
         return expr
 
@@ -704,27 +705,26 @@ class _Parser(Cursor):
         """Parse a chain of binary operators in one loop over
         ``_BINARY_PRECEDENCE``. An operator waits on ``pending`` until one
         that binds no tighter arrives; all are left-associative."""
-        operands = [self.parse_unary()]
+        operands = [(self.pos, self.parse_unary())]  # (first token index, operand)
         pending = []  # (precedence, operator token index)
         while True:
             precedence = _BINARY_PRECEDENCE.get(self.texts[self.pos])
             while pending and (precedence is None or pending[-1][0] >= precedence):
                 op = pending.pop()[1]
-                rhs = operands.pop()
-                operands.append(self._op_node("BinaryExpr", operands.pop(), rhs, op))
+                rhs = operands.pop()[1]
+                start, lhs = operands[-1]
+                operands[-1] = start, self._op_node("BinaryExpr", start, lhs, rhs, op)
             if precedence is None:
-                return operands[0]
+                return operands[0][1]
             pending.append((precedence, self.pos))
             self.advance()
-            operands.append(self.parse_unary())
+            operands.append((self.pos, self.parse_unary()))
 
-    def _op_node(self, kind, lhs, rhs, op):
+    def _op_node(self, kind, start, lhs, rhs, op):
         """A node for operator token ``op`` (an index) between ``lhs`` and
-        ``rhs``. The operands' spans are in order, so the span from the
-        start of one to the end of the other needs no check."""
-        row, col = self.point(self.starts[op])
-        span = SourceSpan(self.file, lhs.span.row, lhs.span.col, rhs.span.end_row, rhs.span.end_col)
-        return self.make(kind, span, {"operator": self.texts[op], "op_row": row, "op_col": col}, [lhs, rhs])
+        ``rhs``, spanning the tokens from ``start`` to the last consumed."""
+        row, col = point(self.lines, self.starts[op])
+        return self.node(kind, start, {"operator": self.texts[op], "op_row": row, "op_col": col}, [lhs, rhs])
 
     def parse_unary(self):
         self.enter()
@@ -805,7 +805,7 @@ class _Parser(Cursor):
         if kind == IDENT:
             self.advance()
             return self.node("IdentExpr", start, {"name": text})
-        self.error("expected expression, found %r" % text)
+        self.expected("expression")
 
     # keyword -> the method that parses the type declaration it starts
     _TYPE_DECLS = {"class": parse_class, "enum": parse_enum, "typedef": parse_typedef}

@@ -253,7 +253,6 @@ class IdentifierChecker(Rule):
         reference="MISRA AV Rule 48",
         priority=Priority.SHOULD,
         criticality=Criticality.LOW,
-        subscriptions=_sub("TranslationUnit"),
     )
 
     def finish(self, ctx):

@@ -13,7 +13,9 @@ spans lines.
 
 ``Cursor`` is the token lookahead both parsers extend. It is the one place
 that assigns node ids and builds node spans, and its ``parse_list`` parses
-every parenthesised, comma-separated list of both languages.
+every parenthesised, comma-separated list of both languages. Each node spans
+its first to its last token, by index, except two given whole: minicpp's
+block around an unbraced declaration body and an empty unit's 1:1 root.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Tokens:
     """The tokens of one text.
 
     ``kinds`` and ``texts`` are parallel lists, each ending in a ``None``
-    that stands for the end of input; ``starts`` holds each token's offset
+    that stands for the input's end; ``starts`` holds each token's offset
     and ``lines`` the offset each line starts at. ``len(tokens)`` counts the
     tokens, and ``tokens[i]`` is the ``(kind, text, row, col)`` tuple of
     token ``i``.
@@ -151,9 +153,11 @@ class Cursor:
 
     Looking ahead is a lookup in the ``kinds`` and ``texts`` lists, whose
     ``None`` ends the input. A parser subclasses it and defines
-    ``error(message)``, which raises at the current token and says how the
-    end of input is reported. Node ids run 1..n in the order nodes are made,
-    so a unit's root, made last, has the largest.
+    ``error(message)``, which raises at the current token and says how
+    the input's end is reported. Node ids run 1..n in the order nodes are
+    made, so a unit's root, made last, has the largest. ``node`` spans every
+    node but two from token indices; ``make`` takes whole the span of the
+    block around an unbraced declaration body and an empty unit's 1:1 root.
     """
 
     def __init__(self, tokens, file, language, ident):
@@ -173,23 +177,22 @@ class Cursor:
         """True iff the text of the token ``offset`` ahead is ``text``."""
         return self.texts[self.pos + offset] == text
 
-    def point(self, offset):
-        """The ``(row, col)`` of ``offset``."""
-        return point(self.lines, offset)
-
     def expect(self, text):
-        found = self.texts[self.pos]
-        if found != text:
-            self.error("expected %r, found %s" % (text, "end of input" if found is None else repr(found)))
+        if self.texts[self.pos] != text:
+            self.expected(repr(text))
         self.pos += 1
 
     def expect_ident(self):
         """Consume an identifier and return its text."""
         if self.kinds[self.pos] != self.ident:
-            found = self.texts[self.pos]
-            self.error("expected identifier, found %r" % ("end of input" if found is None else found))
+            self.expected("identifier")
         self.pos += 1
         return self.texts[self.pos - 1]
+
+    def expected(self, what):
+        """Raise ``error`` for ``what`` expected at the current token."""
+        found = self.texts[self.pos]
+        self.error("expected %s, found %s" % (what, "end of input" if found is None else repr(found)))
 
     def parse_list(self, parse_item):
         """Parse ``( a, b, … )``, each item by ``parse_item()``, and return

@@ -11,12 +11,12 @@ slotted; both compare and hash by identity, so rules can key facts by them.
 
 ``Scope.open`` makes every child scope; a namespace opened again continues
 its first scope. ``Scope.lookup`` also takes a qualified ``A::B::T``, which
-reaches no function scope, and a plain name that misses in a scope is
-looked for in the namespaces its ``using namespace`` directives name before
-the scope around it. A name declared twice in one scope is a non-fatal
-diagnostic unless both are functions (overloads, a constructor and a
-destructor, a prototype and its definition); a class's declarations,
-forward or not, share one binding.
+reaches no function scope. A plain name, or a qualified name's first part,
+that misses in a scope is looked for in the namespaces its ``using
+namespace`` directives name (not in theirs) before the scope around it. A
+name declared twice in one scope is a non-fatal diagnostic unless both are
+functions (overloads, a constructor and a destructor, a prototype and its
+definition); a class's declarations, forward or not, share one binding.
 """
 
 from __future__ import annotations
@@ -73,39 +73,38 @@ class Scope:
     def lookup_local(self, name):
         return self._by_name.get(name)
 
+    def _outward(self):
+        """Where a name used here is looked for, in order: this scope and the
+        namespaces its ``used`` names (not theirs), then the same for its parent."""
+        scope = self
+        while scope is not None:
+            yield scope
+            yield from scope.used
+            scope = scope.parent
+
     def lookup(self, name):
-        """The binding ``name`` names here or outward, or None. A plain name
-        that misses in a scope is looked for in its ``used`` namespaces, but
-        not in theirs, before the scope around it. ``A::B::T`` is ``T`` in
-        ``lookup_scope(["A", "B"])``."""
+        """The binding ``name`` names here or outward, or None: a plain name
+        is the first ``lookup_local`` hit ``_outward``, and ``A::B::T`` is
+        ``T`` in ``lookup_scope(["A", "B"])``."""
         *path, name = name.split("::")
         if path:
             scope = self.lookup_scope(path)
             return None if scope is None else scope.lookup_local(name)
-        scope = self
-        while scope is not None:
+        for scope in self._outward():
             binding = scope.lookup_local(name)
             if binding is not None:
                 return binding
-            for used in scope.used:
-                binding = used.lookup_local(name)
-                if binding is not None:
-                    return binding
-            scope = scope.parent
         return None
 
     def lookup_scope(self, path):
-        """The scope the names ``path`` lead to: the ``B`` of the innermost
-        ``A`` opened here or outward for ``["A", "B"]``, or None."""
-        scope = self
-        while path[0] not in scope._scopes:
-            scope = scope.parent
+        """The scope the names ``path`` lead to: the ``B`` of the first
+        ``A`` opened in a scope ``_outward`` for ``["A", "B"]``, or None."""
+        first, *rest = path
+        scope = next((reached._scopes[first] for reached in self._outward() if first in reached._scopes), None)
+        for part in rest:
             if scope is None:
                 return None
-        for part in path:
             scope = scope._scopes.get(part)
-            if scope is None:
-                return None
         return scope
 
 

@@ -244,6 +244,9 @@ PARSE_ERRORS = [
     ("unknown_scope", "namespace n { class C { }; }\nvoid f() { m::C * x; }", "expected ';', found '::'", 2, 13),
     ("unknown_inner_scope", "namespace n { namespace m { } }\nvoid f() { n::k::C * x; }", "expected ';', found '::'", 2, 13),
     ("unknown_type_in_scope", "namespace n { class C { }; }\nvoid f() { n::D * x; }", "expected ';', found '::'", 2, 13),
+    ("class_at_end", "class", "expected identifier, found end of input", 1, 5),
+    ("namespace_at_end", "namespace", "expected identifier, found end of input", 1, 9),
+    ("declarator_at_end", "int", "expected identifier, found end of input", 1, 3),
 ]
 
 
@@ -414,6 +417,11 @@ class TestDisambiguation:
         ("namespace n { class C { }; }", "{ using namespace n; } C * p;", "ExprStmt"),
         ("namespace n { class C { }; }", "if (c) using namespace n; C * p;", "ExprStmt"),
         ("namespace n { namespace m { class C { }; } }\nusing namespace n::m;", "C * p;", "VarDecl"),
+        # it serves a qualified name's first part, and another directive's name
+        ("namespace a { namespace b { class C {}; } } using namespace a;", "b::C * x;", "VarDecl"),
+        ("namespace a { namespace b { class C {}; } } using namespace a; using namespace b;", "C * x;", "VarDecl"),
+        # but it is not transitive
+        ("namespace a { namespace b { class C {}; } using namespace b; } using namespace a;", "C * x;", "ExprStmt"),
     ]
 
     @pytest.mark.parametrize("prelude,stmt,expected", CASES)

@@ -331,6 +331,15 @@ class TestFromXmlErrors:
         with pytest.raises(XmlSchemaError):
             from_xml(b"<vfresults created='t' findings='0'><bogus/></vfresults>")
 
+    def test_unexpected_element_in_rule(self):
+        data = (
+            b"<vfresults created='t' findings='0'>"
+            b"<rule id='R' title='T' description='D' reference='' "
+            b"priority='SHALL' criticality='LOW' findings='0'><bogus/></rule></vfresults>"
+        )
+        with pytest.raises(XmlSchemaError, match="unexpected element 'bogus'"):
+            from_xml(data)
+
     def test_bad_enum(self):
         data = (
             b"<vfresults created='t' findings='0'>"

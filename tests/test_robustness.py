@@ -251,10 +251,10 @@ def test_scanner_matches_oracle_token_soup(lang, data):
 
 def check_tree(lang, text):
     """If ``text`` parses, every node's span lies on ``text`` and inside its
-    parent's, the node ids are 1..n, and each binary or assignment
-    operator's ``(op_row, op_col)`` lies in its node's span, on the
-    operator's text. A minicpp unit without declarations has no tokens and
-    is the point 1:1."""
+    parent's, the node ids are 1..n, and each binary or assignment node
+    spans from its first child's start to its last child's end, with its
+    operator's ``(op_row, op_col)`` in that span, on the operator's text. A
+    minicpp unit without declarations has no tokens and is the point 1:1."""
     try:
         root = FRONTENDS[lang]["parse"](text, "input", SymbolTable())
     except SourceError:
@@ -276,6 +276,8 @@ def check_tree(lang, text):
             outer = parent.span
             assert (outer.row, outer.col) <= start and end <= (outer.end_row, outer.end_col), (node.kind, span, outer)
         if node.kind in ("BinaryExpr", "AssignExpr"):
+            first, last = node.children[0].span, node.children[-1].span
+            assert ((first.row, first.col), (last.end_row, last.end_col)) == (start, end), (node.kind, span)
             op, row, col = node.attr("operator"), node.attr("op_row"), node.attr("op_col")
             assert start <= (row, col) <= end, (node.kind, span, row, col)
             assert lines[row - 1][col - 1 : col - 1 + len(op)] == op

@@ -326,6 +326,13 @@ class TestInterfaceChecker:
         )
         assert run_rule("InterfaceChecker", src) == []
 
+    def test_static_member_exempt(self):
+        src = INTERFACE_PRELUDE + (
+            "class Polynomial : public Function {\n"
+            "public:\n  double eval();\n  double derive();\n  static Polynomial* zero();\n};"
+        )
+        assert run_rule("InterfaceChecker", src) == []
+
     def test_close_api_disabled_skips_interfaceless_classes(self):
         src = "class Standalone { public: void api(); };"
         assert run_rule("InterfaceChecker", src, {"CloseAPI": "false"}) == []
@@ -572,6 +579,12 @@ class TestSwitchChecker:
     def test_return_ends_clause(self):
         src = "int f() { int x = 0; switch (x) { case 1: { return 1; } default: { return 0; } } }"
         assert run_rule("SwitchChecker", src) == []
+
+    def test_clause_without_body(self):
+        """``case 1:`` shares the next clause's body: it has none to check."""
+        src = "void f() { int x = 0; switch (x) { case 1: case 2: { break; } } }"
+        findings = run_rule("SwitchChecker", src)
+        assert messages(findings) == ["Switch statement has no default clause."]
 
 
 class TestSymbolOrderChecker:

@@ -159,6 +159,19 @@ def test_using_directive_applies_to_parser_and_table():
     assert d.bases == [(c, Specifier.PUBLIC, "C")]
 
 
+def test_using_directive_serves_qualified_names():
+    root = analyze_cpp(
+        "namespace a { namespace b { class C { }; } }\nusing namespace a;\nusing namespace b;\n"
+        "class D : public b::C { };\nclass E : public C { };"
+    )
+    table = root.symbols
+    a = table.global_scope.children[0]
+    b = a.children[0]
+    assert table.global_scope.used == (a, b)
+    c = b.lookup_local("C")
+    assert [cls.bases for cls in classes(root)] == [[(c, Specifier.PUBLIC, "b::C")], [(c, Specifier.PUBLIC, "C")]]
+
+
 def test_duplicate_diagnostics_in_document_order():
     """A function is declared before its body, though its node is made
     after; its duplicate still comes first."""
