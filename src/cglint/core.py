@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 from .errors import DuplicateRuleIdError, UnknownRuleIdError
 from .model import Diagnostic, Finding, RuleConfig, RuleReport
 from .symtab import SymbolTable
@@ -89,6 +91,24 @@ def default_configs(registry):
     return [RuleConfig(rule_id=rid) for rid in registry.rule_ids()]
 
 
+class paused_collector:
+    """Context manager that pauses the cyclic garbage collector for one
+    unit's parse or walk and then puts ``gc.isenabled()`` back as it found
+    it, also when an exception is raised. Almost everything a unit
+    allocates stays alive until the unit is done, so a collection in the
+    middle of it would free nothing and only scan the growing tree."""
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.enabled:
+            gc.enable()
+
+
 class TraversalStats:
     visits = 0  # nodes visited, summed over the walks this record is passed to
 
@@ -113,63 +133,67 @@ def traverse(root, registry, configs, stats=None):
     Returns one RuleReport per enabled rule (rules with zero findings
     included), with its priority override applied (a descriptor made by
     ``RuleDescriptor._replace``) and its property texts,
-    ordered by rule id with findings sorted by position.
+    ordered by rule id with findings sorted by position. The cyclic
+    garbage collector is paused while it runs.
     """
-    table = root.symbols if root.symbols is not None else SymbolTable()
-    live = {}  # rule id -> (rule instance, context) of each enabled rule that has not raised
-    reports = {}  # rule id -> report of each enabled rule, whose findings are its context's
-    for config in configs:
-        rule_cls = registry.get(config.rule_id)
-        descriptor = rule_cls.descriptor
-        texts = {**descriptor.defaults(), **config.properties}
-        properties = {name: descriptor.property_value(name, text) for name, text in texts.items()}
-        if not config.enabled:
-            continue
-        ctx = RuleContext(table=table, properties=properties, rule_id=config.rule_id)
-        live[config.rule_id] = (rule_cls(), ctx)
-        if config.priority_override is not None:
-            descriptor = descriptor._replace(priority=config.priority_override)
-        reports[config.rule_id] = RuleReport(descriptor=descriptor, effective_properties=texts, findings=ctx.findings)
+    with paused_collector():
+        table = root.symbols if root.symbols is not None else SymbolTable()
+        live = {}  # rule id -> (rule instance, context) of each enabled rule that has not raised
+        reports = {}  # rule id -> report of each enabled rule, whose findings are its context's
+        for config in configs:
+            rule_cls = registry.get(config.rule_id)
+            descriptor = rule_cls.descriptor
+            texts = {**descriptor.defaults(), **config.properties}
+            properties = {name: descriptor.property_value(name, text) for name, text in texts.items()}
+            if not config.enabled:
+                continue
+            ctx = RuleContext(table=table, properties=properties, rule_id=config.rule_id)
+            live[config.rule_id] = (rule_cls(), ctx)
+            if config.priority_override is not None:
+                descriptor = descriptor._replace(priority=config.priority_override)
+            reports[config.rule_id] = RuleReport(
+                descriptor=descriptor, effective_properties=texts, findings=ctx.findings
+            )
 
-    if root.ast is not None:
-        plan = {}
-        stack = [root.ast]
-        pop, push = stack.pop, stack.extend
-        visits = 0
-        while stack:
-            node = pop()
-            if node.__class__ is tuple:  # (node, its leave calls), pushed under its children
-                node, calls = node
-            else:
-                visits += 1
-                key = (node.language, node.kind)
-                entry = plan.get(key)
-                if entry is None:
-                    rules = [live[rule_id] for rule_id in registry.subscribers(*key) if rule_id in live]
-                    leaves = [(rule.leave, ctx) for rule, ctx in rules if type(rule).leave is not Rule.leave]
-                    entry = plan[key] = ([(rule.visit, ctx) for rule, ctx in rules], leaves)
-                calls, leaves = entry
-                if leaves:
-                    stack.append((node, leaves))
-                if node.children:
-                    push(reversed(node.children))
-            for call, ctx in calls:
-                if ctx.rule_id in live:  # not dropped at an earlier call
-                    try:
-                        call(node, ctx)
-                    except Exception as exc:
-                        _drop(root, live, ctx, exc, node.span)
-        if stats is not None:
-            stats.visits += visits
-        for rule, ctx in list(live.values()):
-            try:
-                rule.finish(ctx)
-            except Exception as exc:
-                _drop(root, live, ctx, exc, root.ast.span)
+        if root.ast is not None:
+            plan = {}
+            stack = [root.ast]
+            pop, push = stack.pop, stack.extend
+            visits = 0
+            while stack:
+                node = pop()
+                if node.__class__ is tuple:  # (node, its leave calls), pushed under its children
+                    node, calls = node
+                else:
+                    visits += 1
+                    key = (node.language, node.kind)
+                    entry = plan.get(key)
+                    if entry is None:
+                        rules = [live[rule_id] for rule_id in registry.subscribers(*key) if rule_id in live]
+                        leaves = [(rule.leave, ctx) for rule, ctx in rules if type(rule).leave is not Rule.leave]
+                        entry = plan[key] = ([(rule.visit, ctx) for rule, ctx in rules], leaves)
+                    calls, leaves = entry
+                    if leaves:
+                        stack.append((node, leaves))
+                    if node.children:
+                        push(reversed(node.children))
+                for call, ctx in calls:
+                    if ctx.rule_id in live:  # not dropped at an earlier call
+                        try:
+                            call(node, ctx)
+                        except Exception as exc:
+                            _drop(root, live, ctx, exc, node.span)
+            if stats is not None:
+                stats.visits += visits
+            for rule, ctx in list(live.values()):
+                try:
+                    rule.finish(ctx)
+                except Exception as exc:
+                    _drop(root, live, ctx, exc, root.ast.span)
 
-    for report in reports.values():
-        report.findings.sort(key=Finding.sort_key)
-    return [reports[rule_id] for rule_id in sorted(reports)]
+        for report in reports.values():
+            report.findings.sort(key=Finding.sort_key)
+        return [reports[rule_id] for rule_id in sorted(reports)]
 
 
 def _drop(root, live, ctx, exc, span):

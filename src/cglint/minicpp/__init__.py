@@ -7,7 +7,7 @@ def parse_source(text, path, table):
     """Lex and parse one file's ``text``, filling ``table`` (see
     ``parser.parse``). Looks up ``lexer.lex`` and ``parser.parse`` at each
     call, so a caller may wrap them."""
-    return parser.parse(lexer.lex(text, file=path), file=path, table=table)
+    return parser.parse(lexer.lex(text, file=path), table=table)
 
 
 __all__ = [

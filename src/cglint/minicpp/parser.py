@@ -32,7 +32,7 @@ constructor initializers), ``parse_condition`` (``keyword ( expression
 construct that may expand to several nodes returns a list.
 
 Node ids and spans come from ``scan.Cursor``: every node goes through its
-``node`` or ``make``.
+``node``, except an empty unit's root, which goes through its ``make``.
 
 Node attribute values are ``str``, ``bool`` or ``int``: names, types and
 operators are text, flags such as ``virtual`` or ``has_init`` are bools, and
@@ -94,10 +94,11 @@ _BINARY_PRECEDENCE = {
 }
 
 
-def parse(tokens, file="<input>", table=None):
+def parse(tokens, table=None):
     """Parse a token stream into a TranslationUnit node, filling ``table``
-    (a new ``SymbolTable`` if None) with the unit's scopes and bindings."""
-    parser = _Parser(tokens, file, SymbolTable() if table is None else table)
+    (a new ``SymbolTable`` if None) with the unit's scopes and bindings.
+    Spans name the file the tokens were lexed from."""
+    parser = _Parser(tokens, SymbolTable() if table is None else table)
     unit = parser.parse_unit()
     parser.table.diagnostics.sort(key=lambda diagnostic: diagnostic.span[1:3])
     return unit
@@ -109,8 +110,8 @@ class _Parser(Cursor):
     compares texts only.
     """
 
-    def __init__(self, tokens, file, table):
-        super().__init__(tokens, file, LANGUAGE, IDENT)
+    def __init__(self, tokens, table):
+        super().__init__(tokens, LANGUAGE, IDENT)
         self.table = table
         self.scope = table.global_scope  # the innermost scope of the current item
         self.cls = None  # the ClassBinding of the class body being parsed
@@ -144,7 +145,7 @@ class _Parser(Cursor):
             last = self.count - 1
             span = SourceSpan.point(self.file, *point(self.lines, self.starts[last] + len(self.texts[last]) - 1))
         else:
-            span = self.span(self.pos)
+            span = self.tokens.span(self.pos, self.pos)
         raise ParseError(span, message)
 
     # --- type names ---------------------------------------------------
@@ -263,8 +264,6 @@ class _Parser(Cursor):
         while self.at("const"):
             self.advance()
             parts.append("const")
-        if self.at_end():
-            self.error("expected type")
         if self.texts[self.pos] in _TYPE_KEYWORDS:
             while self.texts[self.pos] in _TYPE_KEYWORDS:
                 parts.append(self.advance())
@@ -529,7 +528,7 @@ class _Parser(Cursor):
         """Parse one statement; declarations may expand to several nodes."""
         self.enter()
         if self.at_end():
-            self.error("expected statement")
+            self.expected("statement")
         text = self.texts[self.pos]
         handler = self._STATEMENTS.get(text)
         if text == "{":
@@ -580,15 +579,14 @@ class _Parser(Cursor):
     def _single_stmt(self):
         """Parse an unbraced body. A declaration there is parsed in a BLOCK
         scope of its own, and its nodes, in order, are grouped under a
-        CompoundStmt spanning from the first to the last."""
+        CompoundStmt spanning from the first token of the first to the last
+        token of the last."""
         if not (self.texts[self.pos] in _DECLARATIONS or self.at_declaration() and not self.at(":", 1)):
             return self.parse_stmt()[0]
         scope = self.scope = self.scope.open(ScopeKind.BLOCK)
         stmts = self.parse_stmt()
         self.scope = scope.parent
-        first, last = stmts[0].span, stmts[-1].span
-        span = SourceSpan(self.file, first.row, first.col, last.end_row, last.end_col)
-        return self.table.record(self.make("CompoundStmt", span, {}, stmts), scope)
+        return self.table.record(self.node("CompoundStmt", stmts[0].first, {}, stmts, stmts[-1].last), scope)
 
     def parse_switch(self):
         start = self.pos
@@ -730,8 +728,6 @@ class _Parser(Cursor):
         self.enter()
         start = self.pos
         text = self.texts[start]
-        if text is None:
-            self.error("expected expression")
         if text in _UNARY_OPS:
             self.advance()
             operand = self.parse_unary()

@@ -21,9 +21,8 @@ class SourceSpan(NamedTuple):
     """1-based, inclusive source region. A point span has end == start.
 
     A span is a tuple, so it also compares equal to a plain tuple with the
-    same fields. ``point`` checks that a span is 1-based; ``scan.Cursor``
-    builds a span from two ordered tokens, and a parser from ordered child
-    spans, so those need no check.
+    same fields. ``point`` checks that a span is 1-based; ``scan.Tokens``
+    decodes a span from two ordered tokens, which needs no check.
     """
 
     file: str
@@ -54,19 +53,32 @@ class AstNode:
 
     ``kind`` is drawn from the owning frontend's published kind catalog;
     ``node_id`` values are unique within one unit, assigned in parse order.
-    Attribute values are ``str``, ``bool`` or ``int``. A node has exactly
-    these six slots, and compares equal only to itself.
+    Attribute values are ``str``, ``bool`` or ``int``. A node compares equal
+    only to itself.
+
+    A hand-built node is given its span. A parsed node is not: ``scan.Cursor``
+    sets ``tokens`` (its unit's ``Tokens``) and the indices of its ``first``
+    and ``last`` token instead, and ``span`` decodes them on first read and
+    keeps the result.
     """
 
-    __slots__ = ("language", "kind", "span", "attributes", "children", "node_id")
+    __slots__ = ("language", "kind", "_span", "attributes", "children", "node_id", "tokens", "first", "last")
 
     def __init__(self, language, kind, span, attributes=None, children=None, node_id=0):
         self.language = language
         self.kind = kind
-        self.span = span
+        self._span = span
         self.attributes = {} if attributes is None else attributes
         self.children = [] if children is None else children
         self.node_id = node_id
+
+    @property
+    def span(self):
+        """The ``SourceSpan`` of the node's text."""
+        span = self._span
+        if span is None:
+            span = self._span = self.tokens.span(self.first, self.last)
+        return span
 
     def __repr__(self):
         return "AstNode(%r, %r, %r, node_id=%d)" % (self.language, self.kind, self.span, self.node_id)
@@ -81,12 +93,6 @@ class AstNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def count(self):
-        return sum(1 for _ in self.walk())
-
-    def find_all(self, kind):
-        return [n for n in self.walk() if n.kind == kind]
 
 
 class Diagnostic(NamedTuple):

@@ -13,6 +13,10 @@ or decoded, a lex or parse error, or an unexpected exception while parsing
 has no AST and an empty table, contributes no findings but stays listed in
 the results, and never aborts the run. ``core.traverse`` is the boundary of
 each rule in the same way.
+
+The cyclic garbage collector is paused for each unit, once while
+``analyze_file`` runs and once while ``traverse`` runs, and never across two
+units: almost everything a unit allocates lives until the unit is done.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import codecs
 import importlib
 import time
 
-from .core import traverse
+from .core import paused_collector, traverse
 from .errors import SourceError, UnknownLanguageError
 from .model import AnalysisRoot, Diagnostic, Finding, SourceSpan, ValidationResults
 from .report import display_path
@@ -75,30 +79,31 @@ def analyze_file(path, language, text=None):
 
     The unit, its spans and its diagnostics name the file by
     ``report.display_path(path)``; a decode error points at the first byte
-    that is not UTF-8.
+    that is not UTF-8. The cyclic garbage collector is paused while it runs.
     """
-    frontend = get_frontend(language)
-    path = str(path)
-    name = display_path(path)
-    root = AnalysisRoot(file=name, content="", symbols=SymbolTable())
-    try:
-        if text is None:
-            text = read_text(path)
-        root.content = text
-        root.ast = frontend["parse"](text, name, root.symbols)
-    except SourceError as exc:
-        root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
-    except UnicodeDecodeError as exc:
-        before = exc.object[: exc.start]  # the file's bytes after any byte-order mark
-        col = len(before[before.rfind(b"\n") + 1 :].decode("utf-8")) + 1
-        span = SourceSpan.point(name, before.count(b"\n") + 1, col)
-        root.diagnostics.append(Diagnostic(span, str(exc), fatal=True))
-    except OSError as exc:
-        root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
-    except Exception as exc:
-        root.diagnostics.append(Diagnostic.internal("parse", exc))
-    build_symbols(root)
-    return root
+    with paused_collector():
+        frontend = get_frontend(language)
+        path = str(path)
+        name = display_path(path)
+        root = AnalysisRoot(file=name, content="", symbols=SymbolTable())
+        try:
+            if text is None:
+                text = read_text(path)
+            root.content = text
+            root.ast = frontend["parse"](text, name, root.symbols)
+        except SourceError as exc:
+            root.diagnostics.append(Diagnostic(exc.span, exc.message, fatal=True))
+        except UnicodeDecodeError as exc:
+            before = exc.object[: exc.start]  # the file's bytes after any byte-order mark
+            col = len(before[before.rfind(b"\n") + 1 :].decode("utf-8")) + 1
+            span = SourceSpan.point(name, before.count(b"\n") + 1, col)
+            root.diagnostics.append(Diagnostic(span, str(exc), fatal=True))
+        except OSError as exc:
+            root.diagnostics.append(Diagnostic(None, str(exc), fatal=True))
+        except Exception as exc:
+            root.diagnostics.append(Diagnostic.internal("parse", exc))
+        build_symbols(root)
+        return root
 
 
 def build_symbols(root):

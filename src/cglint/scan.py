@@ -6,16 +6,17 @@ line breaks, comments: text that is no token) and its token alternatives,
 and a ``Kinds`` table that names the kind of each distinct word. ``scan``
 splits the whole text with one ``re.split`` call and classifies the words
 with one ``map`` over that table, so a valid text runs Python code once per
-distinct word, not once per token. A token carries its offset, not its position: a row and a column,
-both 1-based, are decoded from the text's line table only for a node's or
-an error's span. Only a line feed starts a new row, and a valid token never
-spans lines.
+distinct word, not once per token. A token carries its offset, not its
+position: a row and a column, both 1-based, are decoded from the text's line
+table by ``Tokens.span``, for an error's span and for a node's span on its
+first read. Only a line feed starts a new row, and a valid token never spans
+lines.
 
 ``Cursor`` is the token lookahead both parsers extend. It is the one place
-that assigns node ids and builds node spans, and its ``parse_list`` parses
-every parenthesised, comma-separated list of both languages. Each node spans
-its first to its last token, by index, except two given whole: minicpp's
-block around an unbraced declaration body and an empty unit's 1:1 root.
+that assigns node ids and node spans, and its ``parse_list`` parses every
+parenthesised, comma-separated list of both languages. A node keeps the
+index of its first and last token and decodes its span when it is first
+read; one node takes a whole span instead, an empty unit's 1:1 root.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from itertools import accumulate, islice
 from .model import MAX_NESTING, AstNode, SourceSpan
 
 _new_tuple = tuple.__new__
+_new_object = object.__new__
 
 
 def pattern(blank, comments, tokens):
@@ -63,30 +65,39 @@ class Kinds(dict):
 
 
 class Tokens:
-    """The tokens of one text.
+    """The tokens of one text, which the file ``file`` holds.
 
     ``kinds`` and ``texts`` are parallel lists, each ending in a ``None``
     that stands for the input's end; ``starts`` holds each token's offset
     and ``lines`` the offset each line starts at. ``len(tokens)`` counts the
-    tokens, and ``tokens[i]`` is the ``(kind, text, row, col)`` tuple of
-    token ``i``.
+    tokens.
     """
 
-    __slots__ = ("kinds", "texts", "starts", "lines")
+    __slots__ = ("kinds", "texts", "starts", "lines", "file")
 
-    def __init__(self, kinds, texts, starts, lines):
+    def __init__(self, kinds, texts, starts, lines, file):
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
         self.lines = lines
+        self.file = file
 
     def __len__(self):
         return len(self.starts)
 
-    def __getitem__(self, index):
-        index = range(len(self.starts))[index]
-        row, col = point(self.lines, self.starts[index])
-        return self.kinds[index], self.texts[index], row, col
+    def span(self, first, last):
+        """The span from the first character of token ``first`` to the last
+        of token ``last``. The tokens are in order and a token never spans
+        lines, so the span is ordered and needs no check."""
+        lines = self.lines
+        offset = self.starts[first]
+        row = bisect_right(lines, offset)
+        col = offset - lines[row - 1] + 1
+        offset = self.starts[last]
+        end_row = bisect_right(lines, offset)
+        end_col = offset - lines[end_row - 1] + len(self.texts[last])
+        # what SourceSpan(...) does, without its Python-level __new__
+        return _new_tuple(SourceSpan, (self.file, row, col, end_row, end_col))
 
 
 def point(lines, offset):
@@ -119,7 +130,7 @@ def scan(pattern, kinds, text, file, error, settle):
         kinds_of, texts, starts = _settle(kinds_of, texts, starts, text, settle, lines, file, error)
     kinds_of.append(None)
     texts.append(None)
-    return Tokens(kinds_of, texts, starts, lines)
+    return Tokens(kinds_of, texts, starts, lines, file)
 
 
 def _settle(kinds, texts, starts, text, settle, lines, file, error):
@@ -155,18 +166,20 @@ class Cursor:
     ``None`` ends the input. A parser subclasses it and defines
     ``error(message)``, which raises at the current token and says how
     the input's end is reported. Node ids run 1..n in the order nodes are
-    made, so a unit's root, made last, has the largest. ``node`` spans every
-    node but two from token indices; ``make`` takes whole the span of the
-    block around an unbraced declaration body and an empty unit's 1:1 root.
+    made, so a unit's root, made last, has the largest. ``node`` gives every
+    node but one its first and last token index, and its span is decoded
+    from them when it is first read; ``make`` gives an empty unit's 1:1 root
+    its span whole.
     """
 
-    def __init__(self, tokens, file, language, ident):
+    def __init__(self, tokens, language, ident):
+        self.tokens = tokens
         self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.starts = tokens.starts
         self.lines = tokens.lines
         self.count = len(tokens)
-        self.file = file
+        self.file = tokens.file
         self.language = language
         self.ident = ident  # the token kind of an identifier
         self.pos = 0
@@ -214,29 +227,27 @@ class Cursor:
         if self.depth > MAX_NESTING:
             self.error("nesting deeper than %d levels" % MAX_NESTING)
 
-    def make(self, kind, span, attrs=None, children=None):
-        """A node with the next id."""
+    def make(self, kind, span):
+        """A node with the next id, the span ``span`` and no attributes or
+        children."""
         self._next_id += 1
-        return AstNode(self.language, kind, span, attrs or {}, children or [], self._next_id)
+        return AstNode(self.language, kind, span, node_id=self._next_id)
 
-    def node(self, kind, start, attrs=None, children=None):
-        """A node spanning the tokens from ``start`` to the last consumed
-        (just the token at ``start`` if none was)."""
-        return self.make(kind, self.span(start, self.pos - 1 if self.pos > start else start), attrs, children)
-
-    def span(self, first, last=None):
-        """The span from the first character of token ``first`` to the last
-        of token ``last`` (by default ``first``). The tokens are in order
-        and a token never spans lines, so the span is ordered and needs no
-        check."""
+    def node(self, kind, start, attrs=None, children=None, last=None):
+        """A node with the next id, spanning the tokens from index ``start``
+        to ``last``: by default the last consumed, or just the token at
+        ``start`` if none was. A node without children shares ``()``."""
+        self._next_id += 1
+        node = _new_object(AstNode)  # the fields of a parsed node, without __init__
+        node.language = self.language
+        node.kind = kind
+        node._span = None
+        node.attributes = attrs or {}
+        node.children = children or ()
+        node.node_id = self._next_id
+        node.tokens = self.tokens
+        node.first = start
         if last is None:
-            last = first
-        lines = self.lines
-        offset = self.starts[first]
-        row = bisect_right(lines, offset)
-        col = offset - lines[row - 1] + 1
-        offset = self.starts[last]
-        end_row = bisect_right(lines, offset)
-        end_col = offset - lines[end_row - 1] + len(self.texts[last])
-        # what SourceSpan(...) does, without its Python-level __new__
-        return _new_tuple(SourceSpan, (self.file, row, col, end_row, end_col))
+            last = self.pos - 1 if self.pos > start else start
+        node.last = last
+        return node

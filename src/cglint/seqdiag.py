@@ -60,8 +60,8 @@ class _Parser(Cursor):
     """Recursive descent over the tokens of one chart, which declares its
     objects in ``table``."""
 
-    def __init__(self, tokens, file, table):
-        super().__init__(tokens, file, LANGUAGE, "ident")
+    def __init__(self, tokens, table):
+        super().__init__(tokens, LANGUAGE, "ident")
         self.table = table
         self.scope = table.global_scope  # the only scope
 
@@ -71,9 +71,9 @@ class _Parser(Cursor):
         "unexpected end of input", at the last token (1:1 if there is none)."""
         index = self.pos if index is None else index
         if self.texts[index] is not None:
-            raise ParseError(self.span(index), message)
+            raise ParseError(self.tokens.span(index, index), message)
         if self.count:
-            raise ParseError(self.span(self.count - 1), "unexpected end of input")
+            raise ParseError(self.tokens.span(self.count - 1, self.count - 1), "unexpected end of input")
         raise ParseError(SourceSpan.point(self.file, 1, 1), "unexpected end of input")
 
     def parse(self):
@@ -144,7 +144,7 @@ class _Parser(Cursor):
         for index, name in ((start, source), (target_at, target)):
             if self.scope.lookup_local(name) is None:
                 message = "message names undeclared object %r" % name
-                raise UndeclaredObjectError(self.span(index), message)
+                raise UndeclaredObjectError(self.tokens.span(index, index), message)
         # arrow head at the left name: '<-' means the right side calls back
         return self.node(
             "Message",
@@ -162,7 +162,7 @@ class _Parser(Cursor):
 def parse_seq(text, file="<input>", table=None):
     """Parse a sequence chart into its AST (language="seqdiag"), declaring
     its objects in ``table`` (a new ``SymbolTable`` if None)."""
-    parser = _Parser(_tokenize(text, file), file, SymbolTable() if table is None else table)
+    parser = _Parser(_tokenize(text, file), SymbolTable() if table is None else table)
     ast = parser.parse()
     if not parser.at(None):
         parser.error("trailing input after chart")

@@ -17,11 +17,18 @@ namespace`` directives name (not in theirs) before the scope around it. A
 name declared twice in one scope is a non-fatal diagnostic unless both are
 functions (overloads, a constructor and a destructor, a prototype and its
 definition); a class's declarations, forward or not, share one binding.
+
+A table owns its scope tree: each scope holds its children and its
+bindings, while a scope's ``parent`` and a binding's ``scope`` are weak
+references. So a table holds no reference cycle and is freed with its unit,
+without the cyclic garbage collector, which ``pipeline`` pauses for each
+unit; a scope or binding read after its table is gone has lost them.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 
 from .model import Diagnostic
 
@@ -43,16 +50,25 @@ class Specifier(enum.Enum):
     STATIC = "STATIC"
 
 
+def _ref(scope):
+    return None if scope is None else weakref.ref(scope)
+
+
 class Scope:
     def __init__(self, kind, name=None, parent=None):
         self.kind = kind
         self.name = name
-        self.parent = parent
+        self._parent = _ref(parent)
         self.declarations = []
         self.children = []
         self._by_name = {}  # name -> the first binding declared under it
         self._scopes = {}  # name -> the first namespace or class scope opened under it
         self.used = ()  # the namespace scopes named by this scope's using directives
+
+    @property
+    def parent(self):
+        """The enclosing scope; None for the global scope."""
+        return None if self._parent is None else self._parent()
 
     def open(self, kind, name=None):
         """The child scope a ``kind`` construct named ``name`` opens here."""
@@ -108,19 +124,33 @@ class Scope:
         return scope
 
 
-class TypeBinding:
+class Binding:
+    """What a declaration binds its name to. ``scope`` is the scope it is
+    declared in (for a ``ClassBinding``, the CLASS scope it owns)."""
+
+    __slots__ = ("_scope",)
+
+    @property
+    def scope(self):
+        return None if self._scope is None else self._scope()
+
+    @scope.setter
+    def scope(self, scope):
+        self._scope = _ref(scope)
+
+
+class TypeBinding(Binding):
     """A plain type name: an enum or a typedef."""
 
-    __slots__ = ("name", "scope")
+    __slots__ = ("name",)
 
     def __init__(self, name, scope=None):
         self.name = name
         self.scope = scope
 
 
-class VariableBinding:
-    __slots__ = ("name", "declared_type", "scope", "has_initializer",
-                 "is_member", "is_parameter", "is_loop_index", "decl_span")
+class VariableBinding(Binding):
+    __slots__ = ("name", "declared_type", "has_initializer", "is_member", "is_parameter", "is_loop_index", "decl_span")
 
     def __init__(self, name, declared_type="", scope=None, has_initializer=False, is_member=False,
                  is_parameter=False, is_loop_index=False, decl_span=None):
@@ -134,8 +164,8 @@ class VariableBinding:
         self.decl_span = decl_span
 
 
-class FunctionBinding:
-    __slots__ = ("name", "specifiers", "parameter_types", "return_type", "is_constructor", "is_destructor", "scope")
+class FunctionBinding(Binding):
+    __slots__ = ("name", "specifiers", "parameter_types", "return_type", "is_constructor", "is_destructor")
 
     def __init__(self, name, specifiers=None, parameter_types=None, return_type="", is_constructor=False,
                  is_destructor=False, scope=None):
@@ -171,8 +201,8 @@ def _norm_types(types):
     return [_norm(t) for t in types]
 
 
-class ClassBinding:
-    __slots__ = ("name", "scope", "bases", "functions", "data_members")
+class ClassBinding(Binding):
+    __slots__ = ("name", "bases", "functions", "data_members")
 
     def __init__(self, name, scope=None, bases=None, functions=None, data_members=None):
         self.name = name

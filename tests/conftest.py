@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -5,12 +6,29 @@ import pytest
 from cglint.cli import build_registry
 from cglint.core import default_configs, traverse
 from cglint.pipeline import analyze_file
+from cglint.scan import point
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def count_nodes(node):
+    """The number of nodes in ``node``'s subtree, ``node`` included."""
+    return sum(1 for _ in node.walk())
+
+
+def find_all(node, kind):
+    """The nodes of kind ``kind`` in ``node``'s subtree, in pre-order."""
+    return [n for n in node.walk() if n.kind == kind]
+
+
+def token_tuples(tokens):
+    """The ``(kind, text, row, col)`` tuple of each of ``tokens``, in order."""
+    lines = tokens.lines
+    return [(kind, text, *point(lines, start)) for kind, text, start in zip(tokens.kinds, tokens.texts, tokens.starts)]
 
 
 def analyze_cpp(source, file="test.cpp"):
@@ -43,6 +61,16 @@ def run_rule(rule_id, source, properties=None, seq=False):
     root = analyze_seq(source) if seq else analyze_cpp(source)
     props = {rule_id: properties} if properties else None
     return run_rules(root, {rule_id}, props)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fails a test that leaves the cyclic garbage collector disabled, after
+    enabling it again for the tests that follow."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

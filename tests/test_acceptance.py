@@ -10,7 +10,7 @@ import functools
 import random
 import string
 
-from conftest import analyze_cpp, analyze_seq, fixture_path, run_rules
+from conftest import analyze_cpp, analyze_seq, count_nodes, fixture_path, run_rules
 
 from cglint.cli import build_registry, main
 from cglint.core import RuleRegistry, TraversalStats, default_configs, traverse
@@ -132,7 +132,7 @@ def test_criterion_3_single_pass():
     rng = random.Random(31)
     for trial in range(50):
         ast, node_count = random_ast(rng, rng.randint(50, 5000))
-        assert ast.count() == node_count
+        assert count_nodes(ast) == node_count
         root = AnalysisRoot(file="rand.cpp", content="", ast=ast)
         root.symbols = SymbolTable()
         subset = rng.sample(CPP_RULES, rng.randint(0, len(CPP_RULES)))
@@ -231,7 +231,7 @@ def test_criterion_8_disambiguation():
     assert len(cases) >= 10
     for prelude, stmt, expected in cases:
         source = "%s\nvoid wrapper() {\n%s\n}\n" % (prelude, stmt)
-        unit = parse(lex(source, "d.cpp"), file="d.cpp")
+        unit = parse(lex(source, "d.cpp"))
         body = [n for n in unit.walk() if n.kind == "CompoundStmt"][0]
         stmts = [c for c in body.children if c.kind in ("VarDecl", "ExprStmt")]
         assert stmts and stmts[-1].kind == expected, (stmt, expected)

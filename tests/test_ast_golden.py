@@ -22,7 +22,7 @@ SOURCES = ["ExampleImpl.cpp", "grammar.cpp"]
 
 def ast_text(name):
     with open(os.path.join(FIXTURES, name), encoding="utf-8") as handle:
-        unit = parse(lex(handle.read(), name), file=name)
+        unit = parse(lex(handle.read(), name))
     lines = []
     stack = [(unit, 0)]
     while stack:

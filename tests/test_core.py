@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import analyze_cpp
+from conftest import analyze_cpp, count_nodes
 
 from cglint.core import (
     Rule,
@@ -99,7 +99,7 @@ def test_single_pass_visit_count():
     """The walk visits each node once no matter how many rules run, and a
     rule's ``leave`` calls are not visits."""
     root = analyze_cpp(SOURCE)
-    node_count = root.ast.count()
+    node_count = count_nodes(root.ast)
     kinds = {node.kind for node in root.ast.walk()}
 
     for rule_count in (0, 1, 5, 18):

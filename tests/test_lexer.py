@@ -1,6 +1,8 @@
 import pytest
 
 from cglint.errors import LexError
+from conftest import token_tuples
+
 from cglint.minicpp.lexer import FLOAT_LIT, IDENT, INT_LIT, KEYWORD, PUNCT, lex
 
 
@@ -9,7 +11,7 @@ def kinds_and_texts(tokens):
 
 
 def test_class_tokens():
-    tokens = lex("class A{};")
+    tokens = token_tuples(lex("class A{};"))
     assert kinds_and_texts(tokens) == [
         (KEYWORD, "class"),
         (IDENT, "A"),
@@ -20,12 +22,12 @@ def test_class_tokens():
 
 
 def test_block_comment_skipped():
-    tokens = lex("a /*x*/ b")
+    tokens = token_tuples(lex("a /*x*/ b"))
     assert kinds_and_texts(tokens) == [(IDENT, "a"), (IDENT, "b")]
 
 
 def test_line_comment_skipped():
-    tokens = lex("a // rest of line\nb")
+    tokens = token_tuples(lex("a // rest of line\nb"))
     assert [text for _kind, text, _row, _col in tokens] == ["a", "b"]
     assert tokens[1][2] == 2
 
@@ -37,14 +39,14 @@ def test_lex_error_position():
 
 
 def test_preprocessor_lines_preserve_rows():
-    tokens = lex('# 1 "file.cpp"\nint x;\n#pragma nothing\nint y;\n')
+    tokens = token_tuples(lex('# 1 "file.cpp"\nint x;\n#pragma nothing\nint y;\n'))
     assert [text for _kind, text, _row, _col in tokens] == ["int", "x", ";", "int", "y", ";"]
     assert tokens[0][2] == 2
     assert tokens[3][2] == 4
 
 
 def test_spans_are_one_based_and_inclusive():
-    tokens = lex("int value;")
+    tokens = token_tuples(lex("int value;"))
     assert spans(tokens) == [
         (KEYWORD, "int", (1, 1, 1, 3)),
         (IDENT, "value", (1, 5, 1, 9)),
@@ -53,23 +55,23 @@ def test_spans_are_one_based_and_inclusive():
 
 
 def test_multichar_punct_longest_match():
-    tokens = lex("a::b->c<<=d")
+    tokens = token_tuples(lex("a::b->c<<=d"))
     puncts = [text for kind, text, _row, _col in tokens if kind == PUNCT]
     assert puncts == ["::", "->", "<<="]
 
 
 def test_numeric_literals():
-    tokens = lex("0 42 3.14 1e5")
+    tokens = token_tuples(lex("0 42 3.14 1e5"))
     assert [kind for kind, _text, _row, _col in tokens] == [INT_LIT, INT_LIT, "FLOAT_LIT", "FLOAT_LIT"]
 
 
 def test_string_and_char_literals():
-    tokens = lex(r'"he\"llo" ' + r"'x'")
+    tokens = token_tuples(lex(r'"he\"llo" ' + r"'x'"))
     assert [kind for kind, _text, _row, _col in tokens] == ["STRING_LIT", "CHAR_LIT"]
 
 
 def test_identifier_with_digits_and_underscores():
-    tokens = lex("array_Size x2")
+    tokens = token_tuples(lex("array_Size x2"))
     assert kinds_and_texts(tokens) == [(IDENT, "array_Size"), (IDENT, "x2")]
 
 
@@ -119,7 +121,7 @@ def lex_error(text):
     ],
 )
 def test_token_spans(text, expected):
-    assert spans(lex(text)) == expected
+    assert spans(token_tuples(lex(text))) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 import pytest
 
-from conftest import analyze_cpp, fixture_path
+from conftest import analyze_cpp, find_all, fixture_path, token_tuples
 
 from cglint.errors import ParseError
 from cglint.minicpp import NODE_KINDS, lex, parse
+from cglint.model import AstNode, SourceSpan
 
 
 def parse_src(source):
-    return parse(lex(source, "test.cpp"), file="test.cpp")
+    return parse(lex(source, "test.cpp"))
 
 
 def kinds(node):
@@ -230,9 +231,9 @@ PARSE_ERRORS = [
     ("unterminated_block", "void f() { int a;", "unterminated block", 1, 17),
     ("unterminated_switch_body", "void f() { switch (x) { case 1: a;", "unterminated switch body", 1, 34),
     ("switch_item", "void f() { switch (x) { a; } }", "expected 'case' or 'default'", 1, 25),
-    ("statement_at_end", "void f() { if (x)", "expected statement", 1, 17),
-    ("type_at_end", "static const", "expected type", 1, 12),
-    ("expression_at_end", "void f() { x = ", "expected expression", 1, 14),
+    ("statement_at_end", "void f() { if (x)", "expected statement, found end of input", 1, 17),
+    ("type_at_end", "static const", "expected type, found end of input", 1, 12),
+    ("expression_at_end", "void f() { x = ", "expected expression, found end of input", 1, 14),
     ("trailing_argument_comma", "void f() { f(1,); }", "expected expression, found ')'", 1, 16),
     ("trailing_parameter_comma", "void f(int a,) {}", "expected type, found ')'", 1, 14),
     ("top_level_virtual", "virtual void f();", "expected type, found 'virtual'", 1, 1),
@@ -316,7 +317,7 @@ def test_grammar_outline(source, expected):
 
 def test_top_level_static_function():
     unit = parse_src("static void f() {} void g(); namespace n { static int h(); }")
-    assert [fn.attr("static") for fn in unit.find_all("FunctionDef")] == [True, False, True]
+    assert [fn.attr("static") for fn in find_all(unit, "FunctionDef")] == [True, False, True]
 
 
 @pytest.mark.parametrize("body", ["A() { typedef int T; }", "~A() { typedef int T; }", "void g() { typedef int T; }"])
@@ -324,7 +325,7 @@ def test_body_types_stay_in_body(body):
     """A type declared in a function, constructor or destructor body is not
     a type in the rest of its class."""
     unit = parse_src("class A { %s void f() { T * x; } };" % body)
-    stmt = unit.find_all("FunctionDef")[-1].children[0].children[0]
+    stmt = find_all(unit, "FunctionDef")[-1].children[0].children[0]
     assert stmt.kind == "ExprStmt"
 
 
@@ -334,13 +335,13 @@ def test_body_types_stay_in_body(body):
     "class T {}; class A { int T; void f() { T * x; } };",
 ])
 def test_non_types_hide_types(source):
-    [body] = [n for n in parse_src(source).find_all("FunctionDef") if n.attr("name") == "f"][0].children[-1:]
+    [body] = [n for n in find_all(parse_src(source), "FunctionDef") if n.attr("name") == "f"][0].children[-1:]
     assert kinds(body) == ["ExprStmt"]
 
 
 def test_constructor_name_is_a_type_in_member_bodies():
     unit = parse_src("class C { public: C(); void g() { C * p = 0; } };")
-    assert [decl.attr("name") for decl in unit.find_all("VarDecl")] == ["p"]
+    assert [decl.attr("name") for decl in find_all(unit, "VarDecl")] == ["p"]
 
 
 @pytest.mark.parametrize("body", [
@@ -351,13 +352,13 @@ def test_unbraced_declaration_body_is_wrapped(body):
     """An unbraced body that declares gets a CompoundStmt spanning its
     declaration, as several declarators do."""
     unit = parse_src("void f() { %s }" % body)
-    [compound] = [n for n in unit.find_all("CompoundStmt") if n.children and n.children[0].attr("name") == "a"]
+    [compound] = [n for n in find_all(unit, "CompoundStmt") if n.children and n.children[0].attr("name") == "a"]
     assert compound.span == compound.children[0].span
 
 
 def test_outer_types_seen_in_nested_blocks():
     unit = parse_src("typedef int T; void f() { typedef int U; { if (c) { T * x; U * y; } } }")
-    assert [decl.attr("name") for decl in unit.find_all("VarDecl")] == ["x", "y"]
+    assert [decl.attr("name") for decl in find_all(unit, "VarDecl")] == ["x", "y"]
 
 
 def test_preprocessed_line_markers_skipped():
@@ -457,7 +458,7 @@ void run(int p) {
 def test_span_fidelity():
     """The source slice of every node re-lexes to the node's tokens."""
     unit = parse_src(SPAN_SOURCE)
-    all_tokens = lex(SPAN_SOURCE, "test.cpp")
+    all_tokens = token_tuples(lex(SPAN_SOURCE, "test.cpp"))
     for node in unit.walk():
         covered = [
             text
@@ -468,8 +469,22 @@ def test_span_fidelity():
             <= (node.span.end_row, node.span.end_col)
         ]
         sliced = span_slice(SPAN_SOURCE, node.span)
-        relexed = lex(sliced, "slice.cpp")
+        relexed = token_tuples(lex(sliced, "slice.cpp"))
         assert [text for _kind, text, _row, _col in relexed] == covered, node.kind
+
+
+def test_node_spans_decode_once():
+    """A parsed node decodes its span on its first read and keeps it, and a
+    leaf shares the empty tuple; a hand-built node keeps the span it was
+    given."""
+    unit = parse_src(SPAN_SOURCE)
+    for node in unit.walk():
+        assert node.span is node.span
+        assert node.children or node.children == ()
+    span = SourceSpan("test.cpp", 2, 3, 2, 5)
+    node = AstNode("minicpp", "IdentExpr", span, {"name": "abc"})
+    assert node.span is span
+    assert node.children == []
 
 
 def test_leaf_spans_in_token_order():

@@ -1,16 +1,17 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 
 from cglint.cli import build_registry, main
-from cglint.core import Rule, RuleRegistry, default_configs, register_rules
+from cglint.core import Rule, RuleRegistry, default_configs, register_rules, traverse
 from cglint.pipeline import FRONTENDS, analyze_file, get_frontend, run_pipeline
 import pytest
 from conftest import fixture_path
 
 import cglint
-from cglint.errors import UnknownLanguageError
+from cglint.errors import UnknownLanguageError, UnknownPropertyError
 from cglint.model import AstNode, Criticality, Priority, RuleDescriptor, SourceSpan
 from cglint.report import from_xml
 from cglint.symtab import VariableBinding
@@ -266,6 +267,98 @@ def test_an_unexpected_exception_in_a_stage_is_an_internal_error(tmp_path, monke
     assert not (root.symbols.global_scope.declarations or root.symbols.variables or root.symbols.diagnostics)
     if parse is _parse_toy_declaring:  # it fills the table of a unit it parses
         assert [v.name for v in analyze_file(good, "toy").symbols.variables] == ["LOUD"]
+
+
+# case -> (language, text, the toy language's parse or None); each unit is fatal but the clean one
+PAUSE_CASES = {
+    "clean": ("minicpp", "class A { int m_a; };", None),
+    "parse_error": ("minicpp", "class", None),
+    "internal_error": ("toy", "hello", _crash),
+    "rule_raises": ("toy", "hello boom", _parse_toy),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+@pytest.mark.parametrize("case", list(PAUSE_CASES))
+def test_a_unit_leaves_the_collector_as_it_found_it(monkeypatch, case, enabled):
+    """``analyze_file`` and ``traverse`` each put ``gc.isenabled()`` back as
+    they found it, also when the parse or a rule raises."""
+    language, text, parse = PAUSE_CASES[case]
+    if parse is not None:
+        monkeypatch.setitem(FRONTENDS, "toy", {"parse": parse, "rules": lambda: [_BrokenChecker], "extensions": ()})
+    registry = build_registry(language)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        root = analyze_file("unit", language, text=text)
+        after_parse = gc.isenabled()
+        traverse(root, registry, default_configs(registry))
+        after_walk = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (after_parse, after_walk) == (enabled, enabled)
+    assert root.has_fatal_error() == (case != "clean")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_a_walk_that_raises_leaves_the_collector_as_it_found_it(cpp_setup, enabled):
+    registry, configs = cpp_setup
+    configs[0].properties["noSuchProperty"] = "1"
+    root = analyze_file("unit.cpp", "minicpp", text="int x;")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(UnknownPropertyError):
+            traverse(root, registry, configs)
+        after_walk = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after_walk == enabled
+
+
+@pytest.mark.parametrize(
+    "name, language, text",
+    [
+        ("ExampleImpl.cpp", "minicpp", None),
+        ("grammar.cpp", "minicpp", None),
+        ("librarytest.sd", "seqdiag", None),
+        ("unterminated.cpp", "minicpp", "namespace n { class A { void f() { int x; "),
+    ],
+)
+def test_a_unit_is_freed_without_the_collector(name, language, text):
+    """A parsed and walked unit holds no reference cycle, so the collector
+    finds nothing once it is dropped."""
+    registry = build_registry(language)
+    gc.collect()
+    gc.disable()
+    try:
+        root = analyze_file(fixture_path(name), language, text=text)
+        traverse(root, registry, default_configs(registry))
+        assert root.has_fatal_error() == (text is not None)
+        del root
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
+def test_the_collector_is_paused_while_a_unit_is_parsed_and_walked(monkeypatch):
+    seen = []
+
+    def parse(text, path, table):
+        seen.append(("parse", gc.isenabled()))
+        return _parse_toy(text, path, table)
+
+    class Probe(_ShoutChecker):
+        def visit(self, node, ctx):
+            seen.append(("visit", gc.isenabled()))
+
+        def finish(self, ctx):
+            seen.append(("finish", gc.isenabled()))
+
+    monkeypatch.setitem(FRONTENDS, "toy", {"parse": parse, "rules": lambda: [Probe], "extensions": ()})
+    registry = build_registry("toy")
+    traverse(analyze_file("unit", "toy", text="a b"), registry, default_configs(registry))
+    assert seen == [("parse", False), ("visit", False), ("visit", False), ("finish", False)]
+    assert gc.isenabled()
 
 
 class _MisspeltPropertyChecker(Rule):

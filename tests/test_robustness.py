@@ -37,7 +37,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import fixture_path  # noqa: E402
+from conftest import fixture_path, token_tuples  # noqa: E402
 
 from rule_oracle import ORACLES  # noqa: E402
 from scan_oracle import oracle_lex, oracle_tokenize  # noqa: E402
@@ -160,7 +160,7 @@ def check_lexer_spans(text):
     LexError's point span lies on a character of ``text``."""
     lines = text.split("\n")
     try:
-        tokens = lex(text)
+        tokens = token_tuples(lex(text))
     except LexError as exc:
         span = exc.span
         assert (span.end_row, span.end_col) == (span.row, span.col)
@@ -190,7 +190,7 @@ def check_seqdiag_spans(text):
     ``text``."""
     lines = text.split("\n")
     try:
-        tokens = _tokenize(text, "<input>")
+        tokens = token_tuples(_tokenize(text, "<input>"))
     except ParseError as exc:
         span = exc.span
         assert (span.end_row, span.end_col) == (span.row, span.col)
@@ -214,7 +214,10 @@ def test_seqdiag_spans_token_soup(data):
     check_seqdiag_spans(data.draw(token_soup("seqdiag")))
 
 
-SCANNERS = {"minicpp": (lex, oracle_lex), "seqdiag": (_tokenize, oracle_tokenize)}
+SCANNERS = {
+    "minicpp": (lambda text, file: token_tuples(lex(text, file)), oracle_lex),
+    "seqdiag": (lambda text, file: token_tuples(_tokenize(text, file)), oracle_tokenize),
+}
 # Words that start, end or break a token in either language, characters
 # beyond ASCII that ``\w``, ``isalpha``, ``isdigit`` and ``\s`` classify
 # differently, and blanks that are no line break.

@@ -1,7 +1,7 @@
 """One positive and one negative fixture for each of the 18 C++ checkers."""
 
 import pytest
-from conftest import analyze_cpp, run_rule, run_rules
+from conftest import analyze_cpp, find_all, run_rule, run_rules
 
 
 def messages(findings):
@@ -259,7 +259,7 @@ class TestIfChecker:
         brace: the finding is where the declaration starts."""
         root = analyze_cpp("void f() { int c = 1; if (c) int a = 1; }")
         [finding] = run_rules(root, {"IfChecker"})
-        [branch] = root.ast.find_all("IfStmt")[0].children[1:]
+        [branch] = find_all(root.ast, "IfStmt")[0].children[1:]
         assert branch.kind == "CompoundStmt"
         assert branch.span == branch.children[0].span == ("test.cpp", 1, 30, 1, 38)
         assert finding.span == ("test.cpp", 1, 30, 1, 30)

@@ -9,6 +9,9 @@ of the moment, and the median drops a pair that straddles a change of it
 (a minimum per size would keep one fast outlier of the small unit). The
 cyclic garbage collector is paused while timing: its passes grow with the
 number of live objects, which says nothing of the stages' own algorithms.
+One more stage, ``unit_collector_on``, times ``analyze_file`` plus
+``traverse`` of the same two units the way a run calls them, with the
+collector left on, so that it sees what the collector costs a unit.
 Input grows 4x, so a stage may grow at most 2.3 ** 2 times; a quadratic
 stage grows about 16x.
 """
@@ -30,6 +33,7 @@ from cglint.core import default_configs, traverse  # noqa: E402
 from cglint.minicpp.lexer import lex  # noqa: E402
 from cglint.minicpp.parser import parse  # noqa: E402
 from cglint.model import AnalysisRoot  # noqa: E402
+from cglint.pipeline import analyze_file  # noqa: E402
 from cglint.seqdiag import parse_seq  # noqa: E402
 from cglint.symtab import SymbolTable  # noqa: E402
 
@@ -37,7 +41,7 @@ SMALL, LARGE = 2, 8  # classes
 SMALL_CHART, LARGE_CHART = 150, 600  # messages
 BOUND = 2.3 ** 2
 REPEATS = 5
-STAGES = ("lex", "parse", "traverse", "seqdiag_parse")
+STAGES = ("lex", "parse", "traverse", "seqdiag_parse", "unit_collector_on")
 
 
 def unit_text(classes):
@@ -57,13 +61,21 @@ def stage_seconds(text, chart, registry, configs):
     tokens = lex(text, "unit.ii")
     t1 = time.process_time()
     table = SymbolTable()
-    root = AnalysisRoot(file="unit.ii", content=text, ast=parse(tokens, file="unit.ii", table=table), symbols=table)
+    root = AnalysisRoot(file="unit.ii", content=text, ast=parse(tokens, table=table), symbols=table)
     t2 = time.process_time()
     traverse(root, registry, configs)
     t3 = time.process_time()
     parse_seq(chart, "chart.sd")
     t4 = time.process_time()
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3]
+
+
+def unit_seconds(text, registry, configs):
+    """The CPU time of ``analyze_file`` plus ``traverse`` of ``text``."""
+    gc.collect()
+    t0 = time.process_time()
+    traverse(analyze_file("unit.ii", "minicpp", text=text), registry, configs)
+    return time.process_time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +91,8 @@ def ratios():
             pairs.append(list(zip(stage_seconds(*small, registry, configs), stage_seconds(*large, registry, configs))))
     finally:
         gc.enable()
+    for pair in pairs:
+        pair.append((unit_seconds(small[0], registry, configs), unit_seconds(large[0], registry, configs)))
     per_stage = zip(*([b / a for a, b in pair] for pair in pairs))
     return {stage: statistics.median(values) for stage, values in zip(STAGES, per_stage)}
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import analyze_seq, fixture_path
+from conftest import analyze_seq, find_all, fixture_path, token_tuples
 
 from cglint.errors import ParseError, UndeclaredObjectError
 from cglint.seqdiag import _tokenize, parse_seq
@@ -19,7 +19,7 @@ def library_chart():
 def test_library_chart_shape(library_chart):
     assert library_chart.kind == "SequenceDiagram"
     assert library_chart.attr("name") == "librarytest"
-    objects = library_chart.find_all("ObjectDecl")
+    objects = find_all(library_chart, "ObjectDecl")
     assert [o.attr("name") for o in objects] == [
         "test",
         "library",
@@ -28,7 +28,7 @@ def test_library_chart_shape(library_chart):
         "request",
         "book",
     ]
-    messages = library_chart.find_all("Message")
+    messages = find_all(library_chart, "Message")
     assert len(messages) == 9
     directions = [m.attr("direction") for m in messages]
     assert directions.count("CALL") == 6
@@ -36,33 +36,33 @@ def test_library_chart_shape(library_chart):
 
 
 def test_library_chart_message_rows(library_chart):
-    rows = [m.span.row for m in library_chart.find_all("Message")]
+    rows = [m.span.row for m in find_all(library_chart, "Message")]
     assert rows == [9, 10, 12, 14, 15, 16, 17, 19, 21]
 
 
 def test_nested_block(library_chart):
-    outer = library_chart.find_all("InteractionBlock")[0]
+    outer = find_all(library_chart, "InteractionBlock")[0]
     inner_blocks = [c for c in outer.children if c.kind == "InteractionBlock"]
     assert len(inner_blocks) == 1
     assert len(inner_blocks[0].children) == 4
 
 
 def test_stereotype_parsed(library_chart):
-    messages = library_chart.find_all("Message")
+    messages = find_all(library_chart, "Message")
     stereotypes = [m.attr("stereotype") for m in messages]
     assert stereotypes[1] == "trigger"
     assert stereotypes[0] == ""
 
 
 def test_payloads(library_chart):
-    messages = library_chart.find_all("Message")
+    messages = find_all(library_chart, "Message")
     assert messages[0].attr("payload") == "setup()"
     assert messages[3].attr("payload") == "requestBook(request)"
     assert messages[5].attr("payload") == "return book"
 
 
 def test_direction_and_endpoints(library_chart):
-    messages = library_chart.find_all("Message")
+    messages = find_all(library_chart, "Message")
     call = messages[2]
     assert (call.attr("source"), call.attr("target")) == ("librarian", "client")
     assert call.attr("direction") == "CALL"
@@ -94,7 +94,7 @@ def test_comments_ignored():
     chart = parse_seq(
         "sequencediagram d { // header\n  object a:A; // obj\n  { a -> a : ping(); }\n}\n"
     )
-    assert len(chart.find_all("Message")) == 1
+    assert len(find_all(chart, "Message")) == 1
 
 
 def test_symbols_for_chart():
@@ -129,7 +129,7 @@ def test_symbols_for_chart():
     ids=["crlf_tab_chart", "unicode_blanks", "comments", "empty", "end_comment"],
 )
 def test_token_spans(text, expected):
-    assert list(_tokenize(text, "t.sd")) == expected
+    assert token_tuples(_tokenize(text, "t.sd")) == expected
 
 
 @pytest.mark.parametrize(
