@@ -34,10 +34,14 @@ construct that may expand to several nodes returns a list.
 Node ids and spans come from ``scan.Cursor``: every node goes through its
 ``node``, except an empty unit's root, which goes through its ``make``.
 
-Node attribute values are ``str``, ``bool`` or ``int``: names, types and
-operators are text, flags such as ``virtual`` or ``has_init`` are bools, and
-a binary or assignment operator's position is the ints ``op_row`` and
-``op_col``.
+Node attribute values are ``str`` or ``bool``: names, types and operators
+are text, and flags such as ``virtual`` or ``has_init`` are bools. The text
+of one token determines the attributes of an ``IdentExpr``, a ``Literal``
+and a binary, assignment or prefix operator node (an identifier, a literal
+and a punctuator never share a text), so these carry the unit's one
+read-only mapping (``Cursor.shared``) per distinct text. A binary or
+assignment operator's position is not kept: its token is the one after the
+last token of the node's left operand.
 """
 
 from __future__ import annotations
@@ -522,7 +526,7 @@ class _Parser(Cursor):
         self.expect("{")
         scope = self.scope.open(ScopeKind.BLOCK)
         children = self.parse_items("block", scope, self.parse_stmt)
-        return self.table.record(self.node("CompoundStmt", start, {}, children), scope)
+        return self.table.record(self.node("CompoundStmt", start, children=children), scope)
 
     def parse_stmt(self):
         """Parse one statement; declarations may expand to several nodes."""
@@ -556,7 +560,7 @@ class _Parser(Cursor):
         start = self.pos
         expr = self.parse_assign()
         self.expect(";")
-        return self.node("ExprStmt", start, {}, [expr])
+        return self.node("ExprStmt", start, children=[expr])
 
     def parse_condition(self, keyword):
         """Parse ``keyword ( expression )`` and return the expression."""
@@ -586,7 +590,7 @@ class _Parser(Cursor):
         scope = self.scope = self.scope.open(ScopeKind.BLOCK)
         stmts = self.parse_stmt()
         self.scope = scope.parent
-        return self.table.record(self.node("CompoundStmt", stmts[0].first, {}, stmts, stmts[-1].last), scope)
+        return self.table.record(self.node("CompoundStmt", stmts[0].first, children=stmts, last=stmts[-1].last), scope)
 
     def parse_switch(self):
         start = self.pos
@@ -600,16 +604,16 @@ class _Parser(Cursor):
                 label = self.parse_assign()
                 self.expect(":")
                 body = self._clause_body()
-                children.append(self.node("CaseClause", c_start, {}, [label] + body))
+                children.append(self.node("CaseClause", c_start, children=[label] + body))
             elif self.accept("default"):
                 self.expect(":")
                 body = self._clause_body()
-                children.append(self.node("DefaultClause", c_start, {}, body))
+                children.append(self.node("DefaultClause", c_start, children=body))
             else:
                 self.error("expected 'case' or 'default'")
         self.expect("}")
         self.scope = scope.parent
-        return self.table.record(self.node("SwitchStmt", start, {}, children), scope)
+        return self.table.record(self.node("SwitchStmt", start, children=children), scope)
 
     def _clause_body(self):
         body = []
@@ -653,7 +657,7 @@ class _Parser(Cursor):
         start = self.pos
         cond = self.parse_condition("while")
         body = self._single_stmt()
-        return self.node("WhileStmt", start, {}, [cond, body])
+        return self.node("WhileStmt", start, children=[cond, body])
 
     def parse_do(self):
         start = self.pos
@@ -661,7 +665,7 @@ class _Parser(Cursor):
         body = self._single_stmt()
         cond = self.parse_condition("while")
         self.expect(";")
-        return self.node("DoStmt", start, {}, [body, cond])
+        return self.node("DoStmt", start, children=[body, cond])
 
     def parse_return(self):
         start = self.pos
@@ -670,7 +674,7 @@ class _Parser(Cursor):
         if not self.at(";"):
             children.append(self.parse_assign())
         self.expect(";")
-        return self.node("ReturnStmt", start, {}, children)
+        return self.node("ReturnStmt", start, children=children)
 
     def parse_simple(self, kind, keyword):
         start = self.pos
@@ -693,9 +697,8 @@ class _Parser(Cursor):
         start = self.pos
         expr = self.parse_binary()
         if self.texts[self.pos] in _ASSIGN_OPS:
-            op = self.pos
-            self.advance()
-            expr = self._op_node("AssignExpr", start, expr, self.parse_assign(), op)
+            op = self.advance()
+            expr = self.node("AssignExpr", start, self.shared(op, operator=op), [expr, self.parse_assign()])
         self.depth -= 1
         return expr
 
@@ -704,25 +707,19 @@ class _Parser(Cursor):
         ``_BINARY_PRECEDENCE``. An operator waits on ``pending`` until one
         that binds no tighter arrives; all are left-associative."""
         operands = [(self.pos, self.parse_unary())]  # (first token index, operand)
-        pending = []  # (precedence, operator token index)
+        pending = []  # (precedence, the operator's attributes)
         while True:
             precedence = _BINARY_PRECEDENCE.get(self.texts[self.pos])
             while pending and (precedence is None or pending[-1][0] >= precedence):
-                op = pending.pop()[1]
+                attrs = pending.pop()[1]
                 rhs = operands.pop()[1]
                 start, lhs = operands[-1]
-                operands[-1] = start, self._op_node("BinaryExpr", start, lhs, rhs, op)
+                operands[-1] = start, self.node("BinaryExpr", start, attrs, [lhs, rhs])
             if precedence is None:
                 return operands[0][1]
-            pending.append((precedence, self.pos))
-            self.advance()
+            op = self.advance()
+            pending.append((precedence, self.shared(op, operator=op)))
             operands.append((self.pos, self.parse_unary()))
-
-    def _op_node(self, kind, start, lhs, rhs, op):
-        """A node for operator token ``op`` (an index) between ``lhs`` and
-        ``rhs``, spanning the tokens from ``start`` to the last consumed."""
-        row, col = point(self.lines, self.starts[op])
-        return self.node(kind, start, {"operator": self.texts[op], "op_row": row, "op_col": col}, [lhs, rhs])
 
     def parse_unary(self):
         self.enter()
@@ -731,7 +728,7 @@ class _Parser(Cursor):
         if text in _UNARY_OPS:
             self.advance()
             operand = self.parse_unary()
-            expr = self.node("UnaryExpr", start, {"operator": text}, [operand])
+            expr = self.node("UnaryExpr", start, self.shared(text, operator=text), [operand])
         elif text == "new":
             expr = self.parse_new()
         elif text == "delete":
@@ -769,7 +766,7 @@ class _Parser(Cursor):
         expr = self.parse_primary()
         while True:
             if self.at("("):
-                expr = self.node("CallExpr", start, {}, [expr] + self.parse_list(self.parse_assign))
+                expr = self.node("CallExpr", start, children=[expr] + self.parse_list(self.parse_assign))
             elif self.at(".") or self.at("->"):
                 op = self.advance()
                 name = self.expect_ident()
@@ -788,19 +785,16 @@ class _Parser(Cursor):
             self.advance()
             inner = self.parse_assign()
             self.expect(")")
-            return self.node("ParenExpr", start, {}, [inner])
+            return self.node("ParenExpr", start, children=[inner])
         if kind in _LITERALS:
             self.advance()
-            return self.node("Literal", start, {"value": text, "lit_kind": kind})
+            return self.node("Literal", start, self.shared(text, value=text, lit_kind=kind))
         if text == "true" or text == "false":
             self.advance()
-            return self.node("Literal", start, {"value": text, "lit_kind": "BOOL_LIT"})
-        if text == "this":
+            return self.node("Literal", start, self.shared(text, value=text, lit_kind="BOOL_LIT"))
+        if kind == IDENT or text == "this":
             self.advance()
-            return self.node("IdentExpr", start, {"name": "this"})
-        if kind == IDENT:
-            self.advance()
-            return self.node("IdentExpr", start, {"name": text})
+            return self.node("IdentExpr", start, self.shared(text, name=text))
         self.expected("expression")
 
     # keyword -> the method that parses the type declaration it starts

@@ -56,10 +56,13 @@ class AstNode:
     Attribute values are ``str``, ``bool`` or ``int``. A node compares equal
     only to itself.
 
-    A hand-built node is given its span. A parsed node is not: ``scan.Cursor``
-    sets ``tokens`` (its unit's ``Tokens``) and the indices of its ``first``
-    and ``last`` token instead, and ``span`` decodes them on first read and
-    keeps the result.
+    A hand-built node is given its span, and its ``tokens`` is None. A parsed
+    node is not: ``scan.Cursor`` sets ``tokens`` (its unit's ``Tokens``) and
+    the indices of its ``first`` and ``last`` token instead, and ``span``
+    decodes them on first read and keeps the result. A parsed node's
+    ``attributes`` may be a read-only mapping that other nodes share (see
+    ``scan.Cursor.node`` and ``Cursor.shared``); a hand-built node's is its
+    own dict.
     """
 
     __slots__ = ("language", "kind", "_span", "attributes", "children", "node_id", "tokens", "first", "last")
@@ -71,6 +74,7 @@ class AstNode:
         self.attributes = {} if attributes is None else attributes
         self.children = [] if children is None else children
         self.node_id = node_id
+        self.tokens = None
 
     @property
     def span(self):

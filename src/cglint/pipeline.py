@@ -14,9 +14,12 @@ has no AST and an empty table, contributes no findings but stays listed in
 the results, and never aborts the run. ``core.traverse`` is the boundary of
 each rule in the same way.
 
-The cyclic garbage collector is paused for each unit, once while
-``analyze_file`` runs and once while ``traverse`` runs, and never across two
-units: almost everything a unit allocates lives until the unit is done.
+The cyclic garbage collector is paused once for each unit: ``run_pipeline``
+pauses it while a unit is read, parsed, walked and merged, and drops the
+unit before the pause ends, so that reference counting frees it. A pause
+never spans two units: almost everything a unit allocates lives until the
+unit is done. ``analyze_file`` and ``traverse`` also pause it themselves,
+for callers that call them directly.
 """
 
 from __future__ import annotations
@@ -128,17 +131,20 @@ def run_pipeline(files, language, registry, configs, timestamp=None, diagnostics
     enabled rule, ordered by rule id, with its effective priority and
     properties, also when there are no files. Each unit's findings are
     added to them and sorted once. ``diagnostics``, when given, collects
-    (path, Diagnostic) pairs."""
+    (path, Diagnostic) pairs. The cyclic garbage collector is paused for
+    each unit, which is freed before the pause ends."""
     get_frontend(language)
     reports = traverse(AnalysisRoot(file="", content=""), registry, configs)
     paths = []
     for path in files:
-        root = analyze_file(path, language)
-        paths.append(root.file)
-        for report, unit in zip(reports, traverse(root, registry, configs)):
-            report.findings.extend(unit.findings)
-        if diagnostics is not None:
-            diagnostics.extend((root.file, diag) for diag in root.diagnostics)
+        with paused_collector():
+            root = analyze_file(path, language)
+            paths.append(root.file)
+            for report, unit in zip(reports, traverse(root, registry, configs)):
+                report.findings.extend(unit.findings)
+            if diagnostics is not None:
+                diagnostics.extend((root.file, diag) for diag in root.diagnostics)
+            del root
     for report in reports:
         report.findings.sort(key=Finding.sort_key)
     return ValidationResults(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from ..core import Rule
-from ..model import Criticality, Priority, RuleDescriptor, SourceSpan
+from ..model import Criticality, Priority, RuleDescriptor
 from ..symtab import ClassBinding, ScopeKind, Specifier, VariableBinding, equal_signature
 
 _LOWER_CAMEL = re.compile(r"[a-z][a-zA-Z0-9]*")
@@ -27,10 +27,13 @@ def _sub(*kinds):
 
 
 def _op_span(node):
-    """Span of the operator token recorded by the parser, if any."""
-    if "op_row" not in node.attributes:
+    """The span of a parsed binary or assignment node's operator token, the
+    one after its left operand's last; a hand-built node's own span."""
+    tokens = node.tokens
+    if tokens is None:
         return node.span
-    return SourceSpan.point(node.span.file, node.attr("op_row"), node.attr("op_col"))
+    op = node.children[0].last + 1
+    return tokens.span(op, op)
 
 
 def _condition_of(node):

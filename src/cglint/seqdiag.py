@@ -113,7 +113,7 @@ class _Parser(Cursor):
                 children.append(self.parse_message())
         self.pos += 1
         self.depth -= 1
-        return self.node("InteractionBlock", start, {}, children)
+        return self.node("InteractionBlock", start, children=children)
 
     def parse_message(self):
         texts = self.texts

@@ -1,7 +1,9 @@
 """Byte-for-byte regression of the minicpp AST of ``ExampleImpl.cpp`` and of
 ``grammar.cpp``, which holds every construct of the subset that parses. A
 golden has one line per node in walk order, indented by depth: the kind,
-the span, the sorted attributes, the number of children and the node id.
+the span, the sorted attributes, for a binary or assignment node the
+position of its operator (``op=row:col``, as ``rules.cpp._op_span`` derives
+it), the number of children and the node id.
 
 Regenerate a golden only for an intended AST change::
 
@@ -13,6 +15,7 @@ import os
 import pytest
 
 from cglint.minicpp import lex, parse
+from cglint.rules.cpp import _op_span
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -29,10 +32,14 @@ def ast_text(name):
         node, depth = stack.pop()
         span = node.span
         attrs = " ".join("%s=%r" % item for item in sorted(node.attributes.items()))
+        op = ""
+        if node.kind in ("BinaryExpr", "AssignExpr"):
+            op_span = _op_span(node)
+            op = " op=%d:%d" % (op_span.row, op_span.col)
         lines.append(
-            "%s%s %d:%d-%d:%d {%s} children=%d id=%d"
+            "%s%s %d:%d-%d:%d {%s}%s children=%d id=%d"
             % ("  " * depth, node.kind, span.row, span.col, span.end_row, span.end_col,
-               attrs, len(node.children), node.node_id)
+               attrs, op, len(node.children), node.node_id)
         )
         stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"

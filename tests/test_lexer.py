@@ -143,3 +143,13 @@ def test_token_spans(text, expected):
 )
 def test_lex_error_spans(text, expected):
     assert lex_error(text) == expected
+
+
+def test_each_distinct_text_is_one_object():
+    """A token's text is the one object the lexer's word table keeps, in one
+    text and across texts."""
+    first = lex("count = count + 1; // count\nint count;", "a.cpp")
+    second = lex("count + 1", "b.cpp")
+    counts = [text for text in first.texts + second.texts if text == "count"]
+    assert len(counts) == 4 and all(text is counts[0] for text in counts)
+    assert first.texts[4] is second.texts[2]  # "1"

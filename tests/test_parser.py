@@ -5,6 +5,8 @@ from conftest import analyze_cpp, find_all, fixture_path, token_tuples
 from cglint.errors import ParseError
 from cglint.minicpp import NODE_KINDS, lex, parse
 from cglint.model import AstNode, SourceSpan
+from cglint.scan import NO_ATTRIBUTES
+from cglint.rules.cpp import _op_span
 
 
 def parse_src(source):
@@ -117,8 +119,9 @@ NO_FN_FLAGS = {"virtual": False, "static": False, "const": False, "pure": False}
 
 def typed_attributes(unit):
     """``(kind, name, flags)`` of each node with a flag and ``(kind,
-    operator, op_row, op_col)`` of each operator node, in walk order; every
-    flag is a bool and every operator position an int."""
+    operator, row, col)`` of each operator node, in walk order, the
+    operator's position as ``_op_span`` derives it from the tokens; every
+    flag is a bool, and that span covers the operator's text on one row."""
     found = []
     for node in unit.walk():
         flags = {k: v for k, v in node.attributes.items() if k in FLAGS}
@@ -126,9 +129,9 @@ def typed_attributes(unit):
         if flags:
             found.append((node.kind, node.attr("name"), flags))
         if node.kind in ("BinaryExpr", "AssignExpr"):
-            row, col = node.attr("op_row"), node.attr("op_col")
-            assert type(row) is int and type(col) is int, (node.kind, row, col)
-            found.append((node.kind, node.attr("operator"), row, col))
+            op = _op_span(node)
+            assert (op.end_row, op.end_col - op.col + 1) == (op.row, len(node.attr("operator"))), (node.kind, op)
+            found.append((node.kind, node.attr("operator"), op.row, op.col))
     return found
 
 
@@ -498,3 +501,30 @@ def test_analyze_cpp_helper_builds_symbols():
     root = analyze_cpp("class A { public: void f(); };")
     assert root.symbols is not None
     assert root.ast.kind == "TranslationUnit"
+
+
+def test_parsed_nodes_share_read_only_attributes():
+    """The IdentExprs of one name in a unit share one read-only mapping, as
+    do its equal literals and operators and its nodes without attributes;
+    no unit shares a mapping of attributes with another, and a hand-built
+    node keeps its own dict."""
+    source = "void f(int a) { a = a + 1; a = a - 1; }"
+    unit, other = parse_src(source), parse_src(source)
+    idents = find_all(unit, "IdentExpr")
+    assert [node.attr("name") for node in idents] == ["a"] * 4
+    assert len({id(node.attributes) for node in idents}) == 1
+    literals = find_all(unit, "Literal")
+    assert literals[0].attributes is literals[1].attributes
+    assigns = find_all(unit, "AssignExpr")
+    assert assigns[0].attributes is assigns[1].attributes
+    statements = find_all(unit, "ExprStmt")
+    assert statements[0].attributes is statements[1].attributes is NO_ATTRIBUTES
+    for node in (idents[0], literals[0], assigns[0], statements[0]):
+        with pytest.raises(TypeError):
+            node.attributes["name"] = "b"
+    assert [node.attr("name") for node in idents] == ["a"] * 4
+    shared = {id(node.attributes) for node in unit.walk() if node.attributes}
+    assert shared.isdisjoint(id(node.attributes) for node in other.walk() if node.attributes)
+    built = [AstNode("minicpp", "IdentExpr", SourceSpan.point("x.cpp", 1, 1)) for _ in range(2)]
+    built[0].attributes["name"] = "a"
+    assert (built[0].attributes, built[1].attributes) == ({"name": "a"}, {})

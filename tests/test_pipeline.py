@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+from cglint import pipeline
 from cglint.cli import build_registry, main
 from cglint.core import Rule, RuleRegistry, default_configs, register_rules, traverse
 from cglint.pipeline import FRONTENDS, analyze_file, get_frontend, run_pipeline
@@ -338,6 +339,43 @@ def test_a_unit_is_freed_without_the_collector(name, language, text):
     finally:
         gc.enable()
     assert found == 0
+
+
+def test_no_collection_runs_between_a_units_parse_and_its_walk(tmp_path, monkeypatch, cpp_setup):
+    """``run_pipeline`` pauses the collector once for each unit, from its
+    parse to the end of its walk, and frees the unit before the pause ends.
+    So the young generation a parse leaves due is not collected over the
+    whole fresh unit, neither before its walk nor after it."""
+    registry, configs = cpp_setup
+    text = "void f() { int x; %s}" % ("x = x + 1; " * 400)  # thousands of tracked objects
+    paths = [write(tmp_path, "a.cpp", text), write(tmp_path, "b.cpp", text)]
+    run_pipeline(paths, "minicpp", registry, configs)  # what a first run leaves for good
+    events = []
+
+    def analyzed(path, language):
+        events.append("parse")
+        return analyze_file(path, language)
+
+    def walked(root, registry, configs):
+        reports = traverse(root, registry, configs)
+        events.append("walked")
+        return reports
+
+    def collecting(phase, info):
+        if phase == "start":
+            events.append("collect")
+
+    monkeypatch.setattr(pipeline, "analyze_file", analyzed)
+    monkeypatch.setattr(pipeline, "traverse", walked)
+    gc.collect()
+    gc.callbacks.append(collecting)
+    try:
+        run_pipeline(paths, "minicpp", registry, configs)
+    finally:
+        gc.callbacks.remove(collecting)
+    units = " ".join(events).split("parse")[1:]
+    assert len(units) == 2
+    assert [unit.split() for unit in units] == [["walked"], ["walked"]], events
 
 
 def test_the_collector_is_paused_while_a_unit_is_parsed_and_walked(monkeypatch):

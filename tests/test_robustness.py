@@ -50,6 +50,7 @@ from cglint.minicpp.lexer import _PUNCT, KEYWORDS, lex  # noqa: E402
 from cglint.model import Criticality, Priority, RuleConfig, RuleDescriptor  # noqa: E402
 from cglint.pipeline import FRONTENDS, analyze_file  # noqa: E402
 from cglint.report import from_xml  # noqa: E402
+from cglint.rules.cpp import _op_span  # noqa: E402
 from cglint.seqdiag import _tokenize  # noqa: E402
 from cglint.symtab import ScopeKind, SymbolTable  # noqa: E402
 
@@ -256,8 +257,9 @@ def check_tree(lang, text):
     """If ``text`` parses, every node's span lies on ``text`` and inside its
     parent's, the node ids are 1..n, and each binary or assignment node
     spans from its first child's start to its last child's end, with its
-    operator's ``(op_row, op_col)`` in that span, on the operator's text. A
-    minicpp unit without declarations has no tokens and is the point 1:1."""
+    operator's position (as ``_op_span`` derives it) in that span, on the
+    operator's text. A minicpp unit without declarations has no tokens and
+    is the point 1:1."""
     try:
         root = FRONTENDS[lang]["parse"](text, "input", SymbolTable())
     except SourceError:
@@ -281,7 +283,8 @@ def check_tree(lang, text):
         if node.kind in ("BinaryExpr", "AssignExpr"):
             first, last = node.children[0].span, node.children[-1].span
             assert ((first.row, first.col), (last.end_row, last.end_col)) == (start, end), (node.kind, span)
-            op, row, col = node.attr("operator"), node.attr("op_row"), node.attr("op_col")
+            op, op_span = node.attr("operator"), _op_span(node)
+            row, col = op_span.row, op_span.col
             assert start <= (row, col) <= end, (node.kind, span, row, col)
             assert lines[row - 1][col - 1 : col - 1 + len(op)] == op
         stack.extend((child, node) for child in node.children)

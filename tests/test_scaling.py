@@ -14,6 +14,14 @@ One more stage, ``unit_collector_on``, times ``analyze_file`` plus
 collector left on, so that it sees what the collector costs a unit.
 Input grows 4x, so a stage may grow at most 2.3 ** 2 times; a quadratic
 stage grows about 16x.
+
+A footprint gate weighs what a unit holds rather than how long it takes:
+the bytes that ``tracemalloc`` sees held by the root and the reports of
+``analyze_file`` plus ``traverse``. The large unit may hold at most
+``HELD_PER_BYTE`` bytes per input byte, and what it holds may grow at most
+2.3 ** 2 times the small unit's. Each unit is analysed once untraced first,
+so that the process's word tables already hold its words and the figure
+does not depend on which tests ran before.
 """
 
 import gc
@@ -22,6 +30,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -41,6 +50,7 @@ SMALL, LARGE = 2, 8  # classes
 SMALL_CHART, LARGE_CHART = 150, 600  # messages
 BOUND = 2.3 ** 2
 REPEATS = 5
+HELD_PER_BYTE = 55  # bytes a parsed and walked unit may hold per byte of its text
 STAGES = ("lex", "parse", "traverse", "seqdiag_parse", "unit_collector_on")
 
 
@@ -105,3 +115,34 @@ def test_input_grows_fourfold():
 @pytest.mark.parametrize("stage", STAGES)
 def test_stage_scales_linearly(ratios, stage):
     assert ratios[stage] <= BOUND, "%s grew %.1fx for 4x the input" % (stage, ratios[stage])
+
+
+def held_bytes(text, registry, configs):
+    """The bytes still allocated, once ``analyze_file`` plus ``traverse`` of
+    ``text`` are done, by what the two made, while the root and its reports
+    are alive; after a first pass that fills the word tables."""
+    traverse(analyze_file("unit.ii", "minicpp", text=text), registry, configs)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        root = analyze_file("unit.ii", "minicpp", text=text)
+        reports = traverse(root, registry, configs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert root.ast is not None and reports
+    return held
+
+
+def test_unit_footprint():
+    registry = build_registry("minicpp")
+    configs = default_configs(registry)
+    small, large = unit_text(SMALL), unit_text(LARGE)
+    held_small, held_large = held_bytes(small, registry, configs), held_bytes(large, registry, configs)
+    per_byte = held_large / len(large)
+    assert per_byte <= HELD_PER_BYTE, "a unit holds %.1f bytes per input byte" % per_byte
+    assert held_large / held_small <= BOUND, "held bytes grew %.1fx for 4x the input" % (held_large / held_small)
