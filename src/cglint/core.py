@@ -17,11 +17,11 @@ class RuleContext:
 
     __slots__ = ("table", "properties", "rule_id", "findings")
 
-    def __init__(self, table, properties, rule_id, findings=None):
+    def __init__(self, table, properties, rule_id):
         self.table = table
         self.properties = properties
         self.rule_id = rule_id
-        self.findings = [] if findings is None else findings
+        self.findings = []
 
     def report(self, span, message):
         self.findings.append(Finding(self.rule_id, span.start_point(), message))

@@ -32,7 +32,8 @@ constructor initializers), ``parse_condition`` (``keyword ( expression
 construct that may expand to several nodes returns a list.
 
 Node ids and spans come from ``scan.Cursor``: every node goes through its
-``node``, except an empty unit's root, which goes through its ``make``.
+``node``, except an empty unit's root, which ``parse_unit`` builds with the
+1:1 span and id 1.
 
 Node attribute values are ``str`` or ``bool``: names, types and operators
 are text, and flags such as ``virtual`` or ``has_init`` are bools. The text
@@ -47,7 +48,7 @@ last token of the node's left operand.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..model import SourceSpan
+from ..model import AstNode, SourceSpan
 from ..scan import Cursor, point
 from ..symtab import (
     ClassBinding,
@@ -178,22 +179,15 @@ class _Parser(Cursor):
         current scope."""
         return self.table.record(node, binding=binding, duplicate=self.table.declare(self.scope, binding))
 
-    def declare_variable(self, node, **flags):
+    def declare_variable(self, node):
         """Declare the variable or parameter ``node`` names, if it names
         one; a class's variable is one of its data members."""
-        attrs = node.attributes
-        if not attrs["name"]:
+        name = node.attributes["name"]
+        if not name:
             return
-        binding = VariableBinding(
-            attrs["name"],
-            attrs["type"],
-            has_initializer=attrs.get("has_init", False),
-            is_member=self.scope.kind is ScopeKind.CLASS,
-            decl_span=node.span,
-            **flags,
-        )
+        binding = VariableBinding(name, node)
         self.declared(node, binding)
-        if binding.is_member:
+        if self.scope.kind is ScopeKind.CLASS:
             self.cls.data_members.append(binding)
 
     # --- top level ------------------------------------------------------
@@ -204,7 +198,7 @@ class _Parser(Cursor):
             children.extend(self.parse_top_decl())
         if self.count:
             return self.node("TranslationUnit", 0, children=children)
-        return self.make("TranslationUnit", SourceSpan.point(self.file, 1, 1))
+        return AstNode(LANGUAGE, "TranslationUnit", SourceSpan.point(self.file, 1, 1), node_id=1)
 
     def parse_top_decl(self):
         """Parse one namespace-level declaration; declarators may expand to
@@ -407,7 +401,7 @@ class _Parser(Cursor):
         if self.accept("="):  # default argument
             self.parse_dropped(self.parse_assign)
         node = self.node("ParamDecl", start, {"name": name, "type": base + stars})
-        self.declare_variable(node, is_parameter=True)
+        self.declare_variable(node)
         return node
 
     def parse_body(self, kind, start, attrs, params):

@@ -271,11 +271,11 @@ class IdentifierChecker(Rule):
                 up = up.parent
             for n, inner in enumerate(here):
                 for other in here[:n] + outer:
-                    similar = '"%s : %s"' % (other.name, other.declared_type)
-                    if other.is_member:
+                    similar = '"%s : %s"' % (other.name, other.node.attr("type"))
+                    if other.scope.kind is ScopeKind.CLASS:
                         similar = "instance variable " + similar
                     ctx.report(
-                        inner.decl_span,
+                        inner.node.span,
                         '%s "%s" is named similar to %s.'
                         % (_var_label(inner), inner.name, similar),
                     )
@@ -285,12 +285,11 @@ def _normalize(name):
     return name.lower().replace("_", "")
 
 
+_VAR_LABELS = {ScopeKind.CLASS: "Instance Variable", ScopeKind.FUNCTION: "Parameter"}
+
+
 def _var_label(binding):
-    if binding.is_member:
-        return "Instance Variable"
-    if binding.is_parameter:
-        return "Parameter"
-    return "Local Variable"
+    return _VAR_LABELS.get(binding.scope.kind, "Local Variable")
 
 
 class IfChecker(Rule):
@@ -327,13 +326,7 @@ class InitializedVariableChecker(Rule):
 
     def visit(self, node, ctx):
         binding = ctx.table.binding_of(node)
-        if binding is None or binding.scope is None:
-            return
-        if binding.is_member or binding.is_parameter:
-            return
-        if binding.scope.kind not in (ScopeKind.FUNCTION, ScopeKind.BLOCK):
-            return
-        if not binding.has_initializer:
+        if binding is not None and binding.scope.kind is ScopeKind.BLOCK and not node.attr("has_init"):
             ctx.report(
                 node.span,
                 "Local variable %r is not initialized." % binding.name,
@@ -461,18 +454,15 @@ class _Frame:
 
 def _is_nonlocal_target(lhs, scope):
     """True iff assigning to ``lhs``, its name looked up from the innermost
-    ``scope``, stores outside the function: a member, a parameter, or a
-    variable declared at global or namespace scope."""
+    ``scope``, stores outside the function: a member, or a variable declared
+    outside any block (a data member, a parameter, or a global or namespace
+    variable)."""
     if lhs.kind == "MemberExpr":
         return True
     if lhs.kind != "IdentExpr":
         return False
     binding = scope.lookup(lhs.attr("name"))
-    if not isinstance(binding, VariableBinding):
-        return False
-    if binding.is_member or binding.is_parameter:
-        return True
-    return binding.scope.kind in (ScopeKind.GLOBAL, ScopeKind.NAMESPACE)
+    return isinstance(binding, VariableBinding) and binding.scope.kind is not ScopeKind.BLOCK
 
 
 class NamingConventionChecker(Rule):

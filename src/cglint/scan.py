@@ -18,10 +18,9 @@ starts a new row, and a valid token never spans lines.
 that assigns node ids and node spans, and its ``parse_list`` parses every
 parenthesised, comma-separated list of both languages. A node keeps the
 index of its first and last token and decodes its span when it is first
-read; one node takes a whole span instead, an empty unit's 1:1 root. A node
-without attributes shares the read-only ``NO_ATTRIBUTES``, and ``shared``
-gives the nodes of a unit whose attributes one key, such as a token's text,
-determines one read-only mapping per key.
+read. A node without attributes shares the read-only ``NO_ATTRIBUTES``, and
+``shared`` gives the nodes of a unit whose attributes one key, such as a
+token's text, determines one read-only mapping per key.
 """
 
 from __future__ import annotations
@@ -186,10 +185,9 @@ class Cursor:
     ``None`` ends the input. A parser subclasses it and defines
     ``error(message)``, which raises at the current token and says how
     the input's end is reported. Node ids run 1..n in the order nodes are
-    made, so a unit's root, made last, has the largest. ``node`` gives every
-    node but one its first and last token index, and its span is decoded
-    from them when it is first read; ``make`` gives an empty unit's 1:1 root
-    its span whole.
+    made, so a unit's root, made last, has the largest. ``node`` gives a
+    node its first and last token index, and its span is decoded from them
+    when it is first read.
     """
 
     def __init__(self, tokens, language, ident):
@@ -247,12 +245,6 @@ class Cursor:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.error("nesting deeper than %d levels" % MAX_NESTING)
-
-    def make(self, kind, span):
-        """A node with the next id, the span ``span`` and no attributes or
-        children."""
-        self._next_id += 1
-        return AstNode(self.language, kind, span, node_id=self._next_id)
 
     def shared(self, key, **attrs):
         """The unit's one read-only mapping of ``attrs``, which ``key`` alone

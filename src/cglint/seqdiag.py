@@ -96,7 +96,7 @@ class _Parser(Cursor):
         type_name = self.expect_ident()
         self.expect(";")
         node = self.node("ObjectDecl", start, {"name": name, "type": type_name})
-        binding = VariableBinding(name=name, declared_type=type_name, decl_span=node.span)
+        binding = VariableBinding(name, node)
         return self.table.record(node, binding=binding, duplicate=self.table.declare(self.scope, binding))
 
     def parse_block(self):

@@ -6,8 +6,11 @@ asks for type names, and which is read-only once the parse returns. The
 table indexes nodes by id only where the parser opens a scope or declares a
 binding, so ``scope_of`` and ``binding_of`` answer for those nodes alone.
 ``variables`` lists every declared variable, each named and in its scope,
-in declaration order. Scopes and bindings are plain classes, bindings
-slotted; both compare and hash by identity, so rules can key facts by them.
+in declaration order. A variable binding holds its name, its scope and its
+declaring node; its scope's kind says whether it is a data member
+(CLASS), a parameter (FUNCTION) or a variable, and the node holds the
+rest. Scopes and bindings are plain classes, bindings slotted; both compare
+and hash by identity, so rules can key facts by them.
 
 ``Scope.open`` makes every child scope; a namespace opened again continues
 its first scope. ``Scope.lookup`` also takes a qualified ``A::B::T``, which
@@ -150,18 +153,18 @@ class TypeBinding(Binding):
 
 
 class VariableBinding(Binding):
-    __slots__ = ("name", "declared_type", "has_initializer", "is_member", "is_parameter", "is_loop_index", "decl_span")
+    """A variable, data member or parameter. Its scope's kind says which:
+    CLASS for a data member, FUNCTION for a parameter, any other for a
+    variable. ``node`` is the node that declares it, which holds its type,
+    its initializer flag and its span; None for a binding declared by hand."""
 
-    def __init__(self, name, declared_type="", scope=None, has_initializer=False, is_member=False,
-                 is_parameter=False, is_loop_index=False, decl_span=None):
+    __slots__ = ("name", "node", "is_loop_index")
+
+    def __init__(self, name, node=None):
         self.name = name
-        self.declared_type = declared_type
-        self.scope = scope
-        self.has_initializer = has_initializer
-        self.is_member = is_member
-        self.is_parameter = is_parameter
-        self.is_loop_index = is_loop_index
-        self.decl_span = decl_span
+        self.node = node
+        self.scope = None
+        self.is_loop_index = False
 
 
 class FunctionBinding(Binding):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from cglint.core import Rule
 from cglint.rules import cpp
 from cglint.rules.cpp import _BREAKABLE, _is_nonlocal_target, _normalize, _sub, _var_label
+from cglint.symtab import ScopeKind
 
 
 class FlowControlChecker(Rule):
@@ -133,11 +134,11 @@ class IdentifierChecker(Rule):
                     continue
                 if not _reports_here(inner, other, i, j):
                     continue
-                similar = '"%s : %s"' % (other.name, other.declared_type)
-                if other.is_member:
+                similar = '"%s : %s"' % (other.name, other.node.attr("type"))
+                if other.scope.kind is ScopeKind.CLASS:
                     similar = "instance variable " + similar
                 ctx.report(
-                    inner.decl_span,
+                    inner.node.span,
                     '%s "%s" is named similar to %s.'
                     % (_var_label(inner), inner.name, similar),
                 )

@@ -1,5 +1,6 @@
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 from conftest import fixture_path
@@ -24,7 +25,7 @@ def test_clean_run_exits_zero(tmp_path):
     src = write(tmp_path, "clean.cpp", "namespace app { class Neat { }; }\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", src)
     assert code == 0
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.total_findings() == 0
     assert len(results.reports) == 18
 
@@ -33,7 +34,7 @@ def test_shall_finding_exits_one(tmp_path):
     src = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", src)
     assert code == 1
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     by_id = {r.descriptor.id: r for r in results.reports}
     assert len(by_id["MemoryChecker"].findings) == 1
 
@@ -54,7 +55,7 @@ def test_parse_error_exits_two_but_writes_xml(tmp_path):
     src = write(tmp_path, "broken.cpp", "class {")
     code, xml_out = run(tmp_path, "--lang", "minicpp", src)
     assert code == 2
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.files == [src]
 
 
@@ -106,7 +107,7 @@ def test_config_byte_order_mark_is_ignored(tmp_path):
     config.write_bytes(b"\xef\xbb\xbf[rule FunctionChecker]\r\nmaxLines = 1\r\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", "--config", str(config), src)
     assert code == 0
-    by_id = {r.descriptor.id: r for r in from_xml(open(xml_out, "rb").read()).reports}
+    by_id = {r.descriptor.id: r for r in from_xml(Path(xml_out).read_bytes()).reports}
     assert by_id["FunctionChecker"].effective_properties["maxLines"] == "1"
     assert "body lines" in by_id["FunctionChecker"].findings[0].message
 
@@ -136,10 +137,10 @@ def test_file_name_not_utf8_is_escaped(tmp_path, capsys):
     html_out = str(tmp_path / "report.html")
     code, xml_out = run(tmp_path, "--lang", "minicpp", str(tmp_path), "--html-out", html_out)
     assert code == 1
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.files == [shown]
     assert {f.span.file for r in results.reports for f in r.findings} == {shown}
-    assert shown in open(html_out, encoding="utf-8").read()
+    assert shown in Path(html_out).read_text(encoding="utf-8")
     assert capsys.readouterr().err == ""
 
 
@@ -148,7 +149,7 @@ def test_file_name_xml_cannot_carry_is_escaped(tmp_path, capsys):
     shown = str(tmp_path / "a\\x01b.cpp")
     code, xml_out = run(tmp_path, "--lang", "minicpp", str(tmp_path))
     assert code == 2
-    assert from_xml(open(xml_out, "rb").read()).files == [shown]
+    assert from_xml(Path(xml_out).read_bytes()).files == [shown]
     assert capsys.readouterr().err.startswith("%s:1:7: " % shown)
 
 
@@ -156,7 +157,7 @@ def test_input_named_twice_is_analysed_once(tmp_path):
     src = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", src, src, str(tmp_path))
     assert code == 1
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.files == [src]
     by_id = {r.descriptor.id: r for r in results.reports}
     assert len(by_id["MemoryChecker"].findings) == 1
@@ -210,7 +211,7 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, source):
     src = write(tmp_path, "deep.cpp", source)
     code, xml_out = run(tmp_path, "--lang", "minicpp", src)
     assert code == 2
-    assert from_xml(open(xml_out, "rb").read()).files == [src]
+    assert from_xml(Path(xml_out).read_bytes()).files == [src]
     assert "nesting deeper than %d levels" % MAX_NESTING in capsys.readouterr().err
 
 
@@ -231,7 +232,7 @@ def test_crashing_input_is_a_source_error(tmp_path, capsys, lang, name, source, 
     src = write(tmp_path, name, source)
     code, xml_out = run(tmp_path, "--lang", lang, src)
     assert code == 2
-    assert from_xml(open(xml_out, "rb").read()).files == [src]
+    assert from_xml(Path(xml_out).read_bytes()).files == [src]
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
@@ -243,7 +244,7 @@ def test_non_utf8_file_is_an_io_error(tmp_path, capsys):
     good = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", str(bad), good)
     assert code == 2
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.files == sorted([str(bad), good])
     by_id = {r.descriptor.id: r for r in results.reports}
     assert [f.span.file for f in by_id["MemoryChecker"].findings] == [good]
@@ -265,7 +266,7 @@ def test_truncated_byte_order_mark_is_an_io_error(tmp_path, capsys, data):
     bad.write_bytes(data)
     code, xml_out = run(tmp_path, "--lang", "minicpp", str(bad))
     assert code == 2
-    assert from_xml(open(xml_out, "rb").read()).files == [str(bad)]
+    assert from_xml(Path(xml_out).read_bytes()).files == [str(bad)]
     assert "%s:1:1: 'utf-8' codec can't decode" % bad in capsys.readouterr().err
 
 
@@ -274,7 +275,7 @@ def test_byte_order_mark_is_ignored(tmp_path):
         src = tmp_path / ("%s.cpp" % encoding)
         src.write_bytes("typedef int Alpha; void f() { int* p = new int; }\n".encode(encoding))
         code, xml_out = run(tmp_path, "--lang", "minicpp", str(src))
-        reports = from_xml(open(xml_out, "rb").read()).reports
+        reports = from_xml(Path(xml_out).read_bytes()).reports
         return code, [
             (r.descriptor.id, f.span.row, f.span.col, f.message) for r in reports for f in r.findings
         ]
@@ -291,7 +292,7 @@ def test_long_operator_chain_is_not_nesting(tmp_path):
     def run_chain(terms):
         source = "int f() { return %s; }\n" % "+".join(["1"] * terms)
         code, xml_out = run(tmp_path, "--lang", "minicpp", write(tmp_path, "chain.cpp", source))
-        reports = from_xml(open(xml_out, "rb").read()).reports
+        reports = from_xml(Path(xml_out).read_bytes()).reports
         return code, {r.descriptor.id: len(r.findings) for r in reports}
 
     assert run_chain(3000) == run_chain(3)
@@ -301,7 +302,7 @@ def test_config_disables_rule(tmp_path):
     src = write(tmp_path, "leak.cpp", "void f() { int* p = new int; }\n")
     config = write(tmp_path, "rules.cfg", "[rule MemoryChecker]\nenabled = false\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", "--config", config, src)
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     ids = [r.descriptor.id for r in results.reports]
     assert "MemoryChecker" not in ids
     assert len(ids) == 17
@@ -313,7 +314,7 @@ def test_directory_scan_filters_by_extension(tmp_path):
     write(tmp_path, "notes.txt", "not source\n")
     code, xml_out = run(tmp_path, "--lang", "minicpp", str(tmp_path))
     assert code == 0
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert len(results.files) == 2
     assert all(f.endswith(".cpp") for f in results.files)
 
@@ -346,7 +347,7 @@ def test_seqdiag_run(tmp_path):
     shutil.copy(fixture_path("librarytest.sd"), chart)
     code, xml_out = run(tmp_path, "--lang", "seqdiag", chart)
     assert code == 1
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.total_findings() == 2
 
 
@@ -356,7 +357,7 @@ def test_message_span_starts_at_its_left_name(tmp_path):
     chart = write(tmp_path, "q.sd", "sequencediagram d { object a:A;\n {" + " " * 25 + "a\n->a:m();}}\n")
     code, xml_out = run(tmp_path, "--lang", "seqdiag", chart)
     assert code == 1
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     points = [(f.span.file, f.span.row, f.span.col) for r in results.reports for f in r.findings]
     assert points == [(chart, 2, 28)] * 2
 
@@ -380,6 +381,6 @@ def test_html_output(tmp_path):
          "--html-out", html_out, "--timestamp", "t"]
     )
     assert code == 1
-    page = open(html_out).read()
+    page = Path(html_out).read_text(encoding="utf-8")
     assert "CGL Report Summary" in page
     assert "Memory handling checker" in page

@@ -1,10 +1,12 @@
 import gc
 import os
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
-from cglint import pipeline
+from cglint import pipeline, scan
 from cglint.cli import build_registry, main
 from cglint.core import Rule, RuleRegistry, default_configs, register_rules, traverse
 from cglint.pipeline import FRONTENDS, analyze_file, get_frontend, run_pipeline
@@ -16,6 +18,9 @@ from cglint.errors import UnknownLanguageError, UnknownPropertyError
 from cglint.model import AstNode, Criticality, Priority, RuleDescriptor, SourceSpan
 from cglint.report import from_xml
 from cglint.symtab import VariableBinding
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import gen  # noqa: E402
 
 
 @pytest.fixture
@@ -167,7 +172,7 @@ def test_a_language_is_one_frontends_entry(tmp_path, monkeypatch):
     xml_out = str(tmp_path / "out.xml")
     code = main(["--lang", "toy", str(tmp_path), "--xml-out", xml_out, "--timestamp", "t"])
     assert code == 1
-    results = from_xml(open(xml_out, "rb").read())
+    results = from_xml(Path(xml_out).read_bytes())
     assert results.files == [str(tmp_path / "greeting.toy")]
     [report] = results.reports
     assert report.descriptor.id == "ShoutChecker"
@@ -339,6 +344,38 @@ def test_a_unit_is_freed_without_the_collector(name, language, text):
     finally:
         gc.enable()
     assert found == 0
+
+
+def _small_generated_unit():
+    text, _planted = gen.cpp_unit(random.Random(0), gen.CppKnobs(classes=1, methods=2, locals=3, depth=2, collide=0.2))
+    return text
+
+
+@pytest.mark.parametrize(
+    "name, language, text",
+    [
+        ("ExampleImpl.cpp", "minicpp", None),
+        ("grammar.cpp", "minicpp", None),
+        ("librarytest.sd", "seqdiag", None),
+        ("generated.cpp", "minicpp", _small_generated_unit()),
+    ],
+    ids=["ExampleImpl", "grammar", "librarytest", "generated"],
+)
+def test_a_clean_parse_decodes_no_span(monkeypatch, name, language, text):
+    """A unit that parses without diagnostics decodes no span while it is
+    parsed and its symbols are built: a node's span waits for a reader."""
+    decoded = []
+    span = scan.Tokens.span
+
+    def counted(tokens, first, last):
+        decoded.append((first, last))
+        return span(tokens, first, last)
+
+    monkeypatch.setattr(scan.Tokens, "span", counted)
+    root = analyze_file(fixture_path(name), language, text=text)
+    assert root.ast is not None and root.diagnostics == []
+    assert root.symbols.variables  # the unit declares variables, whose spans are not decoded
+    assert decoded == []
 
 
 def test_no_collection_runs_between_a_units_parse_and_its_walk(tmp_path, monkeypatch, cpp_setup):

@@ -12,9 +12,10 @@ or just past the end of a line. Over random generator knobs and seeds, the
 CLI reports every defect the generator planted, and a second run writes the
 same XML. In a minicpp unit, the symbol table gives a scope for exactly the
 nodes that open one, one node per scope, and a binding for a node only
-under the node's name. Over random text and token soup, both scanners give
-the tokens, or the error, of the match-per-token oracle in
-``scan_oracle.py``. Over generated units, mutated fixtures and units that
+under the node's name; a variable's scope is FUNCTION exactly when its
+node is a parameter and CLASS exactly when its node is a data member. Over
+random text and token soup, both scanners give the tokens, or the error,
+of the match-per-token oracle in ``scan_oracle.py``. Over generated units, mutated fixtures and units that
 nest loops, switches, blocks and local classes around pointers,
 MemoryChecker, FlowControlChecker and IdentifierChecker report what their
 oracles in ``rule_oracle.py`` report. A rule that raises in ``visit`` or
@@ -425,12 +426,15 @@ def check_symbol_index(text):
     for the nodes that open one, and each scope of the tree for at least
     one node. The NamespaceDefs of one name in one scope share one scope,
     and every other owner has its own. Every binding ``binding_of`` returns
-    has its node's name."""
+    has its node's name. Every variable is declared by its node, and its
+    scope is FUNCTION exactly when that node is a ``ParamDecl`` and CLASS
+    exactly when it is a ``VarDecl`` child of a ``ClassDef``."""
     root = analyze_file("input.cpp", "minicpp", text=text)
     if root.ast is None:
         return
     table = root.symbols
     owners = {}  # scope -> the nodes that open it
+    parent_kind = {}  # node id -> the kind of its parent
     for node in root.ast.walk():
         scope = table.scope_of(node)
         opens = node.kind in SCOPE_OWNERS and not node.attr("forward", False)
@@ -440,6 +444,15 @@ def check_symbol_index(text):
         binding = table.binding_of(node)
         if binding is not None:
             assert binding.name == node.attr("name"), (node.kind, binding)
+        for child in node.children:
+            parent_kind[child.node_id] = node.kind
+    for var in table.variables:
+        node = var.node
+        assert table.binding_of(node) is var, var.name
+        kind = var.scope.kind
+        assert (kind is ScopeKind.FUNCTION) == (node.kind == "ParamDecl"), (var.name, kind, node.kind)
+        member = node.kind == "VarDecl" and parent_kind.get(node.node_id) == "ClassDef"
+        assert (kind is ScopeKind.CLASS) == member, (var.name, kind, node.kind)
     for scope, nodes in owners.items():
         if len(nodes) > 1:
             assert all(n.kind == "NamespaceDef" and n.attr("name") == scope.name for n in nodes)

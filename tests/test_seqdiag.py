@@ -100,7 +100,9 @@ def test_comments_ignored():
 def test_symbols_for_chart():
     root = analyze_seq(read_fixture("librarytest.sd"))
     assert len(root.symbols.variables) == 6
-    assert root.symbols.variables[0].declared_type == "LibraryTest"
+    first = root.symbols.variables[0]
+    assert first.node.attr("type") == "LibraryTest"
+    assert root.symbols.binding_of(first.node) is first
 
 
 @pytest.mark.parametrize(

@@ -202,7 +202,7 @@ def test_forward_declarations_share_the_class_binding():
     assert [table.binding_of(n) for n in nodes] == [binding] * 3
     assert classes(root) == [binding]
     assert binding.scope is table.scope_of(nodes[1])
-    assert binding.scope.lookup_local("m").is_member
+    assert binding.scope.lookup_local("m") in binding.data_members
 
 
 def test_reopened_namespace_continues_its_scope():
@@ -246,15 +246,26 @@ def test_qualified_lookup():
 
 
 def test_member_and_parameter_flags():
+    """A variable binding's scope kind says what it is, and its node holds
+    the rest."""
     root = analyze_cpp(
         "class C { public: int field; void m(int arg) { int local = 1; } };"
     )
-    by_name = {v.name: v for v in root.symbols.variables}
-    assert by_name["field"].is_member
-    assert by_name["arg"].is_parameter
-    assert not by_name["local"].is_member
-    assert by_name["local"].has_initializer
-    assert not by_name["field"].has_initializer
+    table = root.symbols
+    by_name = {v.name: v for v in table.variables}
+    kinds = {name: (v.scope.kind, v.node.kind) for name, v in by_name.items()}
+    assert kinds == {
+        "field": (ScopeKind.CLASS, "VarDecl"),
+        "arg": (ScopeKind.FUNCTION, "ParamDecl"),
+        "local": (ScopeKind.BLOCK, "VarDecl"),
+    }
+    for name, binding in by_name.items():
+        assert table.binding_of(binding.node) is binding
+        assert binding.node.attr("name") == name
+        assert binding.node.attr("type") == "int"
+    assert by_name["local"].node.attr("has_init")
+    assert not by_name["field"].node.attr("has_init")
+    assert table.binding_of(find(root.ast, "ClassDef", name="C")).data_members == [by_name["field"]]
 
 
 def test_loop_index_flag():
@@ -319,7 +330,7 @@ def test_class_nested_in_class():
     inner = table.scope_of(find(root.ast, "ClassDef", name="Inner"))
     assert (inner.kind, inner.name, inner.parent) == (ScopeKind.CLASS, "Inner", outer)
     assert isinstance(outer.lookup_local("Inner"), ClassBinding)
-    assert inner.lookup_local("m").is_member
+    assert table.binding_of(find(root.ast, "ClassDef", name="Inner")).data_members == [inner.lookup_local("m")]
 
 
 def test_declarators_of_a_branch_share_a_block():
