@@ -123,10 +123,11 @@ def traverse(root, registry, configs, stats=None):
 
     The dispatch plan maps a node's ``(language, kind)`` to the bound
     ``visit``, and ``leave`` where overridden, of each enabled rule
-    subscribed to it; an entry is filled the first time its kind is seen. A
-    rule whose ``visit``, ``leave`` or ``finish`` raises is dropped from the
-    unit: it gets no further call, adds one fatal internal-error diagnostic
-    to ``root.diagnostics``, at the node of the call (the unit's start for
+    subscribed to it; an entry is filled the first time its kind is seen,
+    and a node with no visit call makes none. A rule whose ``visit``,
+    ``leave`` or ``finish`` raises is dropped from the unit: it gets no
+    further call, adds one fatal internal-error diagnostic to
+    ``root.diagnostics``, at the node of the call (the unit's start for
     ``finish``), and reports no findings for the unit. Every other rule
     keeps its findings.
 
@@ -177,6 +178,8 @@ def traverse(root, registry, configs, stats=None):
                         stack.append((node, leaves))
                     if node.children:
                         push(reversed(node.children))
+                    if not calls:
+                        continue
                 for call, ctx in calls:
                     if ctx.rule_id in live:  # not dropped at an earlier call
                         try:

@@ -6,8 +6,9 @@ Each namespace, class (unless forward), function, constructor, destructor,
 ``Scope.open``, recorded in the table against its node (the blocks of a
 namespace share one). Each class, function, named variable or parameter,
 typedef and named enum declares its binding in the current scope, recorded
-against its node (a class's declarations share one); a class and a
-function are declared before their bodies are parsed. A ``using
+against its node (a class's forward declarations share the binding of its
+first body, and a second body is a duplicate with a binding of its own); a
+class and a function are declared before their bodies are parsed. A ``using
 namespace`` whose namespace resolves adds it to the current scope's
 ``used``. The table's diagnostics are sorted into document order at the end.
 
@@ -30,6 +31,15 @@ function, constructor or destructor, then its ``{…}`` or ``;``),
 constructor initializers), ``parse_condition`` (``keyword ( expression
 )``) and ``parse_qualified_name`` (``A::B``). Every parse method for a
 construct that may expand to several nodes returns a list.
+
+Expressions are parsed by ``parse_assign`` (right-associative
+assignments), ``parse_binary`` (a chain of binary operators in one loop,
+which returns a lone operand as it is) and ``parse_unary``, so an operand
+costs one frame: ``parse_unary`` makes an identifier, ``this``, literal or
+parenthesised leaf itself and calls ``parse_postfix`` only when one of ``(
+. -> ++ --`` follows. ``parse_top_decl``, ``parse_member``, ``parse_stmt``,
+``parse_assign`` and ``parse_unary`` each count one level of nesting
+(``Cursor.enter``).
 
 Node ids and spans come from ``scan.Cursor``: every node goes through its
 ``node``, except an empty unit's root, which ``parse_unit`` builds with the
@@ -84,6 +94,8 @@ _DECLARATIONS = ("class", "enum", "typedef", "using")
 _LITERALS = (lexer.INT_LIT, lexer.FLOAT_LIT, lexer.STRING_LIT, lexer.CHAR_LIT)
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 _UNARY_OPS = ("!", "-", "+", "*", "&", "~", "++", "--")
+# the texts after an operand that continue it as a postfix expression
+_POSTFIX = frozenset(("(", ".", "->", "++", "--"))
 # (attribute, specifier): a function whose attribute is set has the specifier
 _SPECIFIERS = (
     ("virtual", Specifier.VIRTUAL),
@@ -258,19 +270,23 @@ class _Parser(Cursor):
 
     def parse_base_type(self):
         """Parse a type up to, but excluding, declarator stars."""
+        texts = self.texts
         parts = []
-        while self.at("const"):
-            self.advance()
+        while texts[self.pos] == "const":
+            self.pos += 1
             parts.append("const")
-        if self.texts[self.pos] in _TYPE_KEYWORDS:
-            while self.texts[self.pos] in _TYPE_KEYWORDS:
-                parts.append(self.advance())
+        text = texts[self.pos]
+        if text in _TYPE_KEYWORDS:
+            while text in _TYPE_KEYWORDS:
+                parts.append(text)
+                self.pos += 1
+                text = texts[self.pos]
         elif self.kinds[self.pos] == IDENT:
             parts.append(self.parse_qualified_name())
         else:
             self.expected("type")
-        while self.at("const"):
-            self.advance()
+        while texts[self.pos] == "const":
+            self.pos += 1
             parts.append("const")
         return " ".join(parts)
 
@@ -284,8 +300,11 @@ class _Parser(Cursor):
 
     def parse_pointer_suffix(self):
         suffix = ""
-        while self.at("*") or self.at("&"):
-            suffix += self.advance()
+        text = self.texts[self.pos]
+        while text == "*" or text == "&":
+            suffix += text
+            self.pos += 1
+            text = self.texts[self.pos]
         return suffix
 
     # --- classes --------------------------------------------------------
@@ -314,6 +333,9 @@ class _Parser(Cursor):
             node = self.node("ClassDef", start, {"name": name, "forward": True})
             return self.table.record(node, binding=binding, duplicate=duplicate)
         self.expect("{")
+        if binding.scope is not self.scope:  # the name's class has a body: this one is a duplicate of its own
+            binding = ClassBinding(name)
+            duplicate = self.table.declare(self.scope, binding)
         binding.bases += bases
         scope = binding.scope = self.scope.open(ScopeKind.CLASS, name)
         outer = self.cls, self.access
@@ -382,10 +404,11 @@ class _Parser(Cursor):
 
     def parse_dropped(self, parse, *args):
         """Call ``parse(*args)`` for its checks only: the ids of the nodes
-        it makes are given again to the nodes made next."""
-        next_id = self._next_id
+        it makes are given again to the nodes made next, so their token
+        indices are cut from the ``Tokens`` columns."""
+        made = len(self.firsts)
         parse(*args)
-        self._next_id = next_id
+        del self.firsts[made:], self.lasts[made:]
 
     def parse_params(self):
         if self.at("void", 1) and self.at(")", 2):  # f(void)
@@ -525,25 +548,22 @@ class _Parser(Cursor):
     def parse_stmt(self):
         """Parse one statement; declarations may expand to several nodes."""
         self.enter()
-        if self.at_end():
-            self.expected("statement")
-        text = self.texts[self.pos]
+        start = self.pos
+        text = self.texts[start]
         handler = self._STATEMENTS.get(text)
-        if text == "{":
+        if handler is not None:
+            stmts = [handler(self)]
+        elif text == "{":
             stmts = [self.parse_compound()]
         elif text == ";":
-            start = self.pos
-            self.advance()
+            self.pos += 1
             stmts = [self.node("ExprStmt", start)]
-        elif handler is not None:
-            stmts = [handler(self)]
-        elif self.kinds[self.pos] == IDENT and self.at(":", 1):
-            start = self.pos
-            name = self.advance()
-            self.advance()
-            stmts = [self.node("LabelStmt", start, {"name": name})]
+        elif text is None:
+            self.expected("statement")
+        elif self.kinds[start] == IDENT and self.texts[start + 1] == ":":
+            self.pos += 2
+            stmts = [self.node("LabelStmt", start, {"name": text})]
         elif self.at_declaration():
-            start = self.pos
             stmts = self.parse_declaration(start, self.accept("static"), function=False)
         else:
             stmts = [self.parse_expr_stmt()]
@@ -690,20 +710,26 @@ class _Parser(Cursor):
         self.enter()
         start = self.pos
         expr = self.parse_binary()
-        if self.texts[self.pos] in _ASSIGN_OPS:
-            op = self.advance()
+        op = self.texts[self.pos]
+        if op in _ASSIGN_OPS:
+            self.pos += 1
             expr = self.node("AssignExpr", start, self.shared(op, operator=op), [expr, self.parse_assign()])
         self.depth -= 1
         return expr
 
     def parse_binary(self):
         """Parse a chain of binary operators in one loop over
-        ``_BINARY_PRECEDENCE``. An operator waits on ``pending`` until one
+        ``_BINARY_PRECEDENCE``; an operand that no binary operator follows
+        is returned as it is. An operator waits on ``pending`` until one
         that binds no tighter arrives; all are left-associative."""
-        operands = [(self.pos, self.parse_unary())]  # (first token index, operand)
+        start = self.pos
+        expr = self.parse_unary()
+        precedence = _BINARY_PRECEDENCE.get(self.texts[self.pos])
+        if precedence is None:
+            return expr
+        operands = [(start, expr)]  # (first token index, operand)
         pending = []  # (precedence, the operator's attributes)
         while True:
-            precedence = _BINARY_PRECEDENCE.get(self.texts[self.pos])
             while pending and (precedence is None or pending[-1][0] >= precedence):
                 attrs = pending.pop()[1]
                 rhs = operands.pop()[1]
@@ -711,24 +737,51 @@ class _Parser(Cursor):
                 operands[-1] = start, self.node("BinaryExpr", start, attrs, [lhs, rhs])
             if precedence is None:
                 return operands[0][1]
-            op = self.advance()
+            op = self.texts[self.pos]
+            self.pos += 1
             pending.append((precedence, self.shared(op, operator=op)))
             operands.append((self.pos, self.parse_unary()))
+            precedence = _BINARY_PRECEDENCE.get(self.texts[self.pos])
 
     def parse_unary(self):
+        """Parse an operand: a prefix operator and its operand, ``new``,
+        ``delete``, or a primary expression and its postfix operators. An
+        identifier, ``this``, a literal or a parenthesised expression is
+        made here, and ``parse_postfix`` is called only when one of
+        ``_POSTFIX`` follows it."""
         self.enter()
         start = self.pos
+        kind = self.kinds[start]
         text = self.texts[start]
-        if text in _UNARY_OPS:
-            self.advance()
-            operand = self.parse_unary()
-            expr = self.node("UnaryExpr", start, self.shared(text, operator=text), [operand])
-        elif text == "new":
-            expr = self.parse_new()
-        elif text == "delete":
-            expr = self.parse_delete()
-        else:
-            expr = self.parse_postfix()
+        if kind == IDENT or text == "this":
+            self.pos += 1
+            expr = self.node("IdentExpr", start, self.shared(text, name=text))
+        elif kind in _LITERALS:
+            self.pos += 1
+            expr = self.node("Literal", start, self.shared(text, value=text, lit_kind=kind))
+        elif text == "true" or text == "false":
+            self.pos += 1
+            expr = self.node("Literal", start, self.shared(text, value=text, lit_kind="BOOL_LIT"))
+        elif text == "(":
+            self.pos += 1
+            inner = self.parse_assign()
+            self.expect(")")
+            expr = self.node("ParenExpr", start, children=[inner])
+        else:  # no postfix operator applies to these
+            if text in _UNARY_OPS:
+                self.pos += 1
+                operand = self.parse_unary()
+                expr = self.node("UnaryExpr", start, self.shared(text, operator=text), [operand])
+            elif text == "new":
+                expr = self.parse_new()
+            elif text == "delete":
+                expr = self.parse_delete()
+            else:
+                self.expected("expression")
+            self.depth -= 1
+            return expr
+        if self.texts[self.pos] in _POSTFIX:
+            expr = self.parse_postfix(start, expr)
         self.depth -= 1
         return expr
 
@@ -755,41 +808,22 @@ class _Parser(Cursor):
         operand = self.parse_unary()
         return self.node("DeleteExpr", start, {"array": array}, [operand])
 
-    def parse_postfix(self):
-        start = self.pos
-        expr = self.parse_primary()
+    def parse_postfix(self, start, expr):
+        """Apply the calls, member accesses and postfix ``++``/``--`` that
+        follow ``expr``, whose first token is at ``start``."""
         while True:
-            if self.at("("):
+            op = self.texts[self.pos]
+            if op == "(":
                 expr = self.node("CallExpr", start, children=[expr] + self.parse_list(self.parse_assign))
-            elif self.at(".") or self.at("->"):
-                op = self.advance()
+            elif op == "." or op == "->":
+                self.pos += 1
                 name = self.expect_ident()
                 expr = self.node("MemberExpr", start, {"operator": op, "name": name}, [expr])
-            elif self.at("++") or self.at("--"):
-                op = self.advance()
+            elif op == "++" or op == "--":
+                self.pos += 1
                 expr = self.node("UnaryExpr", start, {"operator": op, "postfix": True}, [expr])
             else:
                 return expr
-
-    def parse_primary(self):
-        start = self.pos
-        kind = self.kinds[start]
-        text = self.texts[start]
-        if text == "(":
-            self.advance()
-            inner = self.parse_assign()
-            self.expect(")")
-            return self.node("ParenExpr", start, children=[inner])
-        if kind in _LITERALS:
-            self.advance()
-            return self.node("Literal", start, self.shared(text, value=text, lit_kind=kind))
-        if text == "true" or text == "false":
-            self.advance()
-            return self.node("Literal", start, self.shared(text, value=text, lit_kind="BOOL_LIT"))
-        if kind == IDENT or text == "this":
-            self.advance()
-            return self.node("IdentExpr", start, self.shared(text, name=text))
-        self.expected("expression")
 
     # keyword -> the method that parses the type declaration it starts
     _TYPE_DECLS = {"class": parse_class, "enum": parse_enum, "typedef": parse_typedef}

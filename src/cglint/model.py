@@ -57,15 +57,16 @@ class AstNode:
     only to itself.
 
     A hand-built node is given its span, and its ``tokens`` is None. A parsed
-    node is not: ``scan.Cursor`` sets ``tokens`` (its unit's ``Tokens``) and
-    the indices of its ``first`` and ``last`` token instead, and ``span``
-    decodes them on first read and keeps the result. A parsed node's
-    ``attributes`` may be a read-only mapping that other nodes share (see
-    ``scan.Cursor.node`` and ``Cursor.shared``); a hand-built node's is its
-    own dict.
+    node is not: ``scan.Cursor`` sets ``tokens``, its unit's ``Tokens``,
+    whose ``firsts`` and ``lasts`` columns hold the index of its ``first``
+    and ``last`` token at ``node_id - 1``, so the node owns no position.
+    ``span`` decodes them on first read and keeps the result. A parsed
+    node's ``attributes`` may be a read-only mapping that other nodes share
+    (see ``scan.Cursor.node`` and ``Cursor.shared``); a hand-built node's is
+    its own dict.
     """
 
-    __slots__ = ("language", "kind", "_span", "attributes", "children", "node_id", "tokens", "first", "last")
+    __slots__ = ("language", "kind", "_span", "attributes", "children", "node_id", "tokens")
 
     def __init__(self, language, kind, span, attributes=None, children=None, node_id=0):
         self.language = language
@@ -81,8 +82,20 @@ class AstNode:
         """The ``SourceSpan`` of the node's text."""
         span = self._span
         if span is None:
-            span = self._span = self.tokens.span(self.first, self.last)
+            tokens = self.tokens
+            index = self.node_id - 1
+            span = self._span = tokens.span(tokens.firsts[index], tokens.lasts[index])
         return span
+
+    @property
+    def first(self):
+        """The index of a parsed node's first token."""
+        return self.tokens.firsts[self.node_id - 1]
+
+    @property
+    def last(self):
+        """The index of a parsed node's last token."""
+        return self.tokens.lasts[self.node_id - 1]
 
     def __repr__(self):
         return "AstNode(%r, %r, %r, node_id=%d)" % (self.language, self.kind, self.span, self.node_id)

@@ -16,11 +16,13 @@ starts a new row, and a valid token never spans lines.
 
 ``Cursor`` is the token lookahead both parsers extend. It is the one place
 that assigns node ids and node spans, and its ``parse_list`` parses every
-parenthesised, comma-separated list of both languages. A node keeps the
-index of its first and last token and decodes its span when it is first
-read. A node without attributes shares the read-only ``NO_ATTRIBUTES``, and
-``shared`` gives the nodes of a unit whose attributes one key, such as a
-token's text, determines one read-only mapping per key.
+parenthesised, comma-separated list of both languages. A node's first and
+last token index are kept in two columns of its unit's ``Tokens``, at the
+node's id less one, so a node owns no position; it decodes its span from
+them when the span is first read. A node without attributes shares the
+read-only ``NO_ATTRIBUTES``, and ``shared`` gives the nodes of a unit whose
+attributes one key, such as a token's text, determines one read-only
+mapping per key.
 """
 
 from __future__ import annotations
@@ -83,9 +85,14 @@ class Tokens:
     that stands for the input's end; the unsigned ``array`` ``starts``
     holds each token's offset and the unsigned ``array`` ``lines`` the
     offset each line starts at. ``len(tokens)`` counts the tokens.
+
+    The unsigned ``array`` columns ``firsts`` and ``lasts`` hold, at index
+    ``node_id - 1``, the first and last token index of each node that the
+    parse of these tokens made (``Cursor.node``); a ``Tokens`` is parsed
+    once.
     """
 
-    __slots__ = ("kinds", "texts", "starts", "lines", "file")
+    __slots__ = ("kinds", "texts", "starts", "lines", "file", "firsts", "lasts")
 
     def __init__(self, kinds, texts, starts, lines, file):
         self.kinds = kinds
@@ -93,6 +100,8 @@ class Tokens:
         self.starts = starts
         self.lines = lines
         self.file = file
+        self.firsts = array("I")
+        self.lasts = array("I")
 
     def __len__(self):
         return len(self.starts)
@@ -185,9 +194,10 @@ class Cursor:
     ``None`` ends the input. A parser subclasses it and defines
     ``error(message)``, which raises at the current token and says how
     the input's end is reported. Node ids run 1..n in the order nodes are
-    made, so a unit's root, made last, has the largest. ``node`` gives a
-    node its first and last token index, and its span is decoded from them
-    when it is first read.
+    made, so a unit's root, made last, has the largest. A node's id is the
+    length of the ``Tokens`` columns once ``node`` has appended its first
+    and last token index to them, and its span is decoded from them when it
+    is first read.
     """
 
     def __init__(self, tokens, language, ident):
@@ -202,7 +212,8 @@ class Cursor:
         self.ident = ident  # the token kind of an identifier
         self.pos = 0
         self.depth = 0
-        self._next_id = 0
+        self.firsts = tokens.firsts
+        self.lasts = tokens.lasts
         self._mappings = {}  # key -> the unit's one read-only mapping of the attributes it determines
 
     def at(self, text, offset=0):
@@ -258,19 +269,20 @@ class Cursor:
     def node(self, kind, start, attrs=None, children=None, last=None):
         """A node with the next id, spanning the tokens from index ``start``
         to ``last``: by default the last consumed, or just the token at
-        ``start`` if none was. A node without attributes shares
-        ``NO_ATTRIBUTES``, and one without children shares ``()``."""
-        self._next_id += 1
+        ``start`` if none was. The two indices go to the ``Tokens`` columns,
+        not to the node. A node without attributes shares ``NO_ATTRIBUTES``,
+        and one without children shares ``()``."""
+        firsts = self.firsts
+        firsts.append(start)
+        if last is None:
+            last = self.pos - 1 if self.pos > start else start
+        self.lasts.append(last)
         node = _new_object(AstNode)  # the fields of a parsed node, without __init__
         node.language = self.language
         node.kind = kind
         node._span = None
         node.attributes = attrs or NO_ATTRIBUTES
         node.children = children or ()
-        node.node_id = self._next_id
+        node.node_id = len(firsts)
         node.tokens = self.tokens
-        node.first = start
-        if last is None:
-            last = self.pos - 1 if self.pos > start else start
-        node.last = last
         return node

@@ -19,7 +19,9 @@ that misses in a scope is looked for in the namespaces its ``using
 namespace`` directives name (not in theirs) before the scope around it. A
 name declared twice in one scope is a non-fatal diagnostic unless both are
 functions (overloads, a constructor and a destructor, a prototype and its
-definition); a class's declarations, forward or not, share one binding.
+definition); a class's forward declarations and its body share one binding,
+and a second body of the class is a duplicate with a binding and a CLASS
+scope of its own.
 
 A table owns its scope tree: each scope holds its children and its
 bindings, while a scope's ``parent`` and a binding's ``scope`` are weak

@@ -18,7 +18,7 @@ from cglint.errors import (
     UnknownPropertyError,
     UnknownRuleIdError,
 )
-from cglint.model import Criticality, Priority, RuleDescriptor
+from cglint.model import AnalysisRoot, AstNode, Criticality, Priority, RuleDescriptor, SourceSpan
 from cglint.rules import RULES_BY_LANGUAGE
 
 
@@ -170,6 +170,32 @@ def test_dispatch_only_to_subscribers():
     by_id = {r.descriptor.id: r for r in reports}
     assert [f.message for f in by_id["IfOnly"].findings] == ["saw IfStmt"]
     assert [f.message for f in by_id["LoopOnly"].findings] == ["saw WhileStmt"]
+
+
+def test_dispatch_keeps_languages_apart():
+    """Nodes of one kind in two languages, mixed in one hand-built tree,
+    each reach only their own language's subscribers, however the walk
+    alternates between the languages."""
+    languages = ["minicpp", "seqdiag", "seqdiag", "minicpp", "seqdiag", "minicpp"]
+    span = SourceSpan.point("mixed.txt", 1, 1)
+    leaves = [AstNode(language, "Block", span, node_id=i + 1) for i, language in enumerate(languages)]
+    inner = AstNode("seqdiag", "Block", span, children=leaves[3:], node_id=7)
+    ast = AstNode("minicpp", "Block", span, children=leaves[:3] + [inner], node_id=8)
+    registry = RuleRegistry()
+    seen = {"minicpp": [], "seqdiag": []}
+    for language in seen:
+
+        class _Seen(Rule):
+            descriptor = make_rule("Seen_" + language, [(language, "Block")]).descriptor
+
+            def visit(self, node, ctx, seen=seen[language]):
+                seen.append(node.node_id)
+
+        registry.register(_Seen)
+    stats = TraversalStats()
+    traverse(AnalysisRoot(file="mixed.txt", content="", ast=ast), registry, default_configs(registry), stats)
+    assert seen == {"minicpp": [8, 1, 4, 6], "seqdiag": [2, 3, 7, 5]}
+    assert stats.visits == 8
 
 
 def test_disabled_rule_produces_no_report():

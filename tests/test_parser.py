@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import analyze_cpp, find_all, fixture_path, token_tuples
@@ -236,6 +238,10 @@ PARSE_ERRORS = [
     ("switch_item", "void f() { switch (x) { a; } }", "expected 'case' or 'default'", 1, 25),
     ("statement_at_end", "void f() { if (x)", "expected statement, found end of input", 1, 17),
     ("type_at_end", "static const", "expected type, found end of input", 1, 12),
+    ("type_keyword_at_end", "static", "expected type, found end of input", 1, 6),
+    ("parameter_at_end", "void f(", "expected type, found end of input", 1, 7),
+    ("parameter_after_comma_at_end", "void f(int a,", "expected type, found end of input", 1, 13),
+    ("new_at_end", "void f() { x = new", "expected type, found end of input", 1, 18),
     ("expression_at_end", "void f() { x = ", "expected expression, found end of input", 1, 14),
     ("trailing_argument_comma", "void f() { f(1,); }", "expected expression, found ')'", 1, 16),
     ("trailing_parameter_comma", "void f(int a,) {}", "expected type, found ')'", 1, 14),
@@ -262,6 +268,72 @@ def test_parse_error_is_fatal_with_position(source, message, row, col):
         parse_src(source)
     assert (exc.value.span.row, exc.value.span.col) == (row, col)
     assert str(exc.value) == "test.cpp:%d:%d: %s" % (row, col, message)
+
+
+def _nested(head, level, leaf, tail, levels=200):
+    """``head``, then ``level`` on a line of its own ``levels`` times, then
+    ``leaf``, the closing ``tail`` of each level, and the end of ``head``'s
+    block; the first level is on row 2."""
+    return "%s %s%s%s;\n}\n" % (head, (level + "\n") * levels, leaf, tail * levels)
+
+
+# name, source, the row and column where the nesting limit fires
+NESTING_LIMITS = [
+    ("parentheses", _nested("int f() {\n  return", "(", "1", ")"), 65, 1),
+    ("prefix_minus", _nested("int f() {\n  return", "-", "1", ""), 127, 1),
+    ("prefix_minus_to_the_leaf", _nested("int f() {\n  return", "-", "x", "", levels=125), 127, 1),
+    ("nested_calls", _nested("int f() {\n  return", "f(", "1", ")"), 65, 1),
+    ("member_and_postfix_chains", _nested("int f() {\n  return", "(p->q->r++ + s.t--->u +", "1", ")"), 64, 2),
+    ("new_array", _nested("void f() {\n ", "new int[", "1", "]"), 65, 1),
+    ("delete", _nested("void f() {\n ", "delete", "p", ""), 127, 1),
+    ("binary_chain", _nested("int f() {\n  return", "(a || b && c | d ^ e & f == g < h << i + j *", "1", ")"), 64, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "source,row,col", [case[1:] for case in NESTING_LIMITS], ids=[case[0] for case in NESTING_LIMITS]
+)
+def test_nesting_limit_fires_at_the_same_token(source, row, col):
+    """Each ``parse_assign`` and ``parse_unary`` frame of an expression
+    counts one level of nesting, so the limit fires at the token pinned
+    for each form."""
+    with pytest.raises(ParseError, match="nesting deeper than 128 levels") as exc:
+        parse_src(source)
+    assert (exc.value.span.row, exc.value.span.col) == (row, col)
+
+
+def test_dropped_nodes_leave_no_positions_behind():
+    """A default argument's and an initializer's nodes are made and dropped,
+    and their ids are given again to the nodes made next, which take their
+    own first and last tokens."""
+    source = (
+        "class A {\n"
+        "  int m, n;\n"
+        "  A(int a = 1 + 2) : m(a * 3), n(4) { int x = m; }\n"
+        "  void g(int b = f(5)) { n = b; }\n"
+        "};\n"
+    )
+    unit = parse_src(source)
+    spans = [(node.node_id, node.kind, tuple(node.span[1:])) for node in unit.walk()]
+    assert sorted(spans) == [
+        (1, "VarDecl", (2, 3, 2, 7)),
+        (2, "VarDecl", (2, 10, 2, 10)),
+        (3, "ParamDecl", (3, 5, 3, 17)),
+        (4, "IdentExpr", (3, 47, 3, 47)),
+        (5, "VarDecl", (3, 39, 3, 47)),
+        (6, "CompoundStmt", (3, 37, 3, 50)),
+        (7, "Constructor", (3, 3, 3, 50)),
+        (8, "ParamDecl", (4, 10, 4, 21)),
+        (9, "IdentExpr", (4, 26, 4, 26)),
+        (10, "IdentExpr", (4, 30, 4, 30)),
+        (11, "AssignExpr", (4, 26, 4, 30)),
+        (12, "ExprStmt", (4, 26, 4, 31)),
+        (13, "CompoundStmt", (4, 24, 4, 33)),
+        (14, "FunctionDef", (4, 3, 4, 33)),
+        (15, "ClassDef", (1, 1, 5, 2)),
+        (16, "TranslationUnit", (1, 1, 5, 2)),
+    ]
+    assert tuple(_op_span(find_all(unit, "AssignExpr")[0])[1:]) == (4, 28, 4, 28)
 
 
 def outline(node):
@@ -477,9 +549,10 @@ def test_span_fidelity():
 
 
 def test_node_spans_decode_once():
-    """A parsed node decodes its span on its first read and keeps it, and a
-    leaf shares the empty tuple; a hand-built node keeps the span it was
-    given."""
+    """A parsed node decodes its span on its first read from its unit's
+    token columns and keeps it, owning no token index itself, and a leaf
+    shares the empty tuple; a hand-built node keeps the span it was given."""
+    assert not {"first", "last"} & set(AstNode.__slots__)
     unit = parse_src(SPAN_SOURCE)
     for node in unit.walk():
         assert node.span is node.span
@@ -528,3 +601,30 @@ def test_parsed_nodes_share_read_only_attributes():
     built = [AstNode("minicpp", "IdentExpr", SourceSpan.point("x.cpp", 1, 1)) for _ in range(2)]
     built[0].attributes["name"] = "a"
     assert (built[0].attributes, built[1].attributes) == ({"name": "a"}, {})
+
+
+CALLS_PER_TOKEN = 6.0  # Python calls the parse of grammar.cpp may make per token
+
+
+def test_parse_calls_per_token():
+    """The parse of the grammar fixture makes at most ``CALLS_PER_TOKEN``
+    Python calls per token, counted by a profile function: a count, unlike
+    a time, does not drift with the host. The profile function in place
+    before is put back."""
+    with open(fixture_path("grammar.cpp"), encoding="utf-8") as handle:
+        tokens = lex(handle.read(), "grammar.cpp")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        parse(tokens)
+    finally:
+        sys.setprofile(previous)
+    per_token = calls / len(tokens)
+    assert per_token <= CALLS_PER_TOKEN, "the parse made %.2f Python calls per token" % per_token

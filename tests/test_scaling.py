@@ -50,7 +50,7 @@ SMALL, LARGE = 2, 8  # classes
 SMALL_CHART, LARGE_CHART = 150, 600  # messages
 BOUND = 2.3 ** 2
 REPEATS = 5
-HELD_PER_BYTE = 55  # bytes a parsed and walked unit may hold per byte of its text
+HELD_PER_BYTE = 42  # bytes a parsed and walked unit may hold per byte of its text
 STAGES = ("lex", "parse", "traverse", "seqdiag_parse", "unit_collector_on")
 
 

@@ -205,6 +205,26 @@ def test_forward_declarations_share_the_class_binding():
     assert binding.scope.lookup_local("m") in binding.data_members
 
 
+def test_a_class_defined_twice_gets_a_binding_per_body():
+    """A second body of a class defined in the same scope is a duplicate,
+    with a binding and a scope of its own, so no binding collects two
+    bodies; a later forward declaration, and a name lookup, still find the
+    first."""
+    root = analyze_cpp("class A { int m; };\nclass A { int n; void f(); };\nclass A;")
+    table = root.symbols
+    first, second, forward = [n for n in root.ast.walk() if n.kind == "ClassDef"]
+    assert [(d.span[1:3], d.message, d.fatal) for d in root.diagnostics] == [
+        ((2, 1), "duplicate declaration of 'A'", False)
+    ]
+    a, b = table.binding_of(first), table.binding_of(second)
+    assert classes(root) == [a, b]
+    assert table.binding_of(forward) is a and table.global_scope.lookup_local("A") is a
+    assert ([v.name for v in a.data_members], a.functions) == (["m"], [])
+    assert ([v.name for v in b.data_members], [f.name for f in b.functions]) == (["n"], ["f"])
+    assert (a.scope, b.scope) == (table.scope_of(first), table.scope_of(second))
+    assert a.scope is not b.scope and a.scope is table.global_scope.lookup_scope(["A"])
+
+
 def test_reopened_namespace_continues_its_scope():
     root = analyze_cpp("namespace n { int a = 0; }\nnamespace m { }\nnamespace n { int b = 0; }")
     table = root.symbols
